@@ -14,27 +14,22 @@ import json
 import random
 import sys
 
-from .hseq import (
-    HSequent,
-    check,
-    derivation_from_obj,
+from .derivation import (
     derivation_latex,
     derivation_text,
     derivation_to_obj,
+    first_violation,
     latex_escape,
+)
+from .hseq import (
+    HSequent,
+    check_node,
+    derivation_from_obj,
     parse_hsequent,
     prove,
     prove_all,
 )
-from .mseq import (
-    check_m,
-    m_derivation_from_obj,
-    m_derivation_latex,
-    m_derivation_text,
-    m_derivation_to_obj,
-    parse_msequent,
-    prove_m,
-)
+from .mseq import check_m_node, m_derivation_from_obj, parse_msequent, prove_m
 from .syntax import (
     HyperConfig,
     ParseError,
@@ -122,32 +117,19 @@ def _emit_trace(args, trace) -> None:
 def cmd_prove(args) -> int:
     sig = _load_sig(args)
     if args.calculus == "hd":
-        seq = parse_hsequent(args.sequent, sig)
-        d = prove(seq)
-        render = (derivation_text, derivation_to_obj, derivation_latex)
+        d = prove(parse_hsequent(args.sequent, sig))
     else:
-        seq = parse_msequent(args.sequent, sig)
-        d = prove_m(seq)
-        render = (m_derivation_text, m_derivation_to_obj, m_derivation_latex)
+        d = prove_m(parse_msequent(args.sequent, sig))
     if d is None:
         print("unprovable: %s" % args.sequent, file=sys.stderr)
         return 1
     if args.out == "json":
-        _emit_json(render[1](d))
+        _emit_json(derivation_to_obj(d))
     elif args.out == "latex":
-        print(render[2](d))
+        print(derivation_latex(d))
     else:
-        print(render[0](d))
+        print(derivation_text(d))
     return 0
-
-
-def _first_violation(d, ok):
-    """Deepest node whose premise subtrees pass but whose own inference fails."""
-    for p in d.premises:
-        bad = _first_violation(p, ok)
-        if bad is not None:
-            return bad
-    return None if ok(d) else d
 
 
 def cmd_check(args) -> int:
@@ -155,15 +137,12 @@ def cmd_check(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
     if args.calculus == "hd":
-        d = derivation_from_obj(obj, sig)
-        ok = check
+        bad = first_violation(derivation_from_obj(obj, sig), check_node)
     else:
-        d = m_derivation_from_obj(obj, sig)
-        ok = check_m
-    if ok(d):
+        bad = first_violation(m_derivation_from_obj(obj, sig), check_m_node)
+    if bad is None:
         _emit_scalar(args, "valid", "ok")
         return 0
-    bad = _first_violation(d, ok)
     print("violation at [%s] %s" % (bad.rule, bad.conclusion), file=sys.stderr)
     return 1
 

@@ -1,0 +1,156 @@
+"""Derivation trees shared by both sequent calculi.
+
+The two calculi have the same logical rules, one for one, so their
+derivations are the same trees: a rule name, a conclusion, premise
+derivations and the rule's parameters.  Only the conclusions differ
+(configuration sequents in ``hseq``, term sequents in ``mseq``), and only
+the term calculus adds Structural steps, whose rewrite ``indices`` are the
+one parameter written as a JSON object.  Serialising, rendering and the
+checking walk are defined here once; each calculus supplies its sequent
+parser and its single-node check.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .syntax import ParseError
+
+
+@dataclass(frozen=True)
+class Derivation:
+    rule: str
+    conclusion: object  # HSequent or MSequent
+    premises: tuple = ()
+    params: tuple = ()
+
+    def params_dict(self) -> dict:
+        return dict(self.params)
+
+
+# ---------------------------------------------------------------------------
+# checking
+
+
+def first_violation(d: Derivation, node_ok):
+    """The first node, in post-order, whose own inference `node_ok` rejects;
+    None when every inference is valid.  Ill-formed parameters reject too."""
+    stack = [(d, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premises))
+            continue
+        try:
+            if node_ok(node):
+                continue
+        except (ValueError, IndexError, KeyError, TypeError):
+            pass
+        return node
+    return None
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def _to_jsonable(v):
+    if isinstance(v, (tuple, list)):
+        return [_to_jsonable(x) for x in v]
+    return v
+
+
+def _from_jsonable(v):
+    if isinstance(v, list):
+        return tuple(_from_jsonable(x) for x in v)
+    return v
+
+
+_JSON_NAMES = {dict: "object", list: "list", str: "string"}
+
+
+def _expect(value, kind, what: str):
+    if not isinstance(value, kind):
+        raise ParseError("%s must be a JSON %s" % (what, _JSON_NAMES[kind]))
+    return value
+
+
+def params_to_obj(params: tuple) -> dict:
+    return {k: dict(v) if k == "indices" else _to_jsonable(v) for k, v in params}
+
+
+def params_from_obj(obj: dict) -> tuple:
+    items = []
+    for k, v in _expect(obj, dict, "params").items():
+        if k == "indices":
+            items.append((k, tuple(sorted(_expect(v, dict, "indices").items()))))
+        else:
+            items.append((k, _from_jsonable(v)))
+    return tuple(sorted(items))
+
+
+def derivation_to_obj(d: Derivation) -> dict:
+    return {
+        "rule": d.rule,
+        "sequent": str(d.conclusion),
+        "params": params_to_obj(d.params),
+        "premises": [derivation_to_obj(p) for p in d.premises],
+    }
+
+
+def from_obj(obj: dict, sig, parse_sequent) -> Derivation:
+    """Read a derivation, parsing each sequent with `parse_sequent(text, sig)`."""
+    _expect(obj, dict, "a derivation node")
+    seq = parse_sequent(_expect(obj["sequent"], str, "sequent"), sig)
+    premises = tuple(
+        from_obj(p, sig, parse_sequent) for p in _expect(obj.get("premises", []), list, "premises")
+    )
+    rule = _expect(obj["rule"], str, "rule")
+    return Derivation(rule, seq, premises, params_from_obj(obj.get("params", {})))
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def derivation_text(d: Derivation) -> str:
+    lines = []
+
+    def go(node, depth):
+        ps = ", ".join("%s=%s" % (k, v) for k, v in node.params)
+        tag = node.rule + (" " + ps if ps else "")
+        lines.append("%s[%s] %s" % ("  " * depth, tag, node.conclusion))
+        for p in node.premises:
+            go(p, depth + 1)
+
+    go(d, 0)
+    return "\n".join(lines)
+
+
+_LATEX_MAP = {
+    "\\": "\\textbackslash ",
+    "{": "\\{",
+    "}": "\\}",
+    "^": "\\^{}",
+    "_": "\\_",
+    "&": "\\&",
+    "%": "\\%",
+    "#": "\\#",
+    "~": "\\~{}",
+}
+
+
+def latex_escape(s: str) -> str:
+    return "".join(_LATEX_MAP.get(c, c) for c in s)
+
+
+def derivation_latex(d: Derivation) -> str:
+    """A proof.sty \\infer tree with sequents set verbatim."""
+
+    def go(node):
+        concl = "\\texttt{%s}" % latex_escape(str(node.conclusion))
+        prems = " & ".join(go(p) for p in node.premises)
+        return "\\infer[\\mathrm{%s}]{%s}{%s}" % (latex_escape(node.rule), concl, prems)
+
+    return go(d)

@@ -4,9 +4,11 @@ A sequent pairs a hyperconfiguration with a succedent type of equal sort.
 Every connective has a left and a right rule; the left rules for the
 implications abstract a region of the antecedent into the gaps of the
 premise ("chunks"), which is where all the combinatorics of discontinuity
-lives.  ``instance_premises`` is the single source of truth for what the
-premises of a rule instance are; enumeration, proof search and checking all
-go through it.  Cut is supported by the checker but never used in search.
+lives.  The ``RULES`` table is the single source of truth for the rules:
+each row names the side and the connective a rule acts on, how its
+candidate parameters are generated and how its premises are built.
+Enumeration, proof search and checking all read it.  Cut is supported by
+the checker but never used in search.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .derivation import Derivation, first_violation, from_obj
+from .derivation import derivation_latex, derivation_text, derivation_to_obj  # noqa: F401 (re-exported)
 from .syntax import (
     EMPTY,
     DDown,
@@ -54,30 +58,11 @@ from .syntax import (
     wrap_at,
 )
 
+HDerivation = Derivation
+
 
 class InstanceError(ValueError):
     """A rule instance whose parameters do not fit the sequent."""
-
-
-RULE_ORDER = (
-    "Id",
-    "IR",
-    "JR",
-    "UnderR",
-    "OverR",
-    "DownR",
-    "UpR",
-    "ProdR",
-    "DProdR",
-    "ProdL",
-    "DProdL",
-    "IL",
-    "JL",
-    "UnderL",
-    "OverL",
-    "UpL",
-    "DownL",
-)
 
 
 @dataclass(frozen=True)
@@ -97,23 +82,8 @@ class HSequent:
         return "%s => %s" % (config_str(self.antecedent), type_str(self.succedent))
 
 
-@dataclass(frozen=True)
-class HDerivation:
-    rule: str
-    conclusion: HSequent
-    premises: tuple = ()
-    params: tuple = ()
-
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
-
 def _freeze(params: dict) -> tuple:
     return tuple(sorted(params.items()))
-
-
-def sequent_str(seq: HSequent) -> str:
-    return str(seq)
 
 
 def parse_hsequent(text: str, sig: Signature) -> HSequent:
@@ -127,6 +97,10 @@ def parse_hsequent(text: str, sig: Signature) -> HSequent:
         return HSequent(cfg, t)
     except SortError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def derivation_from_obj(obj: dict, sig: Signature) -> HDerivation:
+    return from_obj(obj, sig, parse_hsequent)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +240,296 @@ def _split_specs(specs, sep_pos: int):
 
 # ---------------------------------------------------------------------------
 # rule instances
+#
+# The RULES table at the end of this section gives each rule the side it
+# acts on ("R": the succedent; "L": the antecedent item at params["at"]), the
+# connective the type there must have, and two functions.  The candidates
+# function yields parameter dicts and is called only where the side and the
+# connective fit: with (ant, succ) for a right rule, (ant, addr, item) for a
+# left rule.  The premises function, called with (ant, succ, params) or
+# (ant, succ, addr, item, params), builds the premise sequents and raises
+# InstanceError when the rest of the instance does not fit.
 
 
 def _item_gaps(item) -> tuple:
     return item.gaps if isinstance(item, Occurrence) else ()
+
+
+# right rules: candidate parameters
+
+
+def _once(ant, succ):
+    return ({},)
+
+
+def _index(ant, succ):
+    return ({"k": succ.k},)
+
+
+def _splits(ant, succ):
+    want = sort_of_type(succ.left)
+    total = 0
+    for split in range(len(ant.items) + 1):
+        if total == want:
+            yield {"split": split}
+        if split < len(ant.items):
+            item = ant.items[split]
+            if isinstance(item, Separator):
+                total += 1
+            elif isinstance(item, Occurrence):
+                total += sum(sort_of_config(g) for g in item.gaps)
+
+
+def _levels(cfg: HyperConfig):
+    yield ()
+    for addr, item in iter_items(cfg):
+        if isinstance(item, Occurrence):
+            for g in range(len(item.gaps)):
+                yield addr + (g,)
+
+
+def _excisions(ant, succ):
+    want = sort_of_type(succ.right)
+    for level in _levels(ant):
+        items = config_at(ant, level).items
+        for start in range(len(items) + 1):
+            for end in range(start, len(items) + 1):
+                if sort_of_config(HyperConfig(items[start:end])) == want:
+                    yield {"excise": (level, start, end)}
+
+
+# right rules: premises
+
+
+def _id(ant, succ, params):
+    if ant != figure(succ):
+        raise InstanceError("Id needs the figure of the succedent")
+    return ()
+
+
+def _ir(ant, succ, params):
+    if ant != EMPTY:
+        raise InstanceError("IR is Lambda => I")
+    return ()
+
+
+def _jr(ant, succ, params):
+    if ant.items != (SEP,):
+        raise InstanceError("JR is [] => J")
+    return ()
+
+
+def _under_r(ant, succ, params):
+    return (HSequent(HyperConfig(figure(succ.left).items + ant.items), succ.right),)
+
+
+def _over_r(ant, succ, params):
+    return (HSequent(HyperConfig(ant.items + figure(succ.right).items), succ.left),)
+
+
+def _check_index(succ, params):
+    if params.get("k", succ.k) != succ.k:
+        raise InstanceError("the index must match the succedent's")
+
+
+def _down_r(ant, succ, params):
+    _check_index(succ, params)
+    return (HSequent(wrap_at(figure(succ.left), succ.k, ant), succ.right),)
+
+
+def _up_r(ant, succ, params):
+    _check_index(succ, params)
+    return (HSequent(wrap_at(ant, succ.k, figure(succ.right)), succ.left),)
+
+
+def _prod_r(ant, succ, params):
+    split = params["split"]
+    if not 0 <= split <= len(ant.items):
+        raise InstanceError("bad split %r" % (split,))
+    return (
+        HSequent(HyperConfig(ant.items[:split]), succ.left),
+        HSequent(HyperConfig(ant.items[split:]), succ.right),
+    )
+
+
+def _dprod_r(ant, succ, params):
+    level, start, end = params["excise"]
+    level = tuple(level)
+    slice_cfg = sub_slice(ant, level, start, end)
+    main = replace_range(ant, level, start, end, (SEP,))
+    if sep_index_at(main, level + (start,)) != succ.k:
+        raise InstanceError("excised slice is not at gap %d" % succ.k)
+    return (HSequent(main, succ.left), HSequent(slice_cfg, succ.right))
+
+
+# left rules: candidate parameters
+
+
+def _principal(ant, addr, item):
+    return ({"at": addr},)
+
+
+def _left_regions(ant, addr, item):
+    level, p = addr[:-1], addr[-1]
+    count = sort_of_type(item.type.left)
+    for q in range(p, -1, -1):
+        for specs in enum_chunkings(sub_slice(ant, level, q, p), count):
+            yield {"at": addr, "mstart": q, "chunks": specs}
+
+
+def _right_regions(ant, addr, item):
+    level, p = addr[:-1], addr[-1]
+    count = sort_of_type(item.type.right)
+    for r in range(p + 1, len(config_at(ant, level).items) + 1):
+        for specs in enum_chunkings(sub_slice(ant, level, p + 1, r), count):
+            yield {"at": addr, "mend": r, "chunks": specs}
+
+
+def _gap_regions(ant, addr, item):
+    t = item.type
+    for specs in enum_chunkings(item.gaps[t.k - 1], sort_of_type(t.right)):
+        yield {"at": addr, "chunks": specs}
+
+
+def _infix_regions(ant, addr, item):
+    t = item.type
+    level, p = addr[:-1], addr[-1]
+    a = sort_of_type(t.left)
+    n = len(config_at(ant, level).items)
+    for q in range(p, -1, -1):
+        for lspecs in enum_chunkings(sub_slice(ant, level, q, p), t.k - 1):
+            for r in range(p + 1, n + 1):
+                for rspecs in enum_chunkings(sub_slice(ant, level, p + 1, r), a - t.k):
+                    chunks = lspecs + _shift_specs(rspecs, p - q + 1)
+                    yield {"at": addr, "mstart": q, "mend": r, "chunks": chunks}
+
+
+# left rules: premises
+
+
+def _il(ant, succ, addr, item, params):
+    return (HSequent(splice_item(ant, addr, ()), succ),)
+
+
+def _jl(ant, succ, addr, item, params):
+    if not isinstance(item, Occurrence):
+        raise InstanceError("JL needs a J occurrence")
+    return (HSequent(splice_item(ant, addr, item.gaps[0].items), succ),)
+
+
+def _prod_l(ant, succ, addr, item, params):
+    t = item.type
+    a = sort_of_type(t.left)
+    gaps = _item_gaps(item)
+    new = figure_items(t.left, gaps[:a]) + figure_items(t.right, gaps[a:])
+    return (HSequent(splice_item(ant, addr, new), succ),)
+
+
+def _dprod_l(ant, succ, addr, item, params):
+    t = item.type
+    b = sort_of_type(t.right)
+    gaps = _item_gaps(item)
+    k = t.k
+    inner = HyperConfig(figure_items(t.right, gaps[k - 1 : k - 1 + b]))
+    new_gaps = gaps[: k - 1] + (inner,) + gaps[k - 1 + b :]
+    return (HSequent(splice_item(ant, addr, figure_items(t.left, new_gaps)), succ),)
+
+
+def _abstract(region: HyperConfig, chunks, argument: Type):
+    """Abstract the region into the argument's gaps; (abstracted, contents)."""
+    abstracted, contents = apply_chunks(region, chunks)
+    a = sort_of_type(argument)
+    if len(contents) != a or sort_of_config(abstracted) != a:
+        raise InstanceError("abstraction does not fit the argument sort")
+    return abstracted, contents
+
+
+def _under_l(ant, succ, addr, item, params):
+    t = item.type
+    level, p = addr[:-1], addr[-1]
+    q = params["mstart"]
+    if not 0 <= q <= p:
+        raise InstanceError("bad region start %r" % (q,))
+    abstracted, contents = _abstract(sub_slice(ant, level, q, p), params["chunks"], t.left)
+    new = figure_items(t.right, contents + _item_gaps(item))
+    return (
+        HSequent(abstracted, t.left),
+        HSequent(replace_range(ant, level, q, p + 1, new), succ),
+    )
+
+
+def _over_l(ant, succ, addr, item, params):
+    t = item.type
+    level, p = addr[:-1], addr[-1]
+    r = params["mend"]
+    if not p + 1 <= r <= len(config_at(ant, level).items):
+        raise InstanceError("bad region end %r" % (r,))
+    abstracted, contents = _abstract(sub_slice(ant, level, p + 1, r), params["chunks"], t.right)
+    new = figure_items(t.left, _item_gaps(item) + contents)
+    return (
+        HSequent(abstracted, t.right),
+        HSequent(replace_range(ant, level, p, r, new), succ),
+    )
+
+
+def _up_l(ant, succ, addr, item, params):
+    t = item.type
+    abstracted, contents = _abstract(item.gaps[t.k - 1], params["chunks"], t.right)
+    new_gaps = item.gaps[: t.k - 1] + contents + item.gaps[t.k :]
+    return (
+        HSequent(abstracted, t.right),
+        HSequent(splice_item(ant, addr, figure_items(t.left, new_gaps)), succ),
+    )
+
+
+def _down_l(ant, succ, addr, item, params):
+    t = item.type
+    level, p = addr[:-1], addr[-1]
+    q, r = params["mstart"], params["mend"]
+    n = len(config_at(ant, level).items)
+    if not (0 <= q <= p and p + 1 <= r <= n):
+        raise InstanceError("bad region %r:%r" % (q, r))
+    lspecs, rspecs = _split_specs(params["chunks"], p - q)
+    absl, contl = apply_chunks(sub_slice(ant, level, q, p), lspecs)
+    absr, contr = apply_chunks(sub_slice(ant, level, p + 1, r), rspecs)
+    a = sort_of_type(t.left)
+    gamma = HyperConfig(absl.items + (SEP,) + absr.items)
+    ok = (
+        len(contl) + len(contr) == a - 1
+        and sort_of_config(gamma) == a
+        and sort_of_config(absl) == t.k - 1
+    )
+    if not ok:
+        raise InstanceError("abstraction does not fit the infix sort")
+    new = figure_items(t.right, contl + _item_gaps(item) + contr)
+    return (
+        HSequent(gamma, t.left),
+        HSequent(replace_range(ant, level, q, r, new), succ),
+    )
+
+
+# rule: (side, connective, candidate parameters, premises), in search order;
+# Id's connective is `object` because it applies to a succedent of any type
+RULES = {
+    "Id": ("R", object, _once, _id),
+    "IR": ("R", UnitI, _once, _ir),
+    "JR": ("R", UnitJ, _once, _jr),
+    "UnderR": ("R", Under, _once, _under_r),
+    "OverR": ("R", Over, _once, _over_r),
+    "DownR": ("R", DDown, _index, _down_r),
+    "UpR": ("R", DUp, _index, _up_r),
+    "ProdR": ("R", Prod, _splits, _prod_r),
+    "DProdR": ("R", DProd, _excisions, _dprod_r),
+    "ProdL": ("L", Prod, _principal, _prod_l),
+    "DProdL": ("L", DProd, _principal, _dprod_l),
+    "IL": ("L", UnitI, _principal, _il),
+    "JL": ("L", UnitJ, _principal, _jl),
+    "UnderL": ("L", Under, _left_regions, _under_l),
+    "OverL": ("L", Over, _right_regions, _over_l),
+    "UpL": ("L", DUp, _gap_regions, _up_l),
+    "DownL": ("L", DDown, _infix_regions, _down_l),
+}
+RULE_ORDER = tuple(RULES)
 
 
 def instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
@@ -282,184 +542,39 @@ def instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
 
 
 def _instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
+    if rule not in RULES:
+        raise InstanceError("%r is not a rule built from its conclusion" % (rule,))
+    side, connective, _, premises = RULES[rule]
     ant, succ = seq.antecedent, seq.succedent
-    if rule == "Id":
-        if ant != figure(succ):
-            raise InstanceError("Id needs the figure of the succedent")
-        return ()
-    if rule == "IR":
-        if not isinstance(succ, UnitI) or ant != EMPTY:
-            raise InstanceError("IR is Lambda => I")
-        return ()
-    if rule == "JR":
-        if not isinstance(succ, UnitJ) or ant.items != (SEP,):
-            raise InstanceError("JR is [] => J")
-        return ()
-    if rule == "UnderR":
-        if not isinstance(succ, Under):
-            raise InstanceError("UnderR needs a \\ succedent")
-        return (HSequent(HyperConfig(figure(succ.left).items + ant.items), succ.right),)
-    if rule == "OverR":
-        if not isinstance(succ, Over):
-            raise InstanceError("OverR needs a / succedent")
-        return (HSequent(HyperConfig(ant.items + figure(succ.right).items), succ.left),)
-    if rule == "DownR":
-        if not isinstance(succ, DDown):
-            raise InstanceError("DownR needs a ! succedent")
-        if params.get("k", succ.k) != succ.k:
-            raise InstanceError("DownR index must match the succedent")
-        return (HSequent(wrap_at(figure(succ.left), succ.k, ant), succ.right),)
-    if rule == "UpR":
-        if not isinstance(succ, DUp):
-            raise InstanceError("UpR needs a ^ succedent")
-        if params.get("k", succ.k) != succ.k:
-            raise InstanceError("UpR index must match the succedent")
-        return (HSequent(wrap_at(ant, succ.k, figure(succ.right)), succ.left),)
-    if rule == "ProdR":
-        if not isinstance(succ, Prod):
-            raise InstanceError("ProdR needs a . succedent")
-        split = params["split"]
-        if not 0 <= split <= len(ant.items):
-            raise InstanceError("bad split %r" % (split,))
-        return (
-            HSequent(HyperConfig(ant.items[:split]), succ.left),
-            HSequent(HyperConfig(ant.items[split:]), succ.right),
-        )
-    if rule == "DProdR":
-        if not isinstance(succ, DProd):
-            raise InstanceError("DProdR needs an @ succedent")
-        level, start, end = params["excise"]
-        level = tuple(level)
-        slice_cfg = sub_slice(ant, level, start, end)
-        main = replace_range(ant, level, start, end, (SEP,))
-        if sep_index_at(main, level + (start,)) != succ.k:
-            raise InstanceError("excised slice is not at gap %d" % succ.k)
-        return (HSequent(main, succ.left), HSequent(slice_cfg, succ.right))
-    if rule == "Cut":
-        raise InstanceError("Cut instances are validated from their premises")
-
-    # left rules: the principal item
+    if side == "R":
+        if not isinstance(succ, connective):
+            raise InstanceError("%s needs a %s succedent" % (rule, connective.__name__))
+        return premises(ant, succ, params)
     addr = tuple(params["at"])
     item = item_at(ant, addr)
-    if isinstance(item, Separator):
-        raise InstanceError("principal item is a separator")
-    t = item.type
-    if rule == "IL":
-        if not isinstance(t, UnitI):
-            raise InstanceError("IL needs an I item")
-        return (HSequent(splice_item(ant, addr, ()), succ),)
-    if rule == "JL":
-        if not (isinstance(t, UnitJ) and isinstance(item, Occurrence)):
-            raise InstanceError("JL needs a J occurrence")
-        return (HSequent(splice_item(ant, addr, item.gaps[0].items), succ),)
-    if rule == "ProdL":
-        if not isinstance(t, Prod):
-            raise InstanceError("ProdL needs a . item")
-        a = sort_of_type(t.left)
-        gaps = _item_gaps(item)
-        new = figure_items(t.left, gaps[:a]) + figure_items(t.right, gaps[a:])
-        return (HSequent(splice_item(ant, addr, new), succ),)
-    if rule == "DProdL":
-        if not isinstance(t, DProd):
-            raise InstanceError("DProdL needs an @ item")
-        b = sort_of_type(t.right)
-        gaps = _item_gaps(item)
-        k = t.k
-        inner = HyperConfig(figure_items(t.right, gaps[k - 1 : k - 1 + b]))
-        new_gaps = gaps[: k - 1] + (inner,) + gaps[k - 1 + b :]
-        return (HSequent(splice_item(ant, addr, figure_items(t.left, new_gaps)), succ),)
-
-    level, p = addr[:-1], addr[-1]
-    if rule == "UnderL":
-        if not isinstance(t, Under):
-            raise InstanceError("UnderL needs a \\ item")
-        q = params["mstart"]
-        if not 0 <= q <= p:
-            raise InstanceError("bad region start %r" % (q,))
-        region = sub_slice(ant, level, q, p)
-        abstracted, contents = apply_chunks(region, params["chunks"])
-        a = sort_of_type(t.left)
-        if len(contents) != a or sort_of_config(abstracted) != a:
-            raise InstanceError("abstraction does not fit the argument sort")
-        new = figure_items(t.right, contents + _item_gaps(item))
-        return (
-            HSequent(abstracted, t.left),
-            HSequent(replace_range(ant, level, q, p + 1, new), succ),
-        )
-    if rule == "OverL":
-        if not isinstance(t, Over):
-            raise InstanceError("OverL needs a / item")
-        r = params["mend"]
-        n = len(config_at(ant, level).items)
-        if not p + 1 <= r <= n:
-            raise InstanceError("bad region end %r" % (r,))
-        region = sub_slice(ant, level, p + 1, r)
-        abstracted, contents = apply_chunks(region, params["chunks"])
-        b = sort_of_type(t.right)
-        if len(contents) != b or sort_of_config(abstracted) != b:
-            raise InstanceError("abstraction does not fit the argument sort")
-        new = figure_items(t.left, _item_gaps(item) + contents)
-        return (
-            HSequent(abstracted, t.right),
-            HSequent(replace_range(ant, level, p, r, new), succ),
-        )
-    if rule == "UpL":
-        if not isinstance(t, DUp):
-            raise InstanceError("UpL needs a ^ item")
-        region = item.gaps[t.k - 1]
-        abstracted, contents = apply_chunks(region, params["chunks"])
-        b = sort_of_type(t.right)
-        if len(contents) != b or sort_of_config(abstracted) != b:
-            raise InstanceError("abstraction does not fit the argument sort")
-        new_gaps = item.gaps[: t.k - 1] + contents + item.gaps[t.k :]
-        return (
-            HSequent(abstracted, t.right),
-            HSequent(splice_item(ant, addr, figure_items(t.left, new_gaps)), succ),
-        )
-    if rule == "DownL":
-        if not isinstance(t, DDown):
-            raise InstanceError("DownL needs a ! item")
-        q, r = params["mstart"], params["mend"]
-        n = len(config_at(ant, level).items)
-        if not (0 <= q <= p and p + 1 <= r <= n):
-            raise InstanceError("bad region %r:%r" % (q, r))
-        lspecs, rspecs = _split_specs(params["chunks"], p - q)
-        absl, contl = apply_chunks(sub_slice(ant, level, q, p), lspecs)
-        absr, contr = apply_chunks(sub_slice(ant, level, p + 1, r), rspecs)
-        a = sort_of_type(t.left)
-        gamma = HyperConfig(absl.items + (SEP,) + absr.items)
-        ok = (
-            len(contl) + len(contr) == a - 1
-            and sort_of_config(gamma) == a
-            and sort_of_config(absl) == t.k - 1
-        )
-        if not ok:
-            raise InstanceError("abstraction does not fit the infix sort")
-        new = figure_items(t.right, contl + _item_gaps(item) + contr)
-        return (
-            HSequent(gamma, t.left),
-            HSequent(replace_range(ant, level, q, r, new), succ),
-        )
-    raise InstanceError("unknown rule %r" % (rule,))
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-
-def _levels(cfg: HyperConfig):
-    yield ()
-    for addr, item in iter_items(cfg):
-        if isinstance(item, Occurrence):
-            for g in range(len(item.gaps)):
-                yield addr + (g,)
+    if isinstance(item, Separator) or not isinstance(item.type, connective):
+        raise InstanceError("%s needs a %s item" % (rule, connective.__name__))
+    return premises(ant, succ, addr, item, params)
 
 
 def enumerate_rule_instances(seq: HSequent, only_rule=None):
     """Yield (rule, params, premises) for every instance concluding seq."""
-    rules = (only_rule,) if only_rule is not None else RULE_ORDER
-    for rule in rules:
-        for params in _candidate_params(seq, rule):
+    ant, succ = seq.antecedent, seq.succedent
+    principals = [(addr, it) for addr, it in iter_items(ant) if not isinstance(it, Separator)]
+    for rule in RULE_ORDER if only_rule is None else (only_rule,):
+        if rule not in RULES:
+            continue
+        side, connective, candidates, _ = RULES[rule]
+        if side == "R":
+            found = candidates(ant, succ) if isinstance(succ, connective) else ()
+        else:
+            found = (
+                params
+                for addr, item in principals
+                if isinstance(item.type, connective)
+                for params in candidates(ant, addr, item)
+            )
+        for params in found:
             try:
                 premises = instance_premises(seq, rule, params)
             except InstanceError:
@@ -467,119 +582,17 @@ def enumerate_rule_instances(seq: HSequent, only_rule=None):
             yield rule, _freeze(params), premises
 
 
-def _candidate_params(seq: HSequent, rule: str):
-    ant, succ = seq.antecedent, seq.succedent
-    if rule == "Id":
-        if ant == figure(succ):
-            yield {}
-        return
-    if rule == "IR":
-        if isinstance(succ, UnitI) and ant == EMPTY:
-            yield {}
-        return
-    if rule == "JR":
-        if isinstance(succ, UnitJ) and ant.items == (SEP,):
-            yield {}
-        return
-    if rule == "UnderR":
-        if isinstance(succ, Under):
-            yield {}
-        return
-    if rule == "OverR":
-        if isinstance(succ, Over):
-            yield {}
-        return
-    if rule == "DownR":
-        if isinstance(succ, DDown):
-            yield {"k": succ.k}
-        return
-    if rule == "UpR":
-        if isinstance(succ, DUp):
-            yield {"k": succ.k}
-        return
-    if rule == "ProdR":
-        if isinstance(succ, Prod):
-            want = sort_of_type(succ.left)
-            total = 0
-            for split in range(len(ant.items) + 1):
-                if total == want:
-                    yield {"split": split}
-                if split < len(ant.items):
-                    item = ant.items[split]
-                    if isinstance(item, Separator):
-                        total += 1
-                    elif isinstance(item, Occurrence):
-                        total += sum(sort_of_config(g) for g in item.gaps)
-        return
-    if rule == "DProdR":
-        if isinstance(succ, DProd):
-            want = sort_of_type(succ.right)
-            for level in _levels(ant):
-                items = config_at(ant, level).items
-                for start in range(len(items) + 1):
-                    for end in range(start, len(items) + 1):
-                        if sort_of_config(HyperConfig(items[start:end])) == want:
-                            yield {"excise": (level, start, end)}
-        return
-    if rule == "Cut":
-        return
-
-    for addr, item in iter_items(ant):
-        if isinstance(item, Separator):
-            continue
-        t = item.type
-        level, p = addr[:-1], addr[-1]
-        if rule == "IL" and isinstance(t, UnitI):
-            yield {"at": addr}
-        elif rule == "JL" and isinstance(t, UnitJ) and isinstance(item, Occurrence):
-            yield {"at": addr}
-        elif rule == "ProdL" and isinstance(t, Prod):
-            yield {"at": addr}
-        elif rule == "DProdL" and isinstance(t, DProd):
-            yield {"at": addr}
-        elif rule == "UnderL" and isinstance(t, Under):
-            count = sort_of_type(t.left)
-            for q in range(p, -1, -1):
-                region = sub_slice(ant, level, q, p)
-                for specs in enum_chunkings(region, count):
-                    yield {"at": addr, "mstart": q, "chunks": specs}
-        elif rule == "OverL" and isinstance(t, Over):
-            count = sort_of_type(t.right)
-            n = len(config_at(ant, level).items)
-            for r in range(p + 1, n + 1):
-                region = sub_slice(ant, level, p + 1, r)
-                for specs in enum_chunkings(region, count):
-                    yield {"at": addr, "mend": r, "chunks": specs}
-        elif rule == "UpL" and isinstance(t, DUp):
-            count = sort_of_type(t.right)
-            for specs in enum_chunkings(item.gaps[t.k - 1], count):
-                yield {"at": addr, "chunks": specs}
-        elif rule == "DownL" and isinstance(t, DDown):
-            a = sort_of_type(t.left)
-            n = len(config_at(ant, level).items)
-            for q in range(p, -1, -1):
-                left = sub_slice(ant, level, q, p)
-                for lspecs in enum_chunkings(left, t.k - 1):
-                    for r in range(p + 1, n + 1):
-                        right = sub_slice(ant, level, p + 1, r)
-                        for rspecs in enum_chunkings(right, a - t.k):
-                            chunks = lspecs + _shift_specs(rspecs, p - q + 1)
-                            yield {"at": addr, "mstart": q, "mend": r, "chunks": chunks}
-
-
 # ---------------------------------------------------------------------------
 # checking and search
 
 
 def check(d: HDerivation) -> bool:
-    """Recursively validate a derivation against the rule definitions."""
-    try:
-        return _check(d)
-    except (InstanceError, SortError, ValueError, IndexError, KeyError):
-        return False
+    """Validate every inference of a derivation against the rule definitions."""
+    return first_violation(d, check_node) is None
 
 
-def _check(d: HDerivation) -> bool:
+def check_node(d: HDerivation) -> bool:
+    """Does this one inference follow, by its rule, from its premises?"""
     if d.rule == "Cut":
         if len(d.premises) != 2:
             return False
@@ -590,12 +603,9 @@ def _check(d: HDerivation) -> bool:
             return False
         plugged = generalized_wrap(p1.antecedent, _item_gaps(item))
         want = splice_item(p2.antecedent, addr, plugged.items)
-        ok = d.conclusion.antecedent == want and d.conclusion.succedent == p2.succedent
-        return ok and all(_check(p) for p in d.premises)
+        return d.conclusion.antecedent == want and d.conclusion.succedent == p2.succedent
     want = instance_premises(d.conclusion, d.rule, d.params_dict())
-    if tuple(p.conclusion for p in d.premises) != want:
-        return False
-    return all(_check(p) for p in d.premises)
+    return tuple(p.conclusion for p in d.premises) == want
 
 
 def _seq_key(seq: HSequent):
@@ -650,83 +660,3 @@ def prove_all(seq: HSequent, limit: int = 16):
 
     return go(seq)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _to_jsonable(v):
-    if isinstance(v, (tuple, list)):
-        return [_to_jsonable(x) for x in v]
-    return v
-
-
-def _from_jsonable(v):
-    if isinstance(v, list):
-        return tuple(_from_jsonable(x) for x in v)
-    return v
-
-
-def params_to_obj(params: tuple) -> dict:
-    return {k: _to_jsonable(v) for k, v in params}
-
-
-def params_from_obj(obj: dict) -> tuple:
-    return tuple(sorted((k, _from_jsonable(v)) for k, v in obj.items()))
-
-
-def derivation_to_obj(d: HDerivation) -> dict:
-    return {
-        "rule": d.rule,
-        "sequent": sequent_str(d.conclusion),
-        "params": params_to_obj(d.params),
-        "premises": [derivation_to_obj(p) for p in d.premises],
-    }
-
-
-def derivation_from_obj(obj: dict, sig: Signature) -> HDerivation:
-    seq = parse_hsequent(obj["sequent"], sig)
-    premises = tuple(derivation_from_obj(p, sig) for p in obj.get("premises", ()))
-    return HDerivation(obj["rule"], seq, premises, params_from_obj(obj.get("params", {})))
-
-
-def derivation_text(d: HDerivation) -> str:
-    lines = []
-
-    def go(node, depth):
-        ps = ", ".join("%s=%s" % (k, v) for k, v in node.params)
-        tag = node.rule + (" " + ps if ps else "")
-        lines.append("%s[%s] %s" % ("  " * depth, tag, node.conclusion))
-        for p in node.premises:
-            go(p, depth + 1)
-
-    go(d, 0)
-    return "\n".join(lines)
-
-
-_LATEX_MAP = {
-    "\\": "\\textbackslash ",
-    "{": "\\{",
-    "}": "\\}",
-    "^": "\\^{}",
-    "_": "\\_",
-    "&": "\\&",
-    "%": "\\%",
-    "#": "\\#",
-    "~": "\\~{}",
-}
-
-
-def latex_escape(s: str) -> str:
-    return "".join(_LATEX_MAP.get(c, c) for c in s)
-
-
-def derivation_latex(d: HDerivation) -> str:
-    """A proof.sty \\infer tree with sequents set verbatim."""
-
-    def go(node):
-        concl = "\\texttt{%s}" % latex_escape(str(node.conclusion))
-        prems = " & ".join(go(p) for p in node.premises)
-        return "\\infer[\\mathrm{%s}]{%s}{%s}" % (latex_escape(node.rule), concl, prems)
-
-    return go(d)

@@ -3,8 +3,11 @@
 Antecedents here are structural terms rather than configurations; the
 logical rules mirror the configuration calculus one-for-one, acting on a
 designated subterm, and a separate Structural rule applies one rewrite step
-to the whole antecedent.  ``prove_m`` searches by translating the sharp
-image to the configuration calculus and lifting the proof found there.
+to the whole antecedent.  Derivations are the shared trees of
+``derivation``; only the sequents and the single-node check
+(``check_m_node``) belong to this calculus.  ``prove_m`` searches by
+translating the sharp image to the configuration calculus and lifting the
+proof found there.
 """
 
 from __future__ import annotations
@@ -43,7 +46,11 @@ from .terms import (
     subterm_at,
     term_str,
 )
-from .hseq import InstanceError, _freeze, _from_jsonable, _to_jsonable
+from .derivation import Derivation, derivation_to_obj, first_violation, from_obj
+from .hseq import InstanceError
+
+MDerivation = Derivation
+m_derivation_to_obj = derivation_to_obj  # the md name of the shared writer
 
 
 @dataclass(frozen=True)
@@ -63,21 +70,6 @@ class MSequent:
         return "%s -> %s" % (term_str(self.antecedent), type_str(self.succedent))
 
 
-@dataclass(frozen=True)
-class MDerivation:
-    rule: str
-    conclusion: MSequent
-    premises: tuple = ()
-    params: tuple = ()
-
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
-
-def msequent_str(seq: MSequent) -> str:
-    return str(seq)
-
-
 def parse_msequent(text: str, sig: Signature) -> MSequent:
     sc = _Scanner(text)
     t = _parse_term(sc, sig)
@@ -89,6 +81,10 @@ def parse_msequent(text: str, sig: Signature) -> MSequent:
         return MSequent(t, ty)
     except SortError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def m_derivation_from_obj(obj: dict, sig: Signature) -> MDerivation:
+    return from_obj(obj, sig, parse_msequent)
 
 
 # ---------------------------------------------------------------------------
@@ -239,40 +235,34 @@ def structural_step(premise: MDerivation, app: RuleApp) -> MDerivation:
 
 
 def check_m(d: MDerivation) -> bool:
-    """Recursively validate a derivation, including its rewrite steps."""
-    try:
-        return _check_m(d)
-    except (InstanceError, SortError, ValueError, IndexError, KeyError):
-        return False
+    """Validate every inference of a derivation, its rewrite steps included."""
+    return first_violation(d, check_m_node) is None
 
 
-def _check_m(d: MDerivation) -> bool:
+def check_m_node(d: MDerivation) -> bool:
+    """Does this one inference follow, by its rule, from its premises?"""
     if d.rule == "Structural":
         if len(d.premises) != 1:
             return False
         p = d.premises[0].conclusion
         ps = d.params_dict()
         app = RuleApp(ps["srule"], tuple(ps["at"]), tuple(ps["indices"]))
-        ok = (
+        return (
             apply_rule(p.antecedent, app) == d.conclusion.antecedent
             and p.succedent == d.conclusion.succedent
         )
-        return ok and _check_m(d.premises[0])
     if d.rule == "Cut":
         if len(d.premises) != 2:
             return False
         p1, p2 = d.premises[0].conclusion, d.premises[1].conclusion
         at = tuple(d.params_dict()["at"])
-        ok = (
+        return (
             subterm_at(p2.antecedent, at) == Leaf(p1.succedent)
             and d.conclusion.antecedent == replace_at(p2.antecedent, at, p1.antecedent)
             and d.conclusion.succedent == p2.succedent
         )
-        return ok and all(_check_m(p) for p in d.premises)
     want = m_instance_premises(d.conclusion, d.rule, d.params_dict())
-    if tuple(p.conclusion for p in d.premises) != want:
-        return False
-    return all(_check_m(p) for p in d.premises)
+    return tuple(p.conclusion for p in d.premises) == want
 
 
 def prove_m(seq: MSequent):
@@ -286,68 +276,3 @@ def prove_m(seq: MSequent):
         return None
     return lift(found, target=seq.antecedent)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def m_params_to_obj(params: tuple) -> dict:
-    out = {}
-    for k, v in params:
-        if k == "indices":
-            out[k] = {name: val for name, val in v}
-        else:
-            out[k] = _to_jsonable(v)
-    return out
-
-
-def m_params_from_obj(obj: dict) -> tuple:
-    items = []
-    for k, v in obj.items():
-        if k == "indices":
-            items.append((k, tuple(sorted(v.items()))))
-        else:
-            items.append((k, _from_jsonable(v)))
-    return tuple(sorted(items))
-
-
-def m_derivation_to_obj(d: MDerivation) -> dict:
-    return {
-        "rule": d.rule,
-        "sequent": msequent_str(d.conclusion),
-        "params": m_params_to_obj(d.params),
-        "premises": [m_derivation_to_obj(p) for p in d.premises],
-    }
-
-
-def m_derivation_from_obj(obj: dict, sig: Signature) -> MDerivation:
-    seq = parse_msequent(obj["sequent"], sig)
-    premises = tuple(m_derivation_from_obj(p, sig) for p in obj.get("premises", ()))
-    return MDerivation(
-        obj["rule"], seq, premises, m_params_from_obj(obj.get("params", {}))
-    )
-
-
-def m_derivation_text(d: MDerivation) -> str:
-    lines = []
-
-    def go(node, depth):
-        ps = ", ".join("%s=%s" % (k, v) for k, v in node.params)
-        tag = node.rule + (" " + ps if ps else "")
-        lines.append("%s[%s] %s" % ("  " * depth, tag, node.conclusion))
-        for p in node.premises:
-            go(p, depth + 1)
-
-    go(d, 0)
-    return "\n".join(lines)
-
-
-def m_derivation_latex(d: MDerivation) -> str:
-    from .hseq import latex_escape
-
-    def go(node):
-        concl = "\\texttt{%s}" % latex_escape(str(node.conclusion))
-        prems = " & ".join(go(p) for p in node.premises)
-        return "\\infer[\\mathrm{%s}]{%s}{%s}" % (latex_escape(node.rule), concl, prems)
-
-    return go(d)

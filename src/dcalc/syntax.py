@@ -354,15 +354,6 @@ def figure_items(t: Type, gaps: tuple) -> tuple:
     return (Occurrence(t, tuple(gaps)),)
 
 
-def is_figure_item(item: Item) -> bool:
-    """True when the item alone is the figure of its type."""
-    if isinstance(item, Leaf0):
-        return True
-    if isinstance(item, Occurrence):
-        return all(g.items == (SEP,) for g in item.gaps)
-    return False
-
-
 def flatten(cfg: HyperConfig) -> tuple:
     """Flat token sequence: Leaf0 and Separator items plus SegTok markers."""
     out = []

@@ -616,10 +616,6 @@ def term_of_config_with_addr(cfg: HyperConfig, addr: tuple):
     return term, path
 
 
-def is_canonical(t) -> bool:
-    return t == term_of_config(sharp(t))
-
-
 # ---------------------------------------------------------------------------
 # normalization
 

@@ -131,7 +131,31 @@ def test_check_valid_and_corrupted(capsys, sig_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj_bad))
     code, out, err = run(capsys, "check", "hd", str(bad), "--sig", sig_file)
-    assert code == 1 and "violation at" in err
+    assert code == 1 and out == "" and err == "violation at [Id] s => n\n"
+
+
+def test_check_malformed_files_exit_2(capsys, sig_file, tmp_path):
+    id_a = {"rule": "Id", "sequent": "a -> a", "params": {}, "premises": []}
+    cases = (
+        ("hd", {"rule": "Id", "sequent": "a => a", "params": [], "premises": []}),
+        ("hd", {"rule": "Id", "sequent": "a => a", "params": {}, "premises": {}}),
+        ("hd", [{"rule": "Id", "sequent": "a => a"}]),
+        ("hd", {"rule": ["Id"], "sequent": "a => a"}),
+        ("hd", {"rule": "Id", "sequent": 5}),
+        ("md", {"rule": "Id", "sequent": "a -> a", "params": [], "premises": []}),
+        ("md", {"rule": "Id", "sequent": "a -> a", "params": {}, "premises": 5}),
+        ("md", {
+            "rule": "Structural",
+            "sequent": "(a + II) -> a",
+            "params": {"at": [], "indices": [], "srule": "UnitI-R-add"},
+            "premises": [id_a],
+        }),
+    )
+    path = tmp_path / "malformed.json"
+    for calculus, obj in cases:
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", calculus, str(path), "--sig", sig_file)
+        assert code == 2 and out == "" and err.startswith("error: "), obj
 
 
 def parse_sig(path):

@@ -1,5 +1,6 @@
 """The hypersequent presentation: rule instances, checking, proof search."""
 
+import hashlib
 import json
 import random
 
@@ -12,16 +13,19 @@ from dcalc.hseq import (
     derivation_text,
     derivation_to_obj,
     enumerate_rule_instances,
+    instance_premises,
     parse_hsequent,
     prove,
     prove_all,
-    sequent_str,
 )
+from dcalc.mseq import MDerivation, check_m, parse_msequent, structural_step
 from dcalc.syntax import Signature, figure, parse_type
+from dcalc.terms import RuleApp
 
 from helpers import generate_derivations, hderivation_depth
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
+GENERATED_ATOMS = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
 
 
 def seq(text):
@@ -130,8 +134,42 @@ def test_enumerate_rule_instances_premises_are_wellformed():
     found = list(enumerate_rule_instances(s))
     assert any(rule == "UnderL" for rule, _, _ in found)
     for rule, params, premises in found:
-        d = prove(s)
-        assert d is not None
+        assert premises == instance_premises(s, rule, dict(params))
+
+
+# sha256 of every (rule, params, premises) that enumerate_rule_instances
+# yields, in order, for every node of the generated derivations below.  Proof
+# search returns the first instance that works and lower matches the first
+# fitting one, so a change of candidate order changes their output.
+ENUMERATION_DIGEST = "925f079a75396a24108af2ff681ac40e0cb2ef0e56e1ece37cd606f829cf2f47"
+
+
+def test_enumeration_order_is_pinned():
+    h = hashlib.sha256()
+    for d in generate_derivations(random.Random(17), GENERATED_ATOMS, 60):
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premises)
+            for rule, params, premises in enumerate_rule_instances(node.conclusion):
+                h.update(("%s %r %s\n" % (rule, params, [str(p) for p in premises])).encode())
+    assert h.hexdigest() == ENUMERATION_DIGEST
+
+
+def test_check_rejects_ill_typed_params():
+    under = must_prove("n, (n \\ s) => s")
+    assert under.rule == "UnderL"
+    for bad in ({"at": "x"}, {"at": None}, {"chunks": 5}):
+        params = tuple(sorted(dict(under.params, **bad).items()))
+        assert not check(HDerivation("UnderL", under.conclusion, under.premises, params))
+    prod = must_prove("a, c => (a . c)")
+    assert prod.rule == "ProdR"
+    assert not check(HDerivation("ProdR", prod.conclusion, prod.premises, (("split", "1"),)))
+    step = structural_step(MDerivation("Id", parse_msequent("b -> b", SIG)),
+                           RuleApp("UnitJ-i-add", (), (("i", 2),)))
+    assert check_m(step)
+    params = tuple(sorted(dict(step.params, indices=(("i", "x"),)).items()))
+    assert not check_m(MDerivation("Structural", step.conclusion, step.premises, params))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +196,7 @@ def test_renderings_mention_the_rules():
 def test_sequent_str_round_trip():
     for text in ("a => a", "n, (n \\ s) => s", "0:e,a,1:e => (e @1 a)"):
         s = seq(text)
-        assert parse_hsequent(sequent_str(s), SIG) == s
+        assert parse_hsequent(str(s), SIG) == s
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +205,7 @@ def test_sequent_str_round_trip():
 
 def test_generated_derivations_check():
     rng = random.Random(17)
-    ds = generate_derivations(rng, (("p", 0), ("q", 0), ("r", 1), ("s", 2)), 60)
+    ds = generate_derivations(rng, GENERATED_ATOMS, 60)
     assert len(ds) == 60
     for d in ds:
         assert check(d)

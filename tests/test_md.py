@@ -3,15 +3,14 @@
 import json
 
 import pytest
+from dcalc.derivation import derivation_latex, derivation_text
+from dcalc.hseq import HDerivation
 from dcalc.mseq import (
     MDerivation,
     MSequent,
     check_m,
     m_derivation_from_obj,
-    m_derivation_latex,
-    m_derivation_text,
     m_derivation_to_obj,
-    msequent_str,
     parse_msequent,
     prove_m,
     structural_step,
@@ -34,7 +33,7 @@ def test_parse_msequent():
     s = mseq("(n + (n \\ s)) -> s")
     assert s.antecedent == Cat(Leaf(Atom("n", 0)), Leaf(Under(Atom("n", 0), Atom("s", 0))))
     assert s.succedent == Atom("s", 0)
-    assert parse_msequent(msequent_str(s), SIG) == s
+    assert parse_msequent(str(s), SIG) == s
 
 
 def test_msequent_sort_mismatch():
@@ -193,7 +192,20 @@ def test_m_derivation_json_round_trip():
 
 def test_m_renderings_smoke():
     d = prove_m(mseq("(n + (n \\ s)) -> s"))
-    text = m_derivation_text(d)
+    text = derivation_text(d)
     assert "UnderL" in text
-    latex = m_derivation_latex(d)
+    latex = derivation_latex(d)
     assert "\\infer" in latex or "\\frac" in latex
+
+
+def test_both_calculi_share_one_derivation_type():
+    assert MDerivation is HDerivation
+
+
+def test_check_m_walks_a_long_structural_chain():
+    # deeper than the interpreter's default recursion limit
+    d = MDerivation("Id", mseq("a -> a"))
+    for _ in range(1200):
+        d = structural_step(d, RuleApp("UnitI-L-add", ()))
+        d = structural_step(d, RuleApp("UnitI-L-drop", ()))
+    assert check_m(d)
