@@ -2,8 +2,9 @@
 
 One command per process: prove / check / sharp / termof / equiv / extract /
 normalize / parse.  Exit codes: 0 for provable, valid or true; 1 for the
-negative outcome; 2 for malformed input; 3 when an extraction precondition
-fails.  JSON output is deterministic (sorted keys, two-space indent).
+negative outcome; 2 for malformed input or input nested too deeply; 3 when
+an extraction precondition fails.  JSON output is deterministic (sorted
+keys, two-space indent).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .terms import (
     parse_term,
     sharp,
     term_of_config,
-    term_str,
     trace_to_obj,
 )
 
@@ -94,9 +94,9 @@ def _parse_path(text: str) -> tuple:
 
 
 def trace_text(trace) -> str:
-    lines = ["start %s" % term_str(trace.start)]
+    lines = ["start %s" % trace.start]
     for step in trace.steps:
-        lines.append("=> [%s] %s" % (step.app, term_str(step.result)))
+        lines.append("=> [%s] %s" % (step.app, step.result))
     return "\n".join(lines)
 
 
@@ -157,7 +157,7 @@ def cmd_sharp(args) -> int:
 def cmd_termof(args) -> int:
     sig = _load_sig(args)
     cfg = parse_config(args.config, sig)
-    _emit_scalar(args, "term", term_str(term_of_config(cfg)))
+    _emit_scalar(args, "term", str(term_of_config(cfg)))
     return 0
 
 
@@ -181,11 +181,11 @@ def cmd_extract(args) -> int:
     rest, index, trace = extract(t, at, rng)
     if args.out == "json":
         _emit_json(
-            {"index": index, "rest": term_str(rest), "trace": trace_to_obj(trace)}
+            {"index": index, "rest": str(rest), "trace": trace_to_obj(trace)}
         )
     else:
         print("index %d" % index)
-        print("rest %s" % term_str(rest))
+        print("rest %s" % rest)
         _emit_trace(args, trace)
     return 0
 
@@ -348,6 +348,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

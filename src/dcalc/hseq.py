@@ -54,7 +54,6 @@ from .syntax import (
     sort_of_type,
     splice_item,
     sub_slice,
-    type_str,
     wrap_at,
 )
 
@@ -79,7 +78,7 @@ class HSequent:
             )
 
     def __str__(self):
-        return "%s => %s" % (config_str(self.antecedent), type_str(self.succedent))
+        return "%s => %s" % (config_str(self.antecedent), self.succedent)
 
 
 def _freeze(params: dict) -> tuple:

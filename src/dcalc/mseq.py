@@ -30,7 +30,6 @@ from .syntax import (
     _parse_type_expr,
     _Scanner,
     sort_of_type,
-    type_str,
 )
 from .terms import (
     Cat,
@@ -44,7 +43,6 @@ from .terms import (
     replace_at,
     sort_of_term,
     subterm_at,
-    term_str,
 )
 from .derivation import Derivation, derivation_to_obj, first_violation, from_obj
 from .hseq import InstanceError
@@ -67,7 +65,7 @@ class MSequent:
             )
 
     def __str__(self):
-        return "%s -> %s" % (term_str(self.antecedent), type_str(self.succedent))
+        return "%s -> %s" % (self.antecedent, self.succedent)
 
 
 def parse_msequent(text: str, sig: Signature) -> MSequent:

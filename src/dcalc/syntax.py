@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 
@@ -199,7 +198,6 @@ class DUp:
 Type = Union[Atom, UnitI, UnitJ, Prod, Under, Over, DProd, DDown, DUp]
 
 
-@lru_cache(maxsize=None)
 def sort_of_type(t: Type) -> int:
     """Sort of a type; raises SortError on ill-sorted constructions."""
     if isinstance(t, Atom):
@@ -255,10 +253,6 @@ def _binop_str(left: Type, op: str, right: Type) -> str:
     if not isinstance(right, (Atom, UnitI, UnitJ)):
         rs = "(" + rs + ")"
     return ls + op + rs
-
-
-def type_str(t: Type) -> str:
-    return str(t)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +320,6 @@ class SegTok:
         return "%d:%s" % (self.idx, self.type)
 
 
-@lru_cache(maxsize=None)
 def sort_of_config(cfg: HyperConfig) -> int:
     total = 0
     for item in cfg.items:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
 from .syntax import (
@@ -109,7 +108,6 @@ class WrapT:
 StructTerm = object  # union of the five node classes above
 
 
-@lru_cache(maxsize=None)
 def sort_of_term(t) -> int:
     if isinstance(t, ConstI):
         return 0
@@ -124,15 +122,10 @@ def sort_of_term(t) -> int:
     raise TypeError("not a structural term: %r" % (t,))
 
 
-@lru_cache(maxsize=None)
 def term_size(t) -> int:
     if isinstance(t, (Cat, WrapT)):
         return 1 + term_size(t.left) + term_size(t.right)
     return 1
-
-
-def term_str(t) -> str:
-    return str(t)
 
 
 def parse_term(text: str, sig: Signature):
@@ -487,7 +480,6 @@ def invert_trace(trace: RewriteTrace) -> RewriteTrace:
 # sharp and equivalence
 
 
-@lru_cache(maxsize=None)
 def sharp(t) -> HyperConfig:
     """The hyperconfiguration a structural term denotes."""
     if isinstance(t, ConstI):
@@ -601,7 +593,6 @@ def _build_term(items: tuple, addr):
     return Cat(chain, tail), path
 
 
-@lru_cache(maxsize=None)
 def term_of_config(cfg: HyperConfig):
     """The canonical structural term denoting cfg (sharp is its inverse)."""
     term, _ = _build_term(cfg.items, None)
@@ -880,13 +871,13 @@ def uniqueness_check(t, at: tuple, trials: int = 8, seed: int = 0) -> bool:
 
 def trace_to_obj(trace: RewriteTrace) -> dict:
     return {
-        "start": term_str(trace.start),
+        "start": str(trace.start),
         "steps": [
             {
                 "rule": step.app.rule,
                 "path": list(step.app.at),
                 "params": step.app.params_dict(),
-                "result": term_str(step.result),
+                "result": str(step.result),
             }
             for step in trace.steps
         ],

@@ -1,5 +1,6 @@
 """Round-trip translation between the two presentations, plus the goldens."""
 
+import hashlib
 import json
 import os
 import random
@@ -8,11 +9,21 @@ import pytest
 from dcalc.bridge import BridgeError, correspondence_check, lift, lower
 from dcalc.hseq import check, derivation_from_obj, derivation_to_obj, parse_hsequent, prove
 from dcalc.mseq import check_m, m_derivation_from_obj, m_derivation_to_obj
-from dcalc.syntax import Signature, flatten
-from dcalc.terms import parse_term, sharp, term_of_config
+from dcalc.syntax import Signature, config_str, flatten
+from dcalc.terms import (
+    Leaf,
+    extract,
+    extractable,
+    iter_subterms,
+    normalize,
+    parse_term,
+    sharp,
+    term_of_config,
+    trace_to_obj,
+)
 
 import golden_defs
-from helpers import generate_derivations
+from helpers import generate_derivations, random_term
 
 GOLDEN = golden_defs.GOLDEN_DIR
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
@@ -123,3 +134,32 @@ def test_correspondence_check_negative():
     md = lift(d1)
     assert correspondence_check(d1, md)
     assert not correspondence_check(d2, md)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+
+# sha256 of sharp's image, the normalize trace and every extraction of seeded
+# random terms, and of lift and lower on generated derivations.  A change that
+# only restructures the code (drops a cache, say) must leave it as it is.
+OUTPUT_DIGEST = "73a84b4318ccd3c6f855f54f67ab4c752a8d29514b778c39d2542b7c98e3e093"
+
+
+def test_outputs_are_pinned():
+    atoms = (("a", 0), ("c", 0), ("e", 1), ("b", 2))
+    h = hashlib.sha256()
+    rng = random.Random(31)
+    for _ in range(60):
+        t = random_term(rng, atoms, 4)
+        h.update(("%s\n" % config_str(sharp(t))).encode())
+        h.update(json.dumps(trace_to_obj(normalize(t))).encode())
+        for path, sub in iter_subterms(t):
+            if isinstance(sub, Leaf) and extractable(t, path) is not None:
+                rest, i, trace = extract(t, path)
+                h.update(json.dumps([str(rest), i, trace_to_obj(trace)]).encode())
+    generated_atoms = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
+    for d in generate_derivations(random.Random(17), generated_atoms, 60):
+        md = lift(d)
+        h.update(json.dumps([derivation_to_obj(md), derivation_to_obj(lower(md))]).encode())
+    assert h.hexdigest() == OUTPUT_DIGEST

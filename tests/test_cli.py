@@ -37,6 +37,12 @@ def test_sharp(capsys, sig_file):
     assert code == 0 and out == "0:e,c,1:e\n"
 
 
+def test_sharp_on_a_deeply_nested_term_exits_2(capsys, sig_file):
+    term = "(" * 2000 + "a" + " + a)" * 2000
+    code, out, err = run(capsys, "sharp", term, "--sig", sig_file)
+    assert code == 2 and out == "" and err == "error: input nested too deeply\n"
+
+
 def test_sharp_without_signature_defaults_to_sort_zero(capsys):
     code, out, _ = run(capsys, "sharp", "(II + x)")
     assert code == 0 and out == "x\n"
@@ -156,6 +162,17 @@ def test_check_malformed_files_exit_2(capsys, sig_file, tmp_path):
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "check", calculus, str(path), "--sig", sig_file)
         assert code == 2 and out == "" and err.startswith("error: "), obj
+
+
+def test_check_deep_structural_chain_exits_2(capsys, sig_file, tmp_path):
+    # 2,400 Structural steps nest the JSON deeper than the recursion limit
+    node = '{"rule": "Structural", "sequent": "%s", "params": {"at": [], "indices": {}, "srule": "%s"}, "premises": ['
+    steps = (node % ("(II + a) -> a", "UnitI-L-add"), node % ("a -> a", "UnitI-L-drop")) * 1200
+    leaf = '{"rule": "Id", "sequent": "a -> a", "params": {}, "premises": []}'
+    path = tmp_path / "chain.json"
+    path.write_text("".join(reversed(steps)) + leaf + "]}" * len(steps))
+    code, out, err = run(capsys, "check", "md", str(path), "--sig", sig_file)
+    assert code == 2 and out == "" and err == "error: input nested too deeply\n"
 
 
 def parse_sig(path):

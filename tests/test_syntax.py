@@ -35,7 +35,6 @@ from dcalc.syntax import (
     sort_of_config,
     sort_of_type,
     splice_item,
-    type_str,
     wrap_at,
 )
 
@@ -120,7 +119,7 @@ def test_parse_type_errors():
 def test_type_print_parse_round_trip(seed):
     rng = random.Random(seed)
     t = random_type(rng, ATOMS, 4)
-    assert parse_type(type_str(t), SIG) == t
+    assert parse_type(str(t), SIG) == t
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,23 @@
 """Structural terms: rewriting, translation to configurations, extraction."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcalc.syntax import Atom, Signature, SortError, config_str, flatten, parse_config
+from dcalc.syntax import (
+    Atom,
+    Signature,
+    SortError,
+    config_str,
+    flatten,
+    parse_config,
+    sort_of_config,
+)
 from dcalc.terms import (
     BudgetError,
     Cat,
@@ -32,7 +42,6 @@ from dcalc.terms import (
     subterm_at,
     term_of_config,
     term_of_config_with_addr,
-    term_str,
     trace_from_obj,
     trace_to_obj,
     uniqueness_check,
@@ -83,7 +92,7 @@ def test_parse_term_rejects_bad_wraps():
 def test_term_print_parse_round_trip(seed):
     rng = random.Random(seed)
     t = random_term(rng, ATOMS, 4)
-    assert parse_term(term_str(t), SIG) == t
+    assert parse_term(str(t), SIG) == t
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +108,10 @@ def test_sharp_examples():
 
 
 def test_term_of_config_is_cons_shaped():
-    assert term_str(term_of_config(parse_config("Lambda", SIG))) == "II"
-    assert term_str(term_of_config(parse_config("a,c", SIG))) == "(a + (c + II))"
+    assert str(term_of_config(parse_config("Lambda", SIG))) == "II"
+    assert str(term_of_config(parse_config("a,c", SIG))) == "(a + (c + II))"
     assert (
-        term_str(term_of_config(parse_config("0:e,[],1:e", SIG)))
+        str(term_of_config(parse_config("0:e,[],1:e", SIG)))
         == "((e +1 (JJ + II)) + II)"
     )
 
@@ -264,6 +273,21 @@ def test_bounded_oracle_small_cases():
     assert not bounded_equiv_oracle(A, C, depth=3, max_expansions=2000)
     # one step is not enough to both add and drop a unit
     assert not bounded_equiv_oracle(Cat(ConstI(), A), Cat(A, ConstI()), depth=1)
+
+
+def test_library_calls_keep_no_argument_alive():
+    t = parse_term("((a + II) + (e +1 (c + II)))", SIG)
+    cfg = parse_config("a,0:e,c,1:e", SIG)
+    refs = (weakref.ref(t), weakref.ref(cfg))
+    normalize(t)
+    sharp(t)
+    sort_of_term(t)
+    term_of_config(cfg)
+    sort_of_config(cfg)
+    bounded_equiv_oracle(t, term_of_config(cfg), depth=2)
+    del t, cfg
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 # ---------------------------------------------------------------------------
