@@ -24,7 +24,7 @@ from .hseq import (
     _item_gaps,
     enumerate_rule_instances,
 )
-from .mseq import MDerivation, MSequent, structural_step
+from .mseq import RULES as M_RULES, MDerivation, MSequent, m_instance_premises, structural_step
 from .terms import (
     Cat,
     ConstI,
@@ -114,17 +114,18 @@ def _lift(d: HDerivation) -> MDerivation:
     if rule == "JR":
         return _finish(MDerivation("JR", MSequent(ConstJ(), succ), (), ()))
 
-    if rule in ("UnderR", "OverR", "DownR"):
+    if rule in ("UnderR", "OverR", "DownR", "IL", "JL", "ProdL", "DProdL"):
         child = _lift(d.premises[0])
-        tg = term_of_config(seq.antecedent)
-        if rule == "UnderR":
-            w = Cat(Leaf(succ.left), tg)
-        elif rule == "OverR":
-            w = Cat(tg, Leaf(succ.right))
+        if "at" in params:
+            v, leaf_path = term_of_config_with_addr(seq.antecedent, tuple(params["at"]))
+            ps = (("at", leaf_path),)
         else:
-            w = WrapT(succ.k, Leaf(succ.left), tg)
-        child = _reshape_to(child, w)
-        return MDerivation(rule, MSequent(tg, succ), (child,), ())
+            v, ps = term_of_config(seq.antecedent), ()
+        # _reshape_to asserts that the premise term reaches the child's
+        # canonical end antecedent, so both denote the same configuration
+        (prem,) = m_instance_premises(MSequent(v, succ), rule, dict(ps))
+        child = _reshape_to(child, prem.antecedent)
+        return MDerivation(rule, MSequent(v, succ), (child,), ps)
 
     if rule == "UpR":
         child = _lift(d.premises[0])
@@ -147,64 +148,28 @@ def _lift(d: HDerivation) -> MDerivation:
         md = MDerivation(rule, MSequent(ant, succ), (c1, c2), ())
         return _finish(md)
 
-    if rule in ("IL", "JL", "ProdL", "DProdL"):
-        child = _lift(d.premises[0])
-        addr = tuple(params["at"])
-        v, leaf_path = term_of_config_with_addr(seq.antecedent, addr)
-        t = _principal_type(seq, addr)
-        if rule == "IL":
-            plug = ConstI()
-        elif rule == "JL":
-            plug = ConstJ()
-        elif rule == "ProdL":
-            plug = Cat(Leaf(t.left), Leaf(t.right))
-        else:
-            plug = WrapT(t.k, Leaf(t.left), Leaf(t.right))
-        v_prime = replace_at(v, leaf_path, plug)
-        assert flatten(sharp(v_prime)) == flatten(d.premises[0].conclusion.antecedent)
-        child = _reshape_to(child, v_prime)
-        return MDerivation(rule, MSequent(v, succ), (child,), (("at", leaf_path),))
-
     if rule in ("UnderL", "OverL", "UpL", "DownL", "Cut"):
         c1 = _lift(d.premises[0])
         c2 = _lift(d.premises[1])
-        prem2_ant = d.premises[1].conclusion.antecedent
         addr = tuple(params["at"])
-        if rule == "UnderL" or rule == "DownL":
-            introduced = addr[:-1] + (params["mstart"],)
-        elif rule == "OverL":
-            introduced = addr
-        elif rule == "UpL":
-            introduced = addr
-        else:  # Cut: the address already points at the substituted item
-            introduced = addr
+        # the second premise has the reduct (or the cut formula) where the
+        # principal item's region starts
+        introduced = addr[:-1] + (params.get("mstart", addr[-1]),)
+        prem2_ant = d.premises[1].conclusion.antecedent
         v2, leaf_path = term_of_config_with_addr(prem2_ant, introduced)
         assert v2 == c2.conclusion.antecedent
         t1 = c1.conclusion.antecedent
-        if rule == "UnderL":
-            t = _principal_type(seq, addr)
-            plug = Cat(t1, Leaf(t))
-        elif rule == "OverL":
-            t = _principal_type(seq, addr)
-            plug = Cat(Leaf(t), t1)
-        elif rule == "UpL":
-            t = _principal_type(seq, addr)
-            plug = WrapT(t.k, Leaf(t), t1)
-        elif rule == "DownL":
-            t = _principal_type(seq, addr)
-            plug = WrapT(t.k, t1, Leaf(t))
-        else:  # Cut
+        if rule == "Cut":
             plug = t1
+        else:
+            principal = item_at(seq.antecedent, addr).type
+            plug, _, _ = M_RULES[rule][2](principal, t1)
         v_prime = replace_at(v2, leaf_path, plug)
         assert flatten(sharp(v_prime)) == flatten(seq.antecedent)
         md = MDerivation(rule, MSequent(v_prime, succ), (c1, c2), (("at", leaf_path),))
         return _finish(md)
 
     raise BridgeError("cannot lift rule %r" % (rule,))
-
-
-def _principal_type(seq: HSequent, addr: tuple):
-    return item_at(seq.antecedent, addr).type
 
 
 # ---------------------------------------------------------------------------

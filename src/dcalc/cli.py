@@ -340,13 +340,7 @@ def main(argv=None) -> int:
     except ExtractionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (ParseError, SortError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (ParseError, SortError, BudgetError, OSError, KeyError, TypeError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:

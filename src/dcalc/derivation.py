@@ -115,16 +115,16 @@ def from_obj(obj: dict, sig, parse_sequent) -> Derivation:
 
 
 def derivation_text(d: Derivation) -> str:
+    """One line per node, in pre-order, indented by depth; the walk keeps
+    its own stack, so a long Structural chain renders too."""
     lines = []
-
-    def go(node, depth):
+    stack = [(d, 0)]
+    while stack:
+        node, depth = stack.pop()
         ps = ", ".join("%s=%s" % (k, v) for k, v in node.params)
         tag = node.rule + (" " + ps if ps else "")
         lines.append("%s[%s] %s" % ("  " * depth, tag, node.conclusion))
-        for p in node.premises:
-            go(p, depth + 1)
-
-    go(d, 0)
+        stack.extend((p, depth + 1) for p in reversed(node.premises))
     return "\n".join(lines)
 
 

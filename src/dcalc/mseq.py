@@ -3,9 +3,12 @@
 Antecedents here are structural terms rather than configurations; the
 logical rules mirror the configuration calculus one-for-one, acting on a
 designated subterm, and a separate Structural rule applies one rewrite step
-to the whole antecedent.  Derivations are the shared trees of
-``derivation``; only the sequents and the single-node check
-(``check_m_node``) belong to this calculus.  ``prove_m`` searches by
+to the whole antecedent.  The ``RULES`` table states each logical rule once,
+in the order of ``hseq.RULES``: a right rule's premises, or a left rule's
+redex, reduct and minor premise.  Checking and ``bridge.lift`` both read it.
+Derivations are the shared trees of ``derivation``; only the sequents, the
+rule table and the single-node check (``check_m_node``) belong to this
+calculus.  ``prove_m`` searches by
 translating the sharp image to the configuration calculus and lifting the
 proof found there.
 """
@@ -87,6 +90,67 @@ def m_derivation_from_obj(obj: dict, sig: Signature) -> MDerivation:
 
 # ---------------------------------------------------------------------------
 # rule instances
+#
+# The RULES table below mirrors hseq.RULES, rule for rule and in the same
+# order.  A right rule's row is ("R", connective, shape): the succedent must
+# have the connective, and shape(ant, succ) builds the premises.  A left
+# rule acts on the redex at params["at"]; its side is the path of the
+# principal leaf inside the redex ((), (0,) or (1,)), whose type must have
+# the connective, and the redex's other child, if any, is the minor
+# antecedent.  shape(principal type, minor) gives (redex, reduct, minor
+# succedent): the instance fits when the redex is the subterm at "at", and
+# its premises are minor -> minor succedent (for the binary rules) and the
+# conclusion with the redex replaced by the reduct.
+
+
+def _axiom(want):
+    """The shape of an axiom whose antecedent must be want(succ)."""
+
+    def shape(ant, succ):
+        if ant != want(succ):
+            raise InstanceError("the axiom needs the antecedent %s" % (want(succ),))
+        return ()
+
+    return shape
+
+
+def _halves(ant, succ):
+    return (MSequent(ant.left, succ.left), MSequent(ant.right, succ.right))
+
+
+def _prod_r(ant, succ):
+    if not isinstance(ant, Cat):
+        raise InstanceError("ProdR needs a + antecedent")
+    return _halves(ant, succ)
+
+
+def _dprod_r(ant, succ):
+    if not (isinstance(ant, WrapT) and ant.i == succ.k):
+        raise InstanceError("DProdR needs a +k antecedent")
+    return _halves(ant, succ)
+
+
+# rule: (side, connective, shape); Id's connective is `object` because it
+# applies to a succedent of any type
+RULES = {
+    "Id": ("R", object, _axiom(Leaf)),
+    "IR": ("R", UnitI, _axiom(lambda succ: ConstI())),
+    "JR": ("R", UnitJ, _axiom(lambda succ: ConstJ())),
+    "UnderR": ("R", Under, lambda a, s: (MSequent(Cat(Leaf(s.left), a), s.right),)),
+    "OverR": ("R", Over, lambda a, s: (MSequent(Cat(a, Leaf(s.right)), s.left),)),
+    "DownR": ("R", DDown, lambda a, s: (MSequent(WrapT(s.k, Leaf(s.left), a), s.right),)),
+    "UpR": ("R", DUp, lambda a, s: (MSequent(WrapT(s.k, a, Leaf(s.right)), s.left),)),
+    "ProdR": ("R", Prod, _prod_r),
+    "DProdR": ("R", DProd, _dprod_r),
+    "ProdL": ((), Prod, lambda t, m: (Leaf(t), Cat(Leaf(t.left), Leaf(t.right)), None)),
+    "DProdL": ((), DProd, lambda t, m: (Leaf(t), WrapT(t.k, Leaf(t.left), Leaf(t.right)), None)),
+    "IL": ((), UnitI, lambda t, m: (Leaf(t), ConstI(), None)),
+    "JL": ((), UnitJ, lambda t, m: (Leaf(t), ConstJ(), None)),
+    "UnderL": ((1,), Under, lambda t, m: (Cat(m, Leaf(t)), Leaf(t.right), t.left)),
+    "OverL": ((0,), Over, lambda t, m: (Cat(Leaf(t), m), Leaf(t.left), t.right)),
+    "UpL": ((0,), DUp, lambda t, m: (WrapT(t.k, Leaf(t), m), Leaf(t.left), t.right)),
+    "DownL": ((1,), DDown, lambda t, m: (WrapT(t.k, m, Leaf(t)), Leaf(t.right), t.left)),
+}
 
 
 def m_instance_premises(seq: MSequent, rule: str, params: dict) -> tuple:
@@ -99,123 +163,25 @@ def m_instance_premises(seq: MSequent, rule: str, params: dict) -> tuple:
 
 
 def _m_instance_premises(seq: MSequent, rule: str, params: dict) -> tuple:
+    if rule not in RULES:
+        raise InstanceError("unknown rule %r" % (rule,))
+    side, connective, shape = RULES[rule]
     ant, succ = seq.antecedent, seq.succedent
-    if rule == "Id":
-        if ant != Leaf(succ):
-            raise InstanceError("Id needs a type leaf antecedent")
-        return ()
-    if rule == "IR":
-        if not (isinstance(succ, UnitI) and isinstance(ant, ConstI)):
-            raise InstanceError("IR is II -> I")
-        return ()
-    if rule == "JR":
-        if not (isinstance(succ, UnitJ) and isinstance(ant, ConstJ)):
-            raise InstanceError("JR is JJ -> J")
-        return ()
-    if rule == "UnderR":
-        if not isinstance(succ, Under):
-            raise InstanceError("UnderR needs a \\ succedent")
-        return (MSequent(Cat(Leaf(succ.left), ant), succ.right),)
-    if rule == "OverR":
-        if not isinstance(succ, Over):
-            raise InstanceError("OverR needs a / succedent")
-        return (MSequent(Cat(ant, Leaf(succ.right)), succ.left),)
-    if rule == "DownR":
-        if not isinstance(succ, DDown):
-            raise InstanceError("DownR needs a ! succedent")
-        return (MSequent(WrapT(succ.k, Leaf(succ.left), ant), succ.right),)
-    if rule == "UpR":
-        if not isinstance(succ, DUp):
-            raise InstanceError("UpR needs a ^ succedent")
-        return (MSequent(WrapT(succ.k, ant, Leaf(succ.right)), succ.left),)
-    if rule == "ProdR":
-        if not (isinstance(succ, Prod) and isinstance(ant, Cat)):
-            raise InstanceError("ProdR needs a . succedent and a + antecedent")
-        return (MSequent(ant.left, succ.left), MSequent(ant.right, succ.right))
-    if rule == "DProdR":
-        if not (isinstance(succ, DProd) and isinstance(ant, WrapT) and ant.i == succ.k):
-            raise InstanceError("DProdR needs an @k succedent and a +k antecedent")
-        return (MSequent(ant.left, succ.left), MSequent(ant.right, succ.right))
-
+    if side == "R":
+        if not isinstance(succ, connective):
+            raise InstanceError("%s needs a %s succedent" % (rule, connective.__name__))
+        return shape(ant, succ)
     at = tuple(params["at"])
     sub = subterm_at(ant, at)
-    if rule == "IL":
-        if sub != Leaf(UnitI()):
-            raise InstanceError("IL needs an I leaf")
-        return (MSequent(replace_at(ant, at, ConstI()), succ),)
-    if rule == "JL":
-        if sub != Leaf(UnitJ()):
-            raise InstanceError("JL needs a J leaf")
-        return (MSequent(replace_at(ant, at, ConstJ()), succ),)
-    if rule == "ProdL":
-        ok = isinstance(sub, Leaf) and isinstance(sub.type, Prod)
-        if not ok:
-            raise InstanceError("ProdL needs a . leaf")
-        t = sub.type
-        return (MSequent(replace_at(ant, at, Cat(Leaf(t.left), Leaf(t.right))), succ),)
-    if rule == "DProdL":
-        ok = isinstance(sub, Leaf) and isinstance(sub.type, DProd)
-        if not ok:
-            raise InstanceError("DProdL needs an @ leaf")
-        t = sub.type
-        return (
-            MSequent(replace_at(ant, at, WrapT(t.k, Leaf(t.left), Leaf(t.right))), succ),
-        )
-    if rule == "UnderL":
-        ok = (
-            isinstance(sub, Cat)
-            and isinstance(sub.right, Leaf)
-            and isinstance(sub.right.type, Under)
-        )
-        if not ok:
-            raise InstanceError("UnderL needs a (_ + A\\B leaf) subterm")
-        t = sub.right.type
-        return (
-            MSequent(sub.left, t.left),
-            MSequent(replace_at(ant, at, Leaf(t.right)), succ),
-        )
-    if rule == "OverL":
-        ok = (
-            isinstance(sub, Cat)
-            and isinstance(sub.left, Leaf)
-            and isinstance(sub.left.type, Over)
-        )
-        if not ok:
-            raise InstanceError("OverL needs a (B/A leaf + _) subterm")
-        t = sub.left.type
-        return (
-            MSequent(sub.right, t.right),
-            MSequent(replace_at(ant, at, Leaf(t.left)), succ),
-        )
-    if rule == "UpL":
-        ok = (
-            isinstance(sub, WrapT)
-            and isinstance(sub.left, Leaf)
-            and isinstance(sub.left.type, DUp)
-            and sub.left.type.k == sub.i
-        )
-        if not ok:
-            raise InstanceError("UpL needs a (C^k(B) leaf +k _) subterm")
-        t = sub.left.type
-        return (
-            MSequent(sub.right, t.right),
-            MSequent(replace_at(ant, at, Leaf(t.left)), succ),
-        )
-    if rule == "DownL":
-        ok = (
-            isinstance(sub, WrapT)
-            and isinstance(sub.right, Leaf)
-            and isinstance(sub.right.type, DDown)
-            and sub.right.type.k == sub.i
-        )
-        if not ok:
-            raise InstanceError("DownL needs a (_ +k A!kC leaf) subterm")
-        t = sub.right.type
-        return (
-            MSequent(sub.left, t.left),
-            MSequent(replace_at(ant, at, Leaf(t.right)), succ),
-        )
-    raise InstanceError("unknown rule %r" % (rule,))
+    leaf = subterm_at(sub, side)
+    if not (isinstance(leaf, Leaf) and isinstance(leaf.type, connective)):
+        raise InstanceError("%s needs a %s leaf" % (rule, connective.__name__))
+    minor = subterm_at(sub, (1 - side[0],)) if side else None
+    redex, reduct, minor_succ = shape(leaf.type, minor)
+    if redex != sub:
+        raise InstanceError("%s does not fit the subterm at %r" % (rule, at))
+    major = MSequent(replace_at(ant, at, reduct), succ)
+    return (major,) if minor is None else (MSequent(minor, minor_succ), major)
 
 
 def structural_step(premise: MDerivation, app: RuleApp) -> MDerivation:

@@ -200,51 +200,21 @@ def iter_subterms(t, prefix: tuple = ()) -> Iterator:
 # the rewrite rules
 
 
-RULE_NAMES = (
-    "UnitI-L-add",
-    "UnitI-L-drop",
-    "UnitI-R-add",
-    "UnitI-R-drop",
-    "UnitJ-L-add",
-    "UnitJ-L-drop",
-    "UnitJ-i-add",
-    "UnitJ-i-drop",
-    "AsscC-fwd",
-    "AsscC-bwd",
-    "SW-left-fwd",
-    "SW-left-bwd",
-    "SW-right-fwd",
-    "SW-right-bwd",
-    "AsscD1",
-    "AsscD2",
-    "MixPerm1-fwd",
-    "MixPerm1-bwd",
-    "MixPerm2-fwd",
-    "MixPerm2-bwd",
+# each rewrite rule paired with its inverse, in enumeration order
+_INVERSE_PAIRS = (
+    ("UnitI-L-add", "UnitI-L-drop"),
+    ("UnitI-R-add", "UnitI-R-drop"),
+    ("UnitJ-L-add", "UnitJ-L-drop"),
+    ("UnitJ-i-add", "UnitJ-i-drop"),
+    ("AsscC-fwd", "AsscC-bwd"),
+    ("SW-left-fwd", "SW-left-bwd"),
+    ("SW-right-fwd", "SW-right-bwd"),
+    ("AsscD1", "AsscD2"),
+    ("MixPerm1-fwd", "MixPerm1-bwd"),
+    ("MixPerm2-fwd", "MixPerm2-bwd"),
 )
-
-INVERSE_RULE = {
-    "UnitI-L-add": "UnitI-L-drop",
-    "UnitI-L-drop": "UnitI-L-add",
-    "UnitI-R-add": "UnitI-R-drop",
-    "UnitI-R-drop": "UnitI-R-add",
-    "UnitJ-L-add": "UnitJ-L-drop",
-    "UnitJ-L-drop": "UnitJ-L-add",
-    "UnitJ-i-add": "UnitJ-i-drop",
-    "UnitJ-i-drop": "UnitJ-i-add",
-    "AsscC-fwd": "AsscC-bwd",
-    "AsscC-bwd": "AsscC-fwd",
-    "SW-left-fwd": "SW-left-bwd",
-    "SW-left-bwd": "SW-left-fwd",
-    "SW-right-fwd": "SW-right-bwd",
-    "SW-right-bwd": "SW-right-fwd",
-    "AsscD1": "AsscD2",
-    "AsscD2": "AsscD1",
-    "MixPerm1-fwd": "MixPerm1-bwd",
-    "MixPerm1-bwd": "MixPerm1-fwd",
-    "MixPerm2-fwd": "MixPerm2-bwd",
-    "MixPerm2-bwd": "MixPerm2-fwd",
-}
+INVERSE_RULE = {r: s for a, b in _INVERSE_PAIRS for r, s in ((a, b), (b, a))}
+RULE_NAMES = tuple(INVERSE_RULE)
 
 
 @dataclass(frozen=True)

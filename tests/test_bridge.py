@@ -7,9 +7,18 @@ import random
 
 import pytest
 from dcalc.bridge import BridgeError, correspondence_check, lift, lower
-from dcalc.hseq import check, derivation_from_obj, derivation_to_obj, parse_hsequent, prove
-from dcalc.mseq import check_m, m_derivation_from_obj, m_derivation_to_obj
-from dcalc.syntax import Signature, config_str, flatten
+from dcalc.derivation import Derivation
+from dcalc.hseq import (
+    RULES,
+    check,
+    check_node,
+    derivation_from_obj,
+    derivation_to_obj,
+    parse_hsequent,
+    prove,
+)
+from dcalc.mseq import check_m, check_m_node, m_derivation_from_obj, m_derivation_to_obj
+from dcalc.syntax import Signature, config_str, flatten, iter_items
 from dcalc.terms import (
     Leaf,
     extract,
@@ -163,3 +172,55 @@ def test_outputs_are_pinned():
         md = lift(d)
         h.update(json.dumps([derivation_to_obj(md), derivation_to_obj(lower(md))]).encode())
     assert h.hexdigest() == OUTPUT_DIGEST
+
+
+# sha256 of the check verdict on every logical node of generated derivations
+# and of their lifts, and on mutants of each node: premises reversed, renamed
+# to every other rule, and `at` moved to every other address.  A change that
+# only restructures the rule definitions must leave it as it is.
+VERDICT_DIGEST = "45f2ed303a0572c63b5717eca8e9c0eb2be747ca7fd34fc403aa4a43c8c236b8"
+
+
+def _verdict(node_ok, node):
+    try:
+        return node_ok(node)
+    except (ValueError, IndexError, KeyError, TypeError):
+        return False
+
+
+def _mutants(node, addresses):
+    yield node
+    yield Derivation(node.rule, node.conclusion, node.premises[::-1], node.params)
+    for rule in RULES:
+        if rule != node.rule:
+            yield Derivation(rule, node.conclusion, node.premises, node.params)
+    params = node.params_dict()
+    if "at" in params:
+        for addr in addresses:
+            if addr != tuple(params["at"]):
+                moved = tuple(sorted(dict(params, at=addr).items()))
+                yield Derivation(node.rule, node.conclusion, node.premises, moved)
+
+
+def test_check_verdicts_on_mutated_nodes_are_pinned():
+    calculi = (
+        (lambda d: d, check_node, lambda s: [a for a, _ in iter_items(s.antecedent)]),
+        (lift, check_m_node, lambda s: [p for p, _ in iter_subterms(s.antecedent)]),
+    )
+    h = hashlib.sha256()
+    verdicts = {False: 0, True: 0}
+    generated_atoms = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
+    for d in generate_derivations(random.Random(17), generated_atoms, 60):
+        for translate, node_ok, addresses in calculi:
+            stack = [translate(d)]
+            while stack:
+                node = stack.pop()
+                stack.extend(node.premises)
+                if node.rule == "Structural":
+                    continue
+                for m in _mutants(node, addresses(node.conclusion)):
+                    v = _verdict(node_ok, m)
+                    verdicts[v] += 1
+                    h.update(("%s %s %r %s\n" % (m.rule, m.conclusion, m.params, v)).encode())
+    assert verdicts == {False: 11007, True: 1042}
+    assert h.hexdigest() == VERDICT_DIGEST

@@ -202,10 +202,21 @@ def test_both_calculi_share_one_derivation_type():
     assert MDerivation is HDerivation
 
 
-def test_check_m_walks_a_long_structural_chain():
-    # deeper than the interpreter's default recursion limit
+def long_structural_chain():
+    # 2,400 steps: deeper than the interpreter's default recursion limit
     d = MDerivation("Id", mseq("a -> a"))
     for _ in range(1200):
         d = structural_step(d, RuleApp("UnitI-L-add", ()))
         d = structural_step(d, RuleApp("UnitI-L-drop", ()))
-    assert check_m(d)
+    return d
+
+
+def test_check_m_walks_a_long_structural_chain():
+    assert check_m(long_structural_chain())
+
+
+def test_text_renders_a_long_structural_chain():
+    lines = derivation_text(long_structural_chain()).split("\n")
+    assert len(lines) == 2401
+    assert lines[0] == "[Structural at=(), indices=(), srule=UnitI-L-drop] a -> a"
+    assert lines[-1] == "  " * 2400 + "[Id] a -> a"
