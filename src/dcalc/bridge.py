@@ -178,8 +178,8 @@ def _lift(d: HDerivation) -> MDerivation:
 
 def lower(md: MDerivation) -> HDerivation:
     """Translate a term derivation back, erasing the rewrite steps."""
-    if md.rule == "Structural":
-        return lower(md.premises[0])
+    while md.rule == "Structural":
+        md = md.premises[0]
     seq = md.conclusion
     target = HSequent(sharp(seq.antecedent), seq.succedent)
     if md.rule in ("Id", "IR", "JR"):

@@ -8,7 +8,10 @@ lives.  The ``RULES`` table is the single source of truth for the rules:
 each row names the side and the connective a rule acts on, how its
 candidate parameters are generated and how its premises are built.
 Enumeration, proof search and checking all read it.  Cut is supported by
-the checker but never used in search.
+the checker but never used in search.  Every rule keeps each atom's
+polarity-weighted count equal on both sides, so both searches drop a
+subgoal that breaks this count invariant (``_balanced``) without trying a
+rule; they find what an unpruned search finds.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .derivation import Derivation, first_violation, from_obj
 from .derivation import derivation_latex, derivation_text, derivation_to_obj  # noqa: F401 (re-exported)
 from .syntax import (
     EMPTY,
+    Atom,
     DDown,
     DProd,
     DUp,
@@ -30,6 +34,7 @@ from .syntax import (
     ParseError,
     Prod,
     SEP,
+    SegTok,
     Separator,
     Signature,
     SortError,
@@ -611,13 +616,46 @@ def _seq_key(seq: HSequent):
     return (flatten(seq.antecedent), seq.succedent)
 
 
+def _add_atoms(t: Type, sign: int, counts: dict) -> None:
+    """Add each atom of t to counts with its polarity: results count sign,
+    arguments of the implications -sign, units nothing."""
+    while True:
+        if isinstance(t, Atom):
+            counts[t.name] = counts.get(t.name, 0) + sign
+            return
+        if isinstance(t, (Under, DDown)):
+            _add_atoms(t.left, -sign, counts)
+            t = t.right
+        elif isinstance(t, (Over, DUp)):
+            _add_atoms(t.right, -sign, counts)
+            t = t.left
+        elif isinstance(t, (Prod, DProd)):
+            _add_atoms(t.left, sign, counts)
+            t = t.right
+        else:
+            return
+
+
+def _balanced(key) -> bool:
+    """The count invariant: without structural rules, every provable sequent
+    has each atom's polarity-weighted count equal on both sides (van Benthem
+    1991; Morrill, Valentin & Fadda 2011).  key is a _seq_key."""
+    tokens, succ = key
+    counts = {}
+    for tok in tokens:
+        if isinstance(tok, Leaf0) or (isinstance(tok, SegTok) and tok.idx == 0):
+            _add_atoms(tok.type, 1, counts)
+    _add_atoms(succ, -1, counts)
+    return not any(counts.values())
+
+
 def prove(seq: HSequent):
     """Depth-first cut-free proof search; returns a derivation or None."""
     failed = set()
 
     def go(s):
         key = _seq_key(s)
-        if key in failed:
+        if key in failed or not _balanced(key):
             return None
         for rule, params, premises in enumerate_rule_instances(s):
             subs = []
@@ -642,6 +680,8 @@ def prove_all(seq: HSequent, limit: int = 16):
         key = _seq_key(s)
         if key in memo:
             return memo[key]
+        if not _balanced(key):
+            return []
         out = []
         for rule, params, premises in enumerate_rule_instances(s):
             lists = [go(p) for p in premises]

@@ -3,10 +3,15 @@
 import hashlib
 import json
 import random
+import time
 
+from dcalc import hseq
 from dcalc.hseq import (
+    RULES,
     HDerivation,
     HSequent,
+    _balanced,
+    _seq_key,
     check,
     derivation_from_obj,
     derivation_latex,
@@ -19,7 +24,7 @@ from dcalc.hseq import (
     prove_all,
 )
 from dcalc.mseq import MDerivation, check_m, parse_msequent, structural_step
-from dcalc.syntax import Signature, figure, parse_type
+from dcalc.syntax import Atom, HyperConfig, Leaf0, Signature, figure, parse_type
 from dcalc.terms import RuleApp
 
 from helpers import generate_derivations, hderivation_depth
@@ -210,3 +215,68 @@ def test_generated_derivations_check():
     for d in ds:
         assert check(d)
         assert 2 <= hderivation_depth(d) <= 5
+
+
+# ---------------------------------------------------------------------------
+# the count invariant prunes search without changing what it finds
+
+
+def _nodes(d):
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.premises)
+        yield node
+
+
+def test_every_derivation_node_is_balanced():
+    ds = generate_derivations(random.Random(17), GENERATED_ATOMS, 60)
+    ds.append(must_prove("n => (s / (n \\ s))"))
+    rules = set()
+    for d in ds:
+        for node in _nodes(d):
+            rules.add(node.rule)
+            assert _balanced(_seq_key(node.conclusion)), str(node.conclusion)
+    assert rules == set(RULES)
+
+
+def test_pruned_search_agrees_with_the_plain_search(monkeypatch):
+    ends = [d.conclusion for d in generate_derivations(random.Random(17), GENERATED_ATOMS, 60)]
+    p = Leaf0(Atom("p", 0))
+    # one atom too many: never balanced, so the check decides these at the root
+    extra = [HSequent(HyperConfig(s.antecedent.items + (p,)), s.succedent) for s in ends]
+    # reordered: still balanced but often unprovable, so the search decides
+    rng = random.Random(5)
+    shuffled = []
+    for s in ends:
+        items = list(s.antecedent.items)
+        rng.shuffle(items)
+        shuffled.append(HSequent(HyperConfig(tuple(items)), s.succedent))
+    assert not any(_balanced(_seq_key(s)) for s in extra)
+    assert any(prove(s) is None for s in shuffled)
+    sequents = ends + extra + shuffled
+    pruned = [(prove(s), prove_all(s, limit=4)) for s in sequents]
+    monkeypatch.setattr(hseq, "_balanced", lambda key: True)
+    plain = [(prove(s), prove_all(s, limit=4)) for s in sequents]
+    assert pruned == plain
+
+
+Q = "((s ^1 n) !1 s)"
+TV = "((n \\ s) / n)"
+SV = "((n \\ s) / s)"
+
+
+def test_failing_search_at_the_baseline_size():
+    s = seq(", ".join([Q] + [TV, Q] * 5) + " => s")
+    start = time.perf_counter()
+    assert prove(s) is None
+    assert time.perf_counter() - start < 5
+
+
+def test_prove_all_at_the_baseline_size():
+    s = seq(", ".join(["n", SV] * 4 + [Q, TV, Q]) + " => s")
+    start = time.perf_counter()
+    found = prove_all(s, limit=16)
+    assert time.perf_counter() - start < 5
+    assert len(found) == 16
+    assert all(check(d) for d in found)

@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from dcalc.bridge import lower
 from dcalc.derivation import derivation_latex, derivation_text
-from dcalc.hseq import HDerivation
+from dcalc.hseq import HDerivation, check
 from dcalc.mseq import (
     MDerivation,
     MSequent,
@@ -220,3 +221,9 @@ def test_text_renders_a_long_structural_chain():
     assert len(lines) == 2401
     assert lines[0] == "[Structural at=(), indices=(), srule=UnitI-L-drop] a -> a"
     assert lines[-1] == "  " * 2400 + "[Id] a -> a"
+
+
+def test_lower_skips_a_long_structural_chain():
+    back = lower(long_structural_chain())
+    assert back.rule == "Id" and str(back.conclusion) == "a => a"
+    assert check(back)
