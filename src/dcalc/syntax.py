@@ -330,12 +330,15 @@ def sort_of_config(cfg: HyperConfig) -> int:
     return total
 
 
+_GAP = HyperConfig((SEP,))
+
+
 def figure(t: Type) -> HyperConfig:
     """The figure of a type: the canonical single-occurrence configuration."""
     a = sort_of_type(t)
     if a == 0:
         return HyperConfig((Leaf0(t),))
-    return HyperConfig((Occurrence(t, tuple(HyperConfig((SEP,)) for _ in range(a))),))
+    return HyperConfig((Occurrence(t, (_GAP,) * a),))
 
 
 def figure_items(t: Type, gaps: tuple) -> tuple:
@@ -350,15 +353,24 @@ def figure_items(t: Type, gaps: tuple) -> tuple:
 def flatten(cfg: HyperConfig) -> tuple:
     """Flat token sequence: Leaf0 and Separator items plus SegTok markers."""
     out = []
-    for item in cfg.items:
-        if isinstance(item, Occurrence):
-            out.append(SegTok(item.type, 0))
-            for i, gap in enumerate(item.gaps, 1):
-                out.extend(flatten(gap))
-                out.append(SegTok(item.type, i))
-        else:
+    items = iter(cfg.items)
+    above = []  # the suspended iterators of the enclosing levels
+    while True:
+        for item in items:
+            if type(item) is Occurrence:
+                out.append(SegTok(item.type, 0))
+                rest = []  # each gap's items, then the segment token closing it
+                for i, gap in enumerate(item.gaps, 1):
+                    rest += gap.items
+                    rest.append(SegTok(item.type, i))
+                above.append(items)
+                items = iter(rest)
+                break
             out.append(item)
-    return tuple(out)
+        else:
+            if not above:
+                return tuple(out)
+            items = above.pop()
 
 
 def parse_flat(tokens) -> HyperConfig:
@@ -410,31 +422,53 @@ def config_str(cfg: HyperConfig) -> str:
 # wrapping
 
 
-def wrap_at(cfg: HyperConfig, k: int, filler: HyperConfig) -> HyperConfig:
-    """Replace the k-th separator (1-based, flat order) with filler's items."""
-    total = sort_of_config(cfg)
-    if not 1 <= k <= total:
-        raise SortError("wrap index %d out of range 1..%d" % (k, total))
-    count = [0]
+def wrap_items(items: tuple, k: int, filler_items: tuple) -> tuple:
+    """Items of wrap_at(HyperConfig(items), k, HyperConfig(filler_items)).
 
-    def walk(items):
-        out = []
-        for item in items:
-            if isinstance(item, Separator):
-                count[0] += 1
-                if count[0] == k:
-                    out.extend(filler.items)
-                else:
-                    out.append(item)
-            elif isinstance(item, Occurrence):
-                out.append(
-                    Occurrence(item.type, tuple(HyperConfig(tuple(walk(g.items))) for g in item.gaps))
-                )
+    Walks the items in flat order up to the k-th separator, then rebuilds
+    only the occurrences on the path to it; every other item is shared with
+    the input.  Raises SortError when there is no k-th separator.
+    """
+    above = []  # (items, index, gap) of each occurrence the walk is inside
+    i = 0
+    seen = 0
+    while True:
+        if i < len(items):
+            item = items[i]
+            if type(item) is Separator:
+                seen += 1
+                if seen == k:
+                    out = items[:i] + filler_items + items[i + 1 :]
+                    while above:
+                        items, i, g = above.pop()
+                        occ = items[i]
+                        gaps = occ.gaps[:g] + (HyperConfig(out),) + occ.gaps[g + 1 :]
+                        out = items[:i] + (Occurrence(occ.type, gaps),) + items[i + 1 :]
+                    return out
+            elif type(item) is Occurrence:
+                above.append((items, i, 0))
+                items, i = item.gaps[0].items, 0
+                continue
+            i += 1
+        elif above:
+            items, i, g = above.pop()
+            gaps = items[i].gaps
+            if g + 1 < len(gaps):
+                above.append((items, i, g + 1))
+                items, i = gaps[g + 1].items, 0
             else:
-                out.append(item)
-        return out
+                i += 1
+        else:
+            raise SortError("wrap index %d out of range 1..%d" % (k, seen))
 
-    return HyperConfig(tuple(walk(cfg.items)))
+
+def wrap_at(cfg: HyperConfig, k: int, filler: HyperConfig) -> HyperConfig:
+    """Replace the k-th separator (1-based, flat order) with filler's items.
+
+    Only the occurrences on the path to that separator are rebuilt; all
+    other items of cfg are shared with the result.
+    """
+    return HyperConfig(wrap_items(cfg.items, k, filler.items))
 
 
 def generalized_wrap(cfg: HyperConfig, fillers) -> HyperConfig:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from .syntax import (
-    EMPTY,
     Atom,
     HyperConfig,
     Leaf0,
@@ -39,7 +38,7 @@ from .syntax import (
     iter_items,
     sort_of_config,
     sort_of_type,
-    wrap_at,
+    wrap_items,
 )
 
 
@@ -109,16 +108,17 @@ StructTerm = object  # union of the five node classes above
 
 
 def sort_of_term(t) -> int:
-    if isinstance(t, ConstI):
-        return 0
-    if isinstance(t, ConstJ):
-        return 1
-    if isinstance(t, Leaf):
+    cls = type(t)
+    if cls is Leaf:
         return sort_of_type(t.type)
-    if isinstance(t, Cat):
+    if cls is Cat:
         return sort_of_term(t.left) + sort_of_term(t.right)
-    if isinstance(t, WrapT):
+    if cls is WrapT:
         return sort_of_term(t.left) + sort_of_term(t.right) - 1
+    if cls is ConstI:
+        return 0
+    if cls is ConstJ:
+        return 1
     raise TypeError("not a structural term: %r" % (t,))
 
 
@@ -450,19 +450,41 @@ def invert_trace(trace: RewriteTrace) -> RewriteTrace:
 # sharp and equivalence
 
 
+_JOIN = object()  # on sharp's stack: the term under it has both operand images ready
+
+
 def sharp(t) -> HyperConfig:
-    """The hyperconfiguration a structural term denotes."""
-    if isinstance(t, ConstI):
-        return EMPTY
-    if isinstance(t, ConstJ):
-        return HyperConfig((SEP,))
-    if isinstance(t, Leaf):
-        return figure(t.type)
-    if isinstance(t, Cat):
-        return HyperConfig(sharp(t.left).items + sharp(t.right).items)
-    if isinstance(t, WrapT):
-        return wrap_at(sharp(t.left), t.i, sharp(t.right))
-    raise TypeError("not a structural term: %r" % (t,))
+    """The hyperconfiguration a structural term denotes.
+
+    One post-order pass with an explicit stack, passing item tuples between
+    nodes: a Cat concatenates its operands' items, and a WrapT rebuilds only
+    the path to the filled separator of its left image (``wrap_items``) and
+    shares every other item.
+    """
+    images = []  # item tuples of the subterms finished so far
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if node is _JOIN:
+            node = todo.pop()
+            right = images.pop()
+            left = images.pop()
+            if type(node) is Cat:
+                images.append(left + right)
+            else:
+                images.append(wrap_items(left, node.i, right))
+        elif cls is Cat or cls is WrapT:
+            todo += (node, _JOIN, node.right, node.left)
+        elif cls is Leaf:
+            images.append(figure(node.type).items)
+        elif cls is ConstJ:
+            images.append((SEP,))
+        elif cls is ConstI:
+            images.append(())
+        else:
+            raise TypeError("not a structural term: %r" % (node,))
+    return HyperConfig(images[0])
 
 
 def equiv(t, s) -> bool:

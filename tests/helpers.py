@@ -7,6 +7,7 @@ from dcalc.syntax import (
     EMPTY,
     SEP,
     Atom,
+    SegTok,
     DDown,
     DProd,
     DUp,
@@ -112,6 +113,86 @@ def _rand_cfg(rng, atoms, cell, nesting):
             )
             items.append(Occurrence(Atom(name, sort), gaps))
     return HyperConfig(tuple(items))
+
+
+def enumerate_terms(leaves, max_leaves):
+    """Every term with at most max_leaves leaves from `leaves`, by leaf count."""
+    by_n = {1: list(leaves)}
+    for n in range(2, max_leaves + 1):
+        acc = []
+        for i in range(1, n):
+            for lt in by_n[i]:
+                sl = sort_of_term(lt)
+                for rt in by_n[n - i]:
+                    acc.append(Cat(lt, rt))
+                    for k in range(1, sl + 1):
+                        acc.append(WrapT(k, lt, rt))
+        by_n[n] = acc
+    out = []
+    for n in range(1, max_leaves + 1):
+        out.extend(by_n[n])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference sharp
+#
+# The plain recursive definitions that dcalc's iterative sharp, wrap_at and
+# flatten replaced, kept as the oracle they are checked against: this
+# wrap_at checks the index first and rebuilds the whole image.
+
+
+def reference_flatten(cfg):
+    out = []
+    for item in cfg.items:
+        if isinstance(item, Occurrence):
+            out.append(SegTok(item.type, 0))
+            for i, gap in enumerate(item.gaps, 1):
+                out.extend(reference_flatten(gap))
+                out.append(SegTok(item.type, i))
+        else:
+            out.append(item)
+    return tuple(out)
+
+
+def reference_wrap_at(cfg, k, filler):
+    total = sort_of_config(cfg)
+    if not 1 <= k <= total:
+        raise SortError("wrap index %d out of range 1..%d" % (k, total))
+    count = [0]
+
+    def walk(items):
+        out = []
+        for item in items:
+            if isinstance(item, Separator):
+                count[0] += 1
+                if count[0] == k:
+                    out.extend(filler.items)
+                else:
+                    out.append(item)
+            elif isinstance(item, Occurrence):
+                out.append(
+                    Occurrence(item.type, tuple(HyperConfig(tuple(walk(g.items))) for g in item.gaps))
+                )
+            else:
+                out.append(item)
+        return out
+
+    return HyperConfig(tuple(walk(cfg.items)))
+
+
+def reference_sharp(t):
+    if isinstance(t, ConstI):
+        return EMPTY
+    if isinstance(t, ConstJ):
+        return HyperConfig((SEP,))
+    if isinstance(t, Leaf):
+        return figure(t.type)
+    if isinstance(t, Cat):
+        return HyperConfig(reference_sharp(t.left).items + reference_sharp(t.right).items)
+    if isinstance(t, WrapT):
+        return reference_wrap_at(reference_sharp(t.left), t.i, reference_sharp(t.right))
+    raise TypeError("not a structural term: %r" % (t,))
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,12 @@ from dcalc.terms import (
     extractable,
     normalize,
     sharp,
-    sort_of_term,
     term_of_config,
     uniqueness_check,
 )
 
 import golden_defs
-from helpers import generate_derivations, random_config, random_term
+from helpers import enumerate_terms, generate_derivations, random_config, random_term
 
 
 def report(line):
@@ -139,24 +138,6 @@ def test_criterion_2_round_trip():
 #   (c) the literal oracle is invoked on a sample of near pairs (where its
 #       search completes) and cross-class pairs, and must agree with equiv
 #       on each.
-
-
-def enumerate_terms(leaves, max_leaves):
-    by_n = {1: list(leaves)}
-    for n in range(2, max_leaves + 1):
-        acc = []
-        for i in range(1, n):
-            for lt in by_n[i]:
-                sl = sort_of_term(lt)
-                for rt in by_n[n - i]:
-                    acc.append(Cat(lt, rt))
-                    for k in range(1, sl + 1):
-                        acc.append(WrapT(k, lt, rt))
-        by_n[n] = acc
-    out = []
-    for n in range(1, max_leaves + 1):
-        out.extend(by_n[n])
-    return out
 
 
 def test_criterion_3_equivalence_vs_oracle():

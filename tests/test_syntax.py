@@ -182,6 +182,14 @@ def test_wrap_at_reaches_nested_gaps():
     assert config_str(wrap_at(outer, 1, inner)) == "0:e,a,1:e"
 
 
+def test_wrap_at_shares_the_items_off_the_filled_path():
+    outer = parse_config("a,0:e,[],1:e,0:b,[],1:b,[],2:b", SIG)
+    out = wrap_at(outer, 2, parse_config("c", SIG))
+    assert config_str(out) == "a,0:e,[],1:e,0:b,c,1:b,[],2:b"
+    assert out.items[0] is outer.items[0] and out.items[1] is outer.items[1]
+    assert out.items[2].gaps[1] is outer.items[2].gaps[1]
+
+
 def test_generalized_wrap_fills_all_separators():
     cfg = parse_config("[], a, []", SIG)
     g1 = parse_config("c", SIG)

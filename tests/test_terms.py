@@ -17,6 +17,7 @@ from dcalc.syntax import (
     flatten,
     parse_config,
     sort_of_config,
+    wrap_at,
 )
 from dcalc.terms import (
     BudgetError,
@@ -47,7 +48,14 @@ from dcalc.terms import (
     uniqueness_check,
 )
 
-from helpers import random_config, random_term
+from helpers import (
+    enumerate_terms,
+    random_config,
+    random_term,
+    reference_flatten,
+    reference_sharp,
+    reference_wrap_at,
+)
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\n")
 ATOMS = (("a", 0), ("c", 0), ("e", 1), ("b", 2))
@@ -129,6 +137,51 @@ def test_sharp_splits_term_of_config(seed):
     rng = random.Random(seed)
     cfg = random_config(rng, ATOMS)
     assert sharp(term_of_config(cfg)) == cfg
+
+
+def test_sharp_agrees_with_the_reference_definition():
+    universe = enumerate_terms((A, E, B, ConstI(), ConstJ()), 4)
+    assert len(universe) == 29535
+    rng = random.Random(101)
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    randoms = [random_term(rng, atoms, rng.randint(1, 6)) for _ in range(1000)]
+    rewritten = [apply_rule(t, app) for t in randoms[:100] for app in enumerate_rule_apps(t)]
+    for t in universe + randoms + rewritten:
+        want = reference_sharp(t)
+        got = sharp(t)
+        assert got == want, t
+        assert flatten(got) == reference_flatten(want), t
+
+
+def test_wrap_at_agrees_with_the_reference_definition():
+    rng = random.Random(102)
+    for _ in range(500):
+        cfg = random_config(rng, ATOMS)
+        filler = random_config(rng, ATOMS, budget=4)
+        for k in range(0, sort_of_config(cfg) + 2):
+            try:
+                want = reference_wrap_at(cfg, k, filler)
+            except SortError as exc:
+                with pytest.raises(SortError) as got:
+                    wrap_at(cfg, k, filler)
+                assert str(got.value) == str(exc)
+            else:
+                assert wrap_at(cfg, k, filler) == want
+
+
+def test_sharp_on_deeply_nested_terms():
+    # 900 wraps, each into the first gap of the last: the image nests 900 deep
+    chain = B
+    for _ in range(900):
+        chain = WrapT(1, chain, E)
+    image = sharp(chain)
+    assert len(flatten(image)) == 1805
+    assert config_str(image).startswith("0:b,0:e,0:e,")
+    # a right-nested concatenation of 5,001 leaves
+    t = A
+    for _ in range(5000):
+        t = Cat(A, t)
+    assert len(flatten(sharp(t))) == 5001
 
 
 # ---------------------------------------------------------------------------
