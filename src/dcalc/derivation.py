@@ -12,6 +12,7 @@ parser and its single-node check.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .syntax import ParseError
@@ -64,6 +65,8 @@ def _to_jsonable(v):
 def _from_jsonable(v):
     if isinstance(v, list):
         return tuple(_from_jsonable(x) for x in v)
+    if isinstance(v, (bool, float)):  # True == 1 == 1.0 would pass as an index
+        raise ParseError("rule parameter %s is not an integer or string" % json.dumps(v))
     return v
 
 
@@ -84,7 +87,8 @@ def params_from_obj(obj: dict) -> tuple:
     items = []
     for k, v in _expect(obj, dict, "params").items():
         if k == "indices":
-            items.append((k, tuple(sorted(_expect(v, dict, "indices").items()))))
+            indices = _expect(v, dict, "indices").items()
+            items.append((k, tuple(sorted((n, _from_jsonable(x)) for n, x in indices))))
         else:
             items.append((k, _from_jsonable(v)))
     return tuple(sorted(items))

@@ -6,7 +6,8 @@ and JJ (single separator), continuous concatenation ``(s + t)`` and wrapping
 ``sharp`` map sends every term to the hyperconfiguration it denotes; the
 twenty rewrite rules (unit laws, associativities, split-wrap and mixed
 permutation) all preserve sharp, and two terms are equivalent exactly when
-their sharp images coincide.
+their sharp images coincide.  The cases of ``_apply`` are the one statement
+of the twenty rules: each pattern is a redex and its body builds the reduct.
 
 ``normalize`` produces an explicit step-by-step trace from a term to the
 canonical term of its sharp image (the cons-list built by term_of_config),
@@ -251,117 +252,80 @@ def classify(i: int, sort2: int, j: int) -> str:
     return "O"
 
 
-def _shape2(s, rule):
-    if not (isinstance(s, WrapT) and isinstance(s.left, WrapT)):
-        raise RuleError("%s needs a ((_ +i _) +j _) shape" % rule)
-    return s.left.left, s.left.i, s.left.right, s.i, s.right
+def _apply(s, rule: str, i: Optional[int] = None):
+    """Apply one rule at the root of s: (reduct, filled indices), or None when
+    the rule does not fit.  Each case is the one statement of its rule.  `i`
+    is UnitJ-i-add's index, the one index no redex holds; later cases rebind
+    the name."""
+    match rule, s:
+        case "UnitI-L-add", _:
+            return Cat(ConstI(), s), {}
+        case "UnitI-L-drop", Cat(ConstI(), t):
+            return t, {}
+        case "UnitI-R-add", _:
+            return Cat(s, ConstI()), {}
+        case "UnitI-R-drop", Cat(t, ConstI()):
+            return t, {}
+        case "UnitJ-L-add", _:
+            return WrapT(1, ConstJ(), s), {}
+        case "UnitJ-L-drop", WrapT(1, ConstJ(), t):
+            return t, {}
+        case "UnitJ-i-add", _ if i is not None and 1 <= i <= sort_of_term(s):
+            return WrapT(i, s, ConstJ()), {"i": i}
+        case "UnitJ-i-drop", WrapT(k, t, ConstJ()):
+            return t, {"i": k}
+        case "AsscC-fwd", Cat(Cat(t1, t2), t3):
+            return Cat(t1, Cat(t2, t3)), {}
+        case "AsscC-bwd", Cat(t1, Cat(t2, t3)):
+            return Cat(Cat(t1, t2), t3), {}
+        case "SW-left-fwd", Cat(t1, t2):
+            return WrapT(1, Cat(ConstJ(), t2), t1), {}
+        case "SW-left-bwd", WrapT(1, Cat(ConstJ(), t2), t1):
+            return Cat(t1, t2), {}
+        case "SW-right-fwd", Cat(t1, t2):
+            k = sort_of_term(t1) + 1
+            return WrapT(k, Cat(t1, ConstJ()), t2), {"i": k}
+        case "SW-right-bwd", WrapT(k, Cat(t1, ConstJ()), t2) if k == sort_of_term(t1) + 1:
+            return Cat(t1, t2), {"i": k}
+        case "AsscD1", WrapT(i, t1, WrapT(j, t2, t3)):
+            return WrapT(i + j - 1, WrapT(i, t1, t2), t3), {"i": i, "j": j}
+        case "AsscD2", WrapT(j, WrapT(i, t1, t2), t3) if classify(i, sort_of_term(t2), j) == "O":
+            return WrapT(i, t1, WrapT(j - i + 1, t2, t3)), {"i": i, "j": j}
+        case ("MixPerm1-fwd" | "MixPerm2-bwd"), WrapT(j, WrapT(i, t1, t2), t3) if (
+            classify(i, sort_of_term(t2), j) == "P1"
+        ):
+            return WrapT(i, WrapT(j - sort_of_term(t2) + 1, t1, t3), t2), {"i": i, "j": j}
+        case ("MixPerm1-bwd" | "MixPerm2-fwd"), WrapT(j, WrapT(i, t1, t2), t3) if (
+            classify(i, sort_of_term(t2), j) == "P2"
+        ):
+            return WrapT(i + sort_of_term(t3) - 1, WrapT(j, t1, t3), t2), {"i": i, "j": j}
+    return None
 
 
-def _apply(s, rule: str, params: dict):
-    """Apply one rule at the root of s; returns (result, filled params)."""
-    if rule == "UnitI-L-add":
-        return Cat(ConstI(), s), {}
-    if rule == "UnitI-L-drop":
-        if not (isinstance(s, Cat) and isinstance(s.left, ConstI)):
-            raise RuleError("UnitI-L-drop needs (II + _)")
-        return s.right, {}
-    if rule == "UnitI-R-add":
-        return Cat(s, ConstI()), {}
-    if rule == "UnitI-R-drop":
-        if not (isinstance(s, Cat) and isinstance(s.right, ConstI)):
-            raise RuleError("UnitI-R-drop needs (_ + II)")
-        return s.left, {}
-    if rule == "UnitJ-L-add":
-        return WrapT(1, ConstJ(), s), {}
-    if rule == "UnitJ-L-drop":
-        if not (isinstance(s, WrapT) and s.i == 1 and isinstance(s.left, ConstJ)):
-            raise RuleError("UnitJ-L-drop needs (JJ +1 _)")
-        return s.right, {}
-    if rule == "UnitJ-i-add":
-        i = params.get("i")
-        if i is None:
-            raise RuleError("UnitJ-i-add needs the index i")
-        if not 1 <= i <= sort_of_term(s):
-            raise RuleError("UnitJ-i-add index %d out of range" % i)
-        return WrapT(i, s, ConstJ()), {"i": i}
-    if rule == "UnitJ-i-drop":
-        if not (isinstance(s, WrapT) and isinstance(s.right, ConstJ)):
-            raise RuleError("UnitJ-i-drop needs (_ +i JJ)")
-        return s.left, {"i": s.i}
-    if rule == "AsscC-fwd":
-        if not (isinstance(s, Cat) and isinstance(s.left, Cat)):
-            raise RuleError("AsscC-fwd needs ((_ + _) + _)")
-        return Cat(s.left.left, Cat(s.left.right, s.right)), {}
-    if rule == "AsscC-bwd":
-        if not (isinstance(s, Cat) and isinstance(s.right, Cat)):
-            raise RuleError("AsscC-bwd needs (_ + (_ + _))")
-        return Cat(Cat(s.left, s.right.left), s.right.right), {}
-    if rule == "SW-left-fwd":
-        if not isinstance(s, Cat):
-            raise RuleError("SW-left-fwd needs (_ + _)")
-        return WrapT(1, Cat(ConstJ(), s.right), s.left), {}
-    if rule == "SW-left-bwd":
-        ok = (
-            isinstance(s, WrapT)
-            and s.i == 1
-            and isinstance(s.left, Cat)
-            and isinstance(s.left.left, ConstJ)
+def _step(t, rule: str, at: tuple, i: Optional[int]):
+    """t with `rule` applied at the subterm `at`: (new term, filled indices)."""
+    done = _apply(subterm_at(t, at), rule, i)
+    if done is None:
+        raise RuleError(
+            "%s does not fit the subterm at %r" % (rule, at)
+            if rule in RULE_NAMES
+            else "unknown rule %r" % (rule,)
         )
-        if not ok:
-            raise RuleError("SW-left-bwd needs ((JJ + _) +1 _)")
-        return Cat(s.right, s.left.right), {}
-    if rule == "SW-right-fwd":
-        if not isinstance(s, Cat):
-            raise RuleError("SW-right-fwd needs (_ + _)")
-        i = sort_of_term(s.left) + 1
-        return WrapT(i, Cat(s.left, ConstJ()), s.right), {"i": i}
-    if rule == "SW-right-bwd":
-        ok = (
-            isinstance(s, WrapT)
-            and isinstance(s.left, Cat)
-            and isinstance(s.left.right, ConstJ)
-            and s.i == sort_of_term(s.left.left) + 1
-        )
-        if not ok:
-            raise RuleError("SW-right-bwd needs ((_ + JJ) +i _) with i past the left sort")
-        return Cat(s.left.left, s.right), {"i": s.i}
-    if rule == "AsscD1":
-        if not (isinstance(s, WrapT) and isinstance(s.right, WrapT)):
-            raise RuleError("AsscD1 needs (_ +i (_ +j _))")
-        i, j = s.i, s.right.i
-        return WrapT(i + j - 1, WrapT(i, s.left, s.right.left), s.right.right), {"i": i, "j": j}
-    if rule == "AsscD2":
-        t1, i, t2, j, t3 = _shape2(s, rule)
-        if classify(i, sort_of_term(t2), j) != "O":
-            raise RuleError("AsscD2 needs the outer index within the inner operand")
-        return WrapT(i, t1, WrapT(j - i + 1, t2, t3)), {"i": i, "j": j}
-    if rule in ("MixPerm1-fwd", "MixPerm2-bwd"):
-        t1, i, t2, j, t3 = _shape2(s, rule)
-        if classify(i, sort_of_term(t2), j) != "P1":
-            raise RuleError("%s needs the outer index strictly right of the inner operand" % rule)
-        s2 = sort_of_term(t2)
-        return WrapT(i, WrapT(j - s2 + 1, t1, t3), t2), {"i": i, "j": j}
-    if rule in ("MixPerm1-bwd", "MixPerm2-fwd"):
-        t1, i, t2, j, t3 = _shape2(s, rule)
-        if classify(i, sort_of_term(t2), j) != "P2":
-            raise RuleError("%s needs the outer index strictly left of the inner operand" % rule)
-        s3 = sort_of_term(t3)
-        return WrapT(i + s3 - 1, WrapT(j, t1, t3), t2), {"i": i, "j": j}
-    raise RuleError("unknown rule %r" % (rule,))
+    new_sub, filled = done
+    return replace_at(t, at, new_sub), filled
 
 
 def apply_rule(t, app: RuleApp):
     """Apply one rewrite step to the whole term; validates shape and indices."""
-    sub = subterm_at(t, app.at)
-    new_sub, filled = _apply(sub, app.rule, app.params_dict())
     given = app.params_dict()
+    new, filled = _step(t, app.rule, app.at, given.get("i"))
     for key, val in given.items():
         if key in filled and filled[key] != val:
             raise RuleError(
                 "%s at %r: parameter %s=%d does not match the redex (%d)"
                 % (app.rule, app.at, key, val, filled[key])
             )
-    return replace_at(t, app.at, new_sub)
+    return new
 
 
 def enumerate_rule_apps(t) -> list:
@@ -370,14 +334,9 @@ def enumerate_rule_apps(t) -> list:
     for path, sub in iter_subterms(t):
         for rule in RULE_NAMES:
             if rule == "UnitJ-i-add":
-                for i in range(1, sort_of_term(sub) + 1):
-                    out.append(rule_app(rule, path, i=i))
-                continue
-            try:
-                _apply(sub, rule, {})
-            except RuleError:
-                continue
-            out.append(rule_app(rule, path))
+                out += (rule_app(rule, path, i=i) for i in range(1, sort_of_term(sub) + 1))
+            elif _apply(sub, rule) is not None:
+                out.append(rule_app(rule, path))
     return out
 
 
@@ -424,9 +383,7 @@ class Tracer:
         return subterm_at(self.term, path)
 
     def emit(self, rule: str, at: tuple = (), **params):
-        sub = subterm_at(self.term, at)
-        new_sub, filled = _apply(sub, rule, params)
-        self.term = replace_at(self.term, at, new_sub)
+        self.term, filled = _step(self.term, rule, at, params.get("i"))
         app = RuleApp(rule, tuple(at), tuple(sorted(filled.items())))
         self.steps.append(TraceStep(app, self.term))
         if self.budget is not None and len(self.steps) > self.budget:
@@ -519,10 +476,7 @@ def bounded_equiv_oracle(
             if expansions > max_expansions:
                 return False
             for app in enumerate_rule_apps(cur):
-                try:
-                    new = apply_rule(cur, app)
-                except (RuleError, SortError):
-                    continue
+                new = apply_rule(cur, app)
                 if new in seen or term_size(new) > cap:
                     continue
                 if new == s:

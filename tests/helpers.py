@@ -35,7 +35,19 @@ from dcalc.syntax import (
     splice_item,
     wrap_at,
 )
-from dcalc.terms import Cat, ConstI, ConstJ, Leaf, WrapT, sort_of_term
+from dcalc.terms import (
+    RULE_NAMES,
+    Cat,
+    ConstI,
+    ConstJ,
+    Leaf,
+    RuleError,
+    WrapT,
+    apply_rule,
+    iter_subterms,
+    rule_app,
+    sort_of_term,
+)
 
 # ---------------------------------------------------------------------------
 # random objects
@@ -193,6 +205,25 @@ def reference_sharp(t):
     if isinstance(t, WrapT):
         return reference_wrap_at(reference_sharp(t.left), t.i, reference_sharp(t.right))
     raise TypeError("not a structural term: %r" % (t,))
+
+
+def reference_rule_apps(t):
+    """Every single rewrite step of t, by definition: each rule at each path
+    (UnitJ-i-add with each i in 1..sort) kept when apply_rule does not raise."""
+    out = []
+    for path, sub in iter_subterms(t):
+        for rule in RULE_NAMES:
+            if rule == "UnitJ-i-add":
+                tries = [rule_app(rule, path, i=i) for i in range(1, sort_of_term(sub) + 1)]
+            else:
+                tries = [rule_app(rule, path)]
+            for app in tries:
+                try:
+                    apply_rule(t, app)
+                except RuleError:
+                    continue
+                out.append(app)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,12 @@ from dcalc.terms import (
     ConstI,
     ConstJ,
     ExtractionError,
+    INVERSE_RULE,
     Leaf,
+    RULE_NAMES,
     RuleApp,
     RuleError,
+    Tracer,
     WrapT,
     apply_rule,
     bounded_equiv_oracle,
@@ -53,6 +56,7 @@ from helpers import (
     random_config,
     random_term,
     reference_flatten,
+    reference_rule_apps,
     reference_sharp,
     reference_wrap_at,
 )
@@ -263,13 +267,47 @@ def test_apply_rule_at_path_and_param_mismatch():
         apply_rule(B, RuleApp("UnitJ-i-add", (), (("i", 9),)))
 
 
+# the redexes of the rule tests above, and a few leaves
+RULE_EXAMPLES = (
+    A,
+    E,
+    B,
+    Cat(Cat(ConstI(), A), C),
+    Cat(Cat(A, C), E),
+    Cat(E, A),
+    WrapT(2, B, WrapT(1, E, A)),
+    WrapT(1, WrapT(1, B, A), E),
+    WrapT(1, WrapT(2, B, A), E),
+    WrapT(1, WrapT(1, B, E), A),
+    WrapT(1, Cat(ConstJ(), A), C),
+)
+
+
+def test_enumeration_equals_its_definition():
+    rng = random.Random(23)
+    found = set()
+    for t in RULE_EXAMPLES + tuple(random_term(rng, ATOMS, 4) for _ in range(150)):
+        apps = enumerate_rule_apps(t)
+        assert apps == reference_rule_apps(t), t
+        found.update(app.rule for app in apps)
+    assert found == set(RULE_NAMES)
+
+
 def test_enumerated_apps_apply_and_invert():
     rng = random.Random(5)
-    for _ in range(60):
-        t = random_term(rng, ATOMS, 4)
+    exercised = set()
+    for t in RULE_EXAMPLES + tuple(random_term(rng, ATOMS, 4) for _ in range(60)):
         for app in enumerate_rule_apps(t):
-            s = apply_rule(t, app)
+            tr = Tracer(t)
+            tr.emit(app.rule, app.at, **app.params_dict())
+            s = tr.term
+            assert s == apply_rule(t, app)
             assert flatten(sharp(s)) == flatten(sharp(t))
+            filled = tr.steps[0].app.params_dict()
+            tr.emit(INVERSE_RULE[app.rule], app.at, **filled)
+            assert tr.term == t, app
+            exercised.add(app.rule)
+    assert exercised == set(RULE_NAMES)
 
 
 # ---------------------------------------------------------------------------
