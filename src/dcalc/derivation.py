@@ -70,6 +70,12 @@ def _from_jsonable(v):
     return v
 
 
+def _index(v):
+    if type(v) is not int:  # a rewrite index is a JSON integer, never true, 1.0 or "1"
+        raise ParseError("rewrite index %s is not an integer" % json.dumps(v))
+    return v
+
+
 _JSON_NAMES = {dict: "object", list: "list", str: "string"}
 
 
@@ -88,7 +94,7 @@ def params_from_obj(obj: dict) -> tuple:
     for k, v in _expect(obj, dict, "params").items():
         if k == "indices":
             indices = _expect(v, dict, "indices").items()
-            items.append((k, tuple(sorted((n, _from_jsonable(x)) for n, x in indices))))
+            items.append((k, tuple(sorted((n, _index(x)) for n, x in indices))))
         else:
             items.append((k, _from_jsonable(v)))
     return tuple(sorted(items))

@@ -2,9 +2,10 @@
 
 Types are built over a finite signature of sorted atoms together with two
 units: I (sort 0, the unit of continuous product) and J (sort 1, the unit of
-wrapping).  Every connective has a sort law and the constructors reject
-operand combinations that would produce a negative sort or an out-of-range
-wrap index.
+wrapping).  Every connective has a sort law.  Each type node stores its sort
+when it is built, computed from its operands' stored sorts, so
+``sort_of_type`` is O(1); the constructors reject operand combinations that
+would produce a negative sort or an out-of-range wrap index.
 
 A hyperconfiguration is a sequence of items: sort-0 type leaves, separators
 (written ``[]``), and occurrences of types of sort >= 1, where an occurrence
@@ -17,7 +18,7 @@ the two views and are mutually inverse.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 
@@ -100,12 +101,16 @@ class Atom:
 
 @dataclass(frozen=True)
 class UnitI:
+    sort = 0
+
     def __str__(self):
         return "I"
 
 
 @dataclass(frozen=True)
 class UnitJ:
+    sort = 1
+
     def __str__(self):
         return "J"
 
@@ -114,9 +119,10 @@ class UnitJ:
 class Prod:
     left: "Type"
     right: "Type"
+    sort: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sort_of_type(self)
+        object.__setattr__(self, "sort", sort_of_type(self.left) + sort_of_type(self.right))
 
     def __str__(self):
         return _binop_str(self.left, ".", self.right)
@@ -128,9 +134,13 @@ class Under:
 
     left: "Type"
     right: "Type"
+    sort: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sort_of_type(self)
+        s = sort_of_type(self.right) - sort_of_type(self.left)
+        if s < 0:
+            raise SortError("negative sort in %s\\%s" % (self.left, self.right))
+        object.__setattr__(self, "sort", s)
 
     def __str__(self):
         return _binop_str(self.left, "\\", self.right)
@@ -142,12 +152,26 @@ class Over:
 
     left: "Type"
     right: "Type"
+    sort: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sort_of_type(self)
+        s = sort_of_type(self.left) - sort_of_type(self.right)
+        if s < 0:
+            raise SortError("negative sort in %s/%s" % (self.left, self.right))
+        object.__setattr__(self, "sort", s)
 
     def __str__(self):
         return _binop_str(self.left, "/", self.right)
+
+
+def _wrapped_sort(op: str, k: int, left: "Type") -> int:
+    """Sort of the left operand of @k or !k, which k must index."""
+    a = sort_of_type(left)
+    if a < 1:
+        raise SortError("%s%d on sort-0 left operand" % (op, k))
+    if not 1 <= k <= a:
+        raise SortError("wrap index %d out of range 1..%d" % (k, a))
+    return a
 
 
 @dataclass(frozen=True)
@@ -157,9 +181,11 @@ class DProd:
     k: int
     left: "Type"
     right: "Type"
+    sort: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sort_of_type(self)
+        a = _wrapped_sort("@", self.k, self.left)
+        object.__setattr__(self, "sort", a + sort_of_type(self.right) - 1)
 
     def __str__(self):
         return _binop_str(self.left, "@%d" % self.k, self.right)
@@ -172,9 +198,14 @@ class DDown:
     k: int
     left: "Type"
     right: "Type"
+    sort: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sort_of_type(self)
+        a = _wrapped_sort("!", self.k, self.left)
+        s = sort_of_type(self.right) + 1 - a
+        if s < 0:
+            raise SortError("negative sort in %s" % (self,))
+        object.__setattr__(self, "sort", s)
 
     def __str__(self):
         return _binop_str(self.left, "!%d" % self.k, self.right)
@@ -187,61 +218,29 @@ class DUp:
     k: int
     left: "Type"
     right: "Type"
+    sort: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sort_of_type(self)
+        s = sort_of_type(self.left) + 1 - sort_of_type(self.right)
+        if s < 1:
+            raise SortError("non-positive sort in %s" % (self,))
+        if not 1 <= self.k <= s:
+            raise SortError("wrap index %d out of range 1..%d" % (self.k, s))
+        object.__setattr__(self, "sort", s)
 
     def __str__(self):
         return _binop_str(self.left, "^%d" % self.k, self.right)
 
 
 Type = Union[Atom, UnitI, UnitJ, Prod, Under, Over, DProd, DDown, DUp]
+_TYPE_CLASSES = frozenset(Type.__args__)
 
 
 def sort_of_type(t: Type) -> int:
-    """Sort of a type; raises SortError on ill-sorted constructions."""
-    if isinstance(t, Atom):
+    """Sort of a type: each type stores its sort when it is built, and its
+    constructor raises SortError on an ill-sorted construction."""
+    if type(t) in _TYPE_CLASSES:
         return t.sort
-    if isinstance(t, UnitI):
-        return 0
-    if isinstance(t, UnitJ):
-        return 1
-    if isinstance(t, Prod):
-        return sort_of_type(t.left) + sort_of_type(t.right)
-    if isinstance(t, Under):
-        s = sort_of_type(t.right) - sort_of_type(t.left)
-        if s < 0:
-            raise SortError("negative sort in %s\\%s" % (t.left, t.right))
-        return s
-    if isinstance(t, Over):
-        s = sort_of_type(t.left) - sort_of_type(t.right)
-        if s < 0:
-            raise SortError("negative sort in %s/%s" % (t.left, t.right))
-        return s
-    if isinstance(t, DProd):
-        a = sort_of_type(t.left)
-        if a < 1:
-            raise SortError("@%d on sort-0 left operand" % t.k)
-        if not 1 <= t.k <= a:
-            raise SortError("wrap index %d out of range 1..%d" % (t.k, a))
-        return a + sort_of_type(t.right) - 1
-    if isinstance(t, DDown):
-        a = sort_of_type(t.left)
-        if a < 1:
-            raise SortError("!%d on sort-0 left operand" % t.k)
-        if not 1 <= t.k <= a:
-            raise SortError("wrap index %d out of range 1..%d" % (t.k, a))
-        s = sort_of_type(t.right) + 1 - a
-        if s < 0:
-            raise SortError("negative sort in %s" % (t,))
-        return s
-    if isinstance(t, DUp):
-        s = sort_of_type(t.left) + 1 - sort_of_type(t.right)
-        if s < 1:
-            raise SortError("non-positive sort in %s" % (t,))
-        if not 1 <= t.k <= s:
-            raise SortError("wrap index %d out of range 1..%d" % (t.k, s))
-        return s
     raise TypeError("not a type: %r" % (t,))
 
 

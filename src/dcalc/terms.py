@@ -2,8 +2,10 @@
 
 A structural term is built from type leaves, the constants II (empty string)
 and JJ (single separator), continuous concatenation ``(s + t)`` and wrapping
-``(s +k t)`` which plugs t into the k-th separator position of s.  The
-``sharp`` map sends every term to the hyperconfiguration it denotes; the
+``(s +k t)`` which plugs t into the k-th separator position of s.  Like a
+type, each term node stores its sort when it is built (a wrap checks its
+index against its left operand's stored sort), so ``sort_of_term`` is O(1).
+The ``sharp`` map sends every term to the hyperconfiguration it denotes; the
 twenty rewrite rules (unit laws, associativities, split-wrap and mixed
 permutation) all preserve sharp, and two terms are equivalent exactly when
 their sharp images coincide.  The cases of ``_apply`` are the one statement
@@ -18,7 +20,7 @@ wrap, again with a full trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 from .syntax import (
@@ -61,12 +63,16 @@ class ExtractionError(ValueError):
 
 @dataclass(frozen=True)
 class ConstI:
+    sort = 0
+
     def __str__(self):
         return "II"
 
 
 @dataclass(frozen=True)
 class ConstJ:
+    sort = 1
+
     def __str__(self):
         return "JJ"
 
@@ -74,6 +80,10 @@ class ConstJ:
 @dataclass(frozen=True)
 class Leaf:
     type: Type
+    sort: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sort", sort_of_type(self.type))
 
     def __str__(self):
         return str(self.type)
@@ -83,6 +93,10 @@ class Leaf:
 class Cat:
     left: "StructTerm"
     right: "StructTerm"
+    sort: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sort", sort_of_term(self.left) + sort_of_term(self.right))
 
     def __str__(self):
         return "(%s + %s)" % (self.left, self.right)
@@ -93,6 +107,7 @@ class WrapT:
     i: int
     left: "StructTerm"
     right: "StructTerm"
+    sort: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = sort_of_term(self.left)
@@ -100,26 +115,20 @@ class WrapT:
             raise SortError("wrap on a sort-0 term %s" % (self.left,))
         if not 1 <= self.i <= s:
             raise SortError("wrap index %d out of range 1..%d" % (self.i, s))
+        object.__setattr__(self, "sort", s + sort_of_term(self.right) - 1)
 
     def __str__(self):
         return "(%s +%d %s)" % (self.left, self.i, self.right)
 
 
 StructTerm = object  # union of the five node classes above
+_TERM_CLASSES = frozenset((ConstI, ConstJ, Leaf, Cat, WrapT))
 
 
 def sort_of_term(t) -> int:
-    cls = type(t)
-    if cls is Leaf:
-        return sort_of_type(t.type)
-    if cls is Cat:
-        return sort_of_term(t.left) + sort_of_term(t.right)
-    if cls is WrapT:
-        return sort_of_term(t.left) + sort_of_term(t.right) - 1
-    if cls is ConstI:
-        return 0
-    if cls is ConstJ:
-        return 1
+    """Sort of a structural term, stored in the node when it was built."""
+    if type(t) in _TERM_CLASSES:
+        return t.sort
     raise TypeError("not a structural term: %r" % (t,))
 
 
@@ -318,6 +327,11 @@ def _step(t, rule: str, at: tuple, i: Optional[int]):
 def apply_rule(t, app: RuleApp):
     """Apply one rewrite step to the whole term; validates shape and indices."""
     given = app.params_dict()
+    for key, val in given.items():
+        if type(val) is not int:
+            raise RuleError(
+                "%s at %r: parameter %s=%r is not an integer" % (app.rule, app.at, key, val)
+            )
     new, filled = _step(t, app.rule, app.at, given.get("i"))
     for key, val in given.items():
         if key in filled and filled[key] != val:

@@ -207,6 +207,76 @@ def reference_sharp(t):
     raise TypeError("not a structural term: %r" % (t,))
 
 
+# ---------------------------------------------------------------------------
+# reference sorts
+#
+# The plain recursive definitions that the sorts stored in each type and
+# term node replaced, kept as the oracle those are checked against.  Applied
+# to an ill-sorted type built without its constructor, reference_sort_of_type
+# raises the SortError text that the constructor must raise.
+
+
+def reference_sort_of_type(t):
+    if isinstance(t, Atom):
+        return t.sort
+    if isinstance(t, UnitI):
+        return 0
+    if isinstance(t, UnitJ):
+        return 1
+    if isinstance(t, Prod):
+        return reference_sort_of_type(t.left) + reference_sort_of_type(t.right)
+    if isinstance(t, Under):
+        s = reference_sort_of_type(t.right) - reference_sort_of_type(t.left)
+        if s < 0:
+            raise SortError("negative sort in %s\\%s" % (t.left, t.right))
+        return s
+    if isinstance(t, Over):
+        s = reference_sort_of_type(t.left) - reference_sort_of_type(t.right)
+        if s < 0:
+            raise SortError("negative sort in %s/%s" % (t.left, t.right))
+        return s
+    if isinstance(t, DProd):
+        a = reference_sort_of_type(t.left)
+        if a < 1:
+            raise SortError("@%d on sort-0 left operand" % t.k)
+        if not 1 <= t.k <= a:
+            raise SortError("wrap index %d out of range 1..%d" % (t.k, a))
+        return a + reference_sort_of_type(t.right) - 1
+    if isinstance(t, DDown):
+        a = reference_sort_of_type(t.left)
+        if a < 1:
+            raise SortError("!%d on sort-0 left operand" % t.k)
+        if not 1 <= t.k <= a:
+            raise SortError("wrap index %d out of range 1..%d" % (t.k, a))
+        s = reference_sort_of_type(t.right) + 1 - a
+        if s < 0:
+            raise SortError("negative sort in %s" % (t,))
+        return s
+    if isinstance(t, DUp):
+        s = reference_sort_of_type(t.left) + 1 - reference_sort_of_type(t.right)
+        if s < 1:
+            raise SortError("non-positive sort in %s" % (t,))
+        if not 1 <= t.k <= s:
+            raise SortError("wrap index %d out of range 1..%d" % (t.k, s))
+        return s
+    raise TypeError("not a type: %r" % (t,))
+
+
+def reference_sort_of_term(t):
+    cls = type(t)
+    if cls is Leaf:
+        return reference_sort_of_type(t.type)
+    if cls is Cat:
+        return reference_sort_of_term(t.left) + reference_sort_of_term(t.right)
+    if cls is WrapT:
+        return reference_sort_of_term(t.left) + reference_sort_of_term(t.right) - 1
+    if cls is ConstI:
+        return 0
+    if cls is ConstJ:
+        return 1
+    raise TypeError("not a structural term: %r" % (t,))
+
+
 def reference_rule_apps(t):
     """Every single rewrite step of t, by definition: each rule at each path
     (UnitJ-i-add with each i in 1..sort) kept when apply_rule does not raise."""

@@ -157,14 +157,14 @@ def test_check_malformed_files_exit_2(capsys, sig_file, tmp_path):
             "premises": [id_a],
         }),
     ) + tuple(
-        # JSON booleans and floats are not indices, although True == 1 == 1.0
+        # JSON booleans, floats and strings are not indices, although True == 1 == 1.0
         ("md", {
             "rule": "Structural",
             "sequent": "(b +1 JJ) -> b",
             "params": {"at": [], "indices": {"i": index}, "srule": "UnitJ-i-add"},
             "premises": [{"rule": "Id", "sequent": "b -> b", "params": {}, "premises": []}],
         })
-        for index in (True, 1.0)
+        for index in (True, 1.0, "1")
     )
     path = tmp_path / "malformed.json"
     for calculus, obj in cases:

@@ -1,6 +1,8 @@
 """Types, sorts, hyperconfigurations, and the two concrete grammars."""
 
+import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from dcalc.syntax import (
     figure,
     flatten,
     generalized_wrap,
+    iter_items,
     parse_config,
     parse_flat,
     parse_type,
@@ -37,8 +40,9 @@ from dcalc.syntax import (
     splice_item,
     wrap_at,
 )
+from dcalc.terms import Leaf
 
-from helpers import random_config, random_type
+from helpers import generate_derivations, random_config, random_type, reference_sort_of_type
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\n")
 ATOMS = (("a", 0), ("c", 0), ("e", 1), ("b", 2))
@@ -79,6 +83,92 @@ def test_sort_violations():
         DDown(2, e, b)
     with pytest.raises(SortError):
         DUp(3, e, a)  # index above the result sort
+
+
+def unchecked(cls, *values):
+    """A node of cls with the given fields, built without its constructor's
+    sort check (and so without a stored sort)."""
+    node = object.__new__(cls)
+    for f, value in zip(dataclasses.fields(cls), values):
+        object.__setattr__(node, f.name, value)
+    return node
+
+
+def subtypes(t):
+    yield t
+    for child in ("left", "right"):
+        if hasattr(t, child):
+            yield from subtypes(getattr(t, child))
+
+
+def test_stored_type_sorts_equal_the_reference_definition():
+    types = [random_type(random.Random(seed), ATOMS, 4) for seed in range(1000)]
+    atoms = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
+    todo = list(generate_derivations(random.Random(17), atoms, 60))
+    while todo:
+        d = todo.pop()
+        todo.extend(d.premises)
+        types.append(d.conclusion.succedent)
+        types.extend(item.type for _, item in iter_items(d.conclusion.antecedent) if item != SEP)
+    seen = {u for t in types for u in subtypes(t)}
+    assert {type(u).__name__ for u in seen} == {
+        "Atom", "UnitI", "UnitJ", "Prod", "Under", "Over", "DProd", "DDown", "DUp"
+    }
+    for u in seen:
+        assert sort_of_type(u) == reference_sort_of_type(u), u
+
+
+# one case or more for each SortError branch of each connective
+ILL_SORTED_TYPES = (
+    (Under, Atom("e", 1), Atom("a", 0)),  # negative sort
+    (Under, Prod(Atom("e", 1), Atom("b", 2)), Atom("b", 2)),
+    (Over, Atom("a", 0), Atom("e", 1)),  # negative sort
+    (DProd, 1, Atom("a", 0), Atom("b", 2)),  # sort-0 left operand
+    (DProd, 3, Atom("b", 2), Atom("a", 0)),  # index out of range
+    (DProd, 0, Atom("e", 1), Atom("a", 0)),
+    (DDown, 1, UnitI(), Atom("b", 2)),  # sort-0 left operand
+    (DDown, 2, Atom("e", 1), Atom("b", 2)),  # index out of range
+    (DDown, 1, Atom("b", 2), Atom("a", 0)),  # negative sort
+    (DUp, 1, Atom("a", 0), Atom("e", 1)),  # non-positive sort
+    (DUp, 3, Atom("e", 1), Atom("a", 0)),  # index out of range
+    (DUp, 0, Atom("b", 2), UnitJ()),
+)
+
+
+def test_ill_sorted_types_raise_the_reference_error():
+    for cls, *operands in ILL_SORTED_TYPES:
+        with pytest.raises(SortError) as want:
+            reference_sort_of_type(unchecked(cls, *operands))
+        with pytest.raises(SortError) as got:
+            cls(*operands)
+        assert str(got.value) == str(want.value), (cls, operands)
+
+
+def test_sort_of_type_rejects_non_types():
+    for bad in ("a", None, 0, EMPTY, SEP, Leaf(Atom("a", 0))):  # a term has a sort too
+        with pytest.raises(TypeError, match="not a type"):
+            sort_of_type(bad)
+    with pytest.raises(TypeError, match="not a type"):
+        Prod(Atom("a", 0), Leaf(Atom("a", 0)))
+
+
+def test_stored_sort_is_not_part_of_equality_hash_or_repr():
+    a, e = Atom("a", 0), Atom("e", 1)
+    x, y = Under(a, e), Under(a, e)
+    object.__setattr__(y, "sort", 7)
+    assert x == y and hash(x) == hash(y)
+    assert repr(x) == "Under(left=Atom(name='a', sort=0), right=Atom(name='e', sort=1))"
+
+
+def test_a_deep_left_nested_type_builds_in_linear_time():
+    a, b = Atom("a", 0), Atom("b", 2)
+    start = time.perf_counter()
+    t = b
+    for _ in range(5000):
+        t = Over(t, a)
+    assert time.perf_counter() - start < 1.0
+    assert sort_of_type(t) == 2
+    assert sort_of_type(Over(t, Atom("e", 1))) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Structural terms: rewriting, translation to configurations, extraction."""
 
+import dataclasses
 import gc
 import json
 import random
+import time
 import weakref
 
 import pytest
@@ -58,6 +60,7 @@ from helpers import (
     reference_flatten,
     reference_rule_apps,
     reference_sharp,
+    reference_sort_of_term,
     reference_wrap_at,
 )
 
@@ -188,6 +191,61 @@ def test_sharp_on_deeply_nested_terms():
     assert len(flatten(sharp(t))) == 5001
 
 
+def test_stored_term_sorts_equal_the_reference_definition():
+    universe = enumerate_terms((A, E, B, ConstI(), ConstJ()), 4)
+    assert len(universe) == 29535
+    rng = random.Random(103)
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    randoms = [random_term(rng, atoms, rng.randint(1, 6)) for _ in range(1000)]
+    for t in universe + randoms:
+        assert sort_of_term(t) == reference_sort_of_term(t), t
+
+
+def test_ill_sorted_wraps_and_non_terms():
+    for i, left, want in (
+        (1, A, "wrap on a sort-0 term a"),
+        (1, Cat(A, ConstI()), "wrap on a sort-0 term (a + II)"),
+        (3, B, "wrap index 3 out of range 1..2"),
+        (0, Cat(E, A), "wrap index 0 out of range 1..1"),
+    ):
+        with pytest.raises(SortError) as got:
+            WrapT(i, left, E)
+        assert str(got.value) == want
+    for bad in ("a", None, Atom("a", 0), sharp(A)):
+        with pytest.raises(TypeError, match="not a structural term"):
+            sort_of_term(bad)
+        with pytest.raises(TypeError, match="not a structural term"):
+            Cat(A, bad)
+        with pytest.raises(TypeError, match="not a structural term"):
+            WrapT(1, bad, A)
+    with pytest.raises(TypeError, match="not a type"):
+        Leaf(A)
+
+
+def test_stored_term_sort_is_not_part_of_equality_hash_or_repr():
+    x, y = WrapT(1, B, A), WrapT(1, B, A)
+    object.__setattr__(y, "sort", 7)
+    assert x == y and hash(x) == hash(y)
+    assert repr(x) == (
+        "WrapT(i=1, left=Leaf(type=Atom(name='b', sort=2)), right=Leaf(type=Atom(name='a', sort=0)))"
+    )
+    assert [f.name for f in dataclasses.fields(Cat) if f.compare or f.repr] == ["left", "right"]
+
+
+def test_a_long_wrap_chain_builds_in_linear_time():
+    start = time.perf_counter()
+    chain = B
+    for n in range(1, 5001):
+        chain = WrapT(1, chain, E)
+        if n == 1000:
+            prefix = chain
+    assert time.perf_counter() - start < 1.0
+    assert sort_of_term(chain) == 2
+    # sharp rebuilds the whole nested path at every wrap of this chain, so its
+    # image takes time quadratic in the chain's length: check a prefix
+    assert len(flatten(sharp(prefix))) == 2005
+
+
 # ---------------------------------------------------------------------------
 # the rewrite rules
 
@@ -265,6 +323,16 @@ def test_apply_rule_at_path_and_param_mismatch():
     assert got == Cat(A, C)
     with pytest.raises(RuleError):
         apply_rule(B, RuleApp("UnitJ-i-add", (), (("i", 9),)))
+
+
+def test_apply_rule_rejects_non_integer_indices():
+    for t, app in (
+        (B, RuleApp("UnitJ-i-add", (), (("i", "2"),))),
+        (WrapT(2, B, ConstJ()), RuleApp("UnitJ-i-drop", (), (("i", "1"),))),
+        (WrapT(1, B, WrapT(1, E, A)), RuleApp("AsscD1", (), (("i", 1), ("j", 1.0)))),
+    ):
+        with pytest.raises(RuleError, match="is not an integer"):
+            apply_rule(t, app)
 
 
 # the redexes of the rule tests above, and a few leaves
