@@ -156,11 +156,18 @@ def latex_escape(s: str) -> str:
 
 
 def derivation_latex(d: Derivation) -> str:
-    """A proof.sty \\infer tree with sequents set verbatim."""
-
-    def go(node):
+    """A proof.sty \\infer tree with sequents set verbatim; the walk keeps its
+    own stack, so a long Structural chain renders too."""
+    parts = []
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
         concl = "\\texttt{%s}" % latex_escape(str(node.conclusion))
-        prems = " & ".join(go(p) for p in node.premises)
-        return "\\infer[\\mathrm{%s}]{%s}{%s}" % (latex_escape(node.rule), concl, prems)
-
-    return go(d)
+        parts.append("\\infer[\\mathrm{%s}]{%s}{" % (latex_escape(node.rule), concl))
+        stack.append("}")
+        for n, p in enumerate(reversed(node.premises)):
+            stack.extend((" & ", p) if n else (p,))
+    return "".join(parts)

@@ -9,9 +9,10 @@ each row names the side and the connective a rule acts on, how its
 candidate parameters are generated and how its premises are built.
 Enumeration, proof search and checking all read it.  Cut is supported by
 the checker but never used in search.  Every rule keeps each atom's
-polarity-weighted count equal on both sides, so both searches drop a
+polarity-weighted count equal on both sides, so the search drops a
 subgoal that breaks this count invariant (``_balanced``) without trying a
-rule; they find what an unpruned search finds.
+rule; it finds what an unpruned search finds.  There is one search,
+``prove_all``; ``prove`` is its first derivation (``limit=1``).
 """
 
 from __future__ import annotations
@@ -651,29 +652,15 @@ def _balanced(key) -> bool:
 
 def prove(seq: HSequent):
     """Depth-first cut-free proof search; returns a derivation or None."""
-    failed = set()
-
-    def go(s):
-        key = _seq_key(s)
-        if key in failed or not _balanced(key):
-            return None
-        for rule, params, premises in enumerate_rule_instances(s):
-            subs = []
-            for p in premises:
-                sub = go(p)
-                if sub is None:
-                    break
-                subs.append(sub)
-            else:
-                return HDerivation(rule, s, tuple(subs), params)
-        failed.add(key)
-        return None
-
-    return go(seq)
+    found = prove_all(seq, limit=1)
+    return found[0] if found else None
 
 
 def prove_all(seq: HSequent, limit: int = 16):
-    """All cut-free derivations of seq, up to `limit` per subgoal."""
+    """All cut-free derivations of seq, up to `limit` per subgoal, in
+    depth-first order; each subgoal is searched once."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1, not %r" % (limit,))
     memo = {}
 
     def go(s):
@@ -684,18 +671,19 @@ def prove_all(seq: HSequent, limit: int = 16):
             return []
         out = []
         for rule, params, premises in enumerate_rule_instances(s):
-            lists = [go(p) for p in premises]
-            if any(not l for l in lists):
-                continue
-            for combo in product(*lists):
-                out.append(HDerivation(rule, s, combo, params))
-                if len(out) >= limit:
+            lists = []
+            for p in premises:
+                lists.append(go(p))
+                if not lists[-1]:
                     break
+            else:
+                for combo in product(*lists):
+                    out.append(HDerivation(rule, s, combo, params))
+                    if len(out) >= limit:
+                        break
             if len(out) >= limit:
                 break
-        out = list(dict.fromkeys(out))
         memo[key] = out
         return out
 
     return go(seq)
-

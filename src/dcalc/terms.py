@@ -324,14 +324,16 @@ def _step(t, rule: str, at: tuple, i: Optional[int]):
     return replace_at(t, at, new_sub), filled
 
 
+def _int_params(rule: str, at: tuple, given: dict) -> dict:
+    for key, val in given.items():
+        if type(val) is not int:  # true, 1.0 and "1" are not step indices
+            raise RuleError("%s at %r: parameter %s=%r is not an integer" % (rule, at, key, val))
+    return given
+
+
 def apply_rule(t, app: RuleApp):
     """Apply one rewrite step to the whole term; validates shape and indices."""
-    given = app.params_dict()
-    for key, val in given.items():
-        if type(val) is not int:
-            raise RuleError(
-                "%s at %r: parameter %s=%r is not an integer" % (app.rule, app.at, key, val)
-            )
+    given = _int_params(app.rule, app.at, app.params_dict())
     new, filled = _step(t, app.rule, app.at, given.get("i"))
     for key, val in given.items():
         if key in filled and filled[key] != val:
@@ -848,7 +850,8 @@ def trace_from_obj(obj: dict, sig: Signature) -> RewriteTrace:
     start = parse_term(obj["start"], sig)
     tr = Tracer(start)
     for step in obj["steps"]:
-        tr.emit(step["rule"], tuple(step["path"]), **{k: v for k, v in step.get("params", {}).items()})
+        rule, at = step["rule"], tuple(step["path"])
+        tr.emit(rule, at, **_int_params(rule, at, step.get("params", {})))
         if parse_term(step["result"], sig) != tr.term:
             raise RuleError("trace step result does not match")
     return tr.trace()

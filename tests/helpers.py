@@ -1,8 +1,17 @@
 """Random generators and the forward derivation builder used by the tests."""
 
 import random
+from itertools import product
 
-from dcalc.hseq import HDerivation, HSequent, _item_gaps, enumerate_rule_instances
+from dcalc.derivation import latex_escape
+from dcalc.hseq import (
+    HDerivation,
+    HSequent,
+    _balanced,
+    _item_gaps,
+    _seq_key,
+    enumerate_rule_instances,
+)
 from dcalc.syntax import (
     EMPTY,
     SEP,
@@ -294,6 +303,74 @@ def reference_rule_apps(t):
                     continue
                 out.append(app)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference search and rendering
+#
+# The two search closures that hseq's single search replaced (a first-proof
+# search that remembers failures, an all-proofs search that remembers every
+# subgoal and drops repeated derivations), and the recursive LaTeX renderer
+# that derivation_latex's explicit-stack walk replaced, kept as the oracles
+# those are checked against.
+
+
+def reference_prove(seq):
+    failed = set()
+
+    def go(s):
+        key = _seq_key(s)
+        if key in failed or not _balanced(key):
+            return None
+        for rule, params, premises in enumerate_rule_instances(s):
+            subs = []
+            for p in premises:
+                sub = go(p)
+                if sub is None:
+                    break
+                subs.append(sub)
+            else:
+                return HDerivation(rule, s, tuple(subs), params)
+        failed.add(key)
+        return None
+
+    return go(seq)
+
+
+def reference_prove_all(seq, limit=16):
+    memo = {}
+
+    def go(s):
+        key = _seq_key(s)
+        if key in memo:
+            return memo[key]
+        if not _balanced(key):
+            return []
+        out = []
+        for rule, params, premises in enumerate_rule_instances(s):
+            lists = [go(p) for p in premises]
+            if any(not l for l in lists):
+                continue
+            for combo in product(*lists):
+                out.append(HDerivation(rule, s, combo, params))
+                if len(out) >= limit:
+                    break
+            if len(out) >= limit:
+                break
+        out = list(dict.fromkeys(out))
+        memo[key] = out
+        return out
+
+    return go(seq)
+
+
+def reference_derivation_latex(d):
+    def go(node):
+        concl = "\\texttt{%s}" % latex_escape(str(node.conclusion))
+        prems = " & ".join(go(p) for p in node.premises)
+        return "\\infer[\\mathrm{%s}]{%s}{%s}" % (latex_escape(node.rule), concl, prems)
+
+    return go(d)
 
 
 # ---------------------------------------------------------------------------

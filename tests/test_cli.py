@@ -283,3 +283,7 @@ def test_parse_explicit_config(capsys):
 def test_parse_limit(capsys):
     code, out, _ = run(capsys, "parse", TOY_LEX, "john walks", "s", "--limit", "1")
     assert code == 0 and "1 reading(s)" in out
+    for flag in (["--limit", "0"], ["--limit=-2"]):
+        code, out, err = run(capsys, "parse", TOY_LEX, "john sees mary", "s", *flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: limit must be at least 1")

@@ -27,7 +27,7 @@ from dcalc.mseq import MDerivation, check_m, parse_msequent, structural_step
 from dcalc.syntax import Atom, HyperConfig, Leaf0, Signature, figure, parse_type
 from dcalc.terms import RuleApp
 
-from helpers import generate_derivations, hderivation_depth
+from helpers import generate_derivations, hderivation_depth, reference_prove, reference_prove_all
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
 GENERATED_ATOMS = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
@@ -240,7 +240,16 @@ def test_every_derivation_node_is_balanced():
     assert rules == set(RULES)
 
 
-def test_pruned_search_agrees_with_the_plain_search(monkeypatch):
+Q = "((s ^1 n) !1 s)"
+TV = "((n \\ s) / n)"
+SV = "((n \\ s) / s)"
+FAILING_FAMILY = ", ".join([Q] + [TV, Q] * 5) + " => s"
+PROVABLE_FAMILY = ", ".join(["n", SV] * 4 + [Q, TV, Q]) + " => s"
+
+
+def search_corpus():
+    """End-sequents of generated derivations, each also with one atom too
+    many and with its antecedent items shuffled."""
     ends = [d.conclusion for d in generate_derivations(random.Random(17), GENERATED_ATOMS, 60)]
     p = Leaf0(Atom("p", 0))
     # one atom too many: never balanced, so the check decides these at the root
@@ -254,27 +263,53 @@ def test_pruned_search_agrees_with_the_plain_search(monkeypatch):
         shuffled.append(HSequent(HyperConfig(tuple(items)), s.succedent))
     assert not any(_balanced(_seq_key(s)) for s in extra)
     assert any(prove(s) is None for s in shuffled)
-    sequents = ends + extra + shuffled
+    return ends + extra + shuffled
+
+
+def test_pruned_search_agrees_with_the_plain_search(monkeypatch):
+    sequents = search_corpus()
     pruned = [(prove(s), prove_all(s, limit=4)) for s in sequents]
     monkeypatch.setattr(hseq, "_balanced", lambda key: True)
     plain = [(prove(s), prove_all(s, limit=4)) for s in sequents]
     assert pruned == plain
 
 
-Q = "((s ^1 n) !1 s)"
-TV = "((n \\ s) / n)"
-SV = "((n \\ s) / s)"
+def test_search_agrees_with_the_reference_searches():
+    sequents = search_corpus() + [seq(FAILING_FAMILY), seq(PROVABLE_FAMILY)]
+    for s in sequents:
+        assert prove(s) == reference_prove(s), str(s)
+        for limit in (1, 4, 16):
+            assert prove_all(s, limit=limit) == reference_prove_all(s, limit=limit), str(s)
+
+
+def test_rule_instances_never_repeat(monkeypatch):
+    # why the search keeps every derivation it builds: distinct instances
+    # give distinct derivations, so no subgoal's list can hold one twice.
+    # The corpus visits 336 subgoals with 1,965 instances.
+    visited = set()
+
+    def enumerate_once(s):
+        found = list(enumerate_rule_instances(s))
+        instances = [(rule, params) for rule, params, _ in found]
+        assert len(set(instances)) == len(instances), str(s)
+        visited.add(_seq_key(s))
+        return found
+
+    monkeypatch.setattr(hseq, "enumerate_rule_instances", enumerate_once)
+    for s in search_corpus() + [seq(FAILING_FAMILY), seq(PROVABLE_FAMILY)]:
+        prove_all(s, limit=16)
+    assert len(visited) > 300
 
 
 def test_failing_search_at_the_baseline_size():
-    s = seq(", ".join([Q] + [TV, Q] * 5) + " => s")
+    s = seq(FAILING_FAMILY)
     start = time.perf_counter()
     assert prove(s) is None
     assert time.perf_counter() - start < 5
 
 
 def test_prove_all_at_the_baseline_size():
-    s = seq(", ".join(["n", SV] * 4 + [Q, TV, Q]) + " => s")
+    s = seq(PROVABLE_FAMILY)
     start = time.perf_counter()
     found = prove_all(s, limit=16)
     assert time.perf_counter() - start < 5

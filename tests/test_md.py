@@ -1,9 +1,10 @@
 """The term-sequent presentation: logical rules plus explicit rewrite steps."""
 
 import json
+import random
 
 import pytest
-from dcalc.bridge import lower
+from dcalc.bridge import lift, lower
 from dcalc.derivation import derivation_latex, derivation_text
 from dcalc.hseq import HDerivation, check
 from dcalc.mseq import (
@@ -18,6 +19,8 @@ from dcalc.mseq import (
 )
 from dcalc.syntax import Atom, ParseError, Signature, Under
 from dcalc.terms import Cat, ConstI, ConstJ, Leaf, RuleApp, WrapT
+
+from helpers import generate_derivations, reference_derivation_latex
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
 
@@ -221,6 +224,20 @@ def test_text_renders_a_long_structural_chain():
     assert len(lines) == 2401
     assert lines[0] == "[Structural at=(), indices=(), srule=UnitI-L-drop] a -> a"
     assert lines[-1] == "  " * 2400 + "[Id] a -> a"
+
+
+def test_latex_renders_a_long_structural_chain():
+    text = derivation_latex(long_structural_chain())
+    head = "\\infer[\\mathrm{Structural}]{\\texttt{a -> a}}{"
+    assert text.startswith(head)
+    assert text.count("\\infer[") == 2401
+    assert text.endswith("\\infer[\\mathrm{Id}]{\\texttt{a -> a}}{}" + "}" * 2400)
+
+
+def test_latex_agrees_with_the_reference_renderer():
+    ds = generate_derivations(random.Random(17), (("p", 0), ("q", 0), ("r", 1), ("s", 2)), 60)
+    for d in ds + [lift(d) for d in ds]:
+        assert derivation_latex(d) == reference_derivation_latex(d)
 
 
 def test_lower_skips_a_long_structural_chain():

@@ -414,6 +414,18 @@ def test_trace_serialization_round_trip():
     assert json.loads(text) == obj
 
 
+def test_trace_from_obj_rejects_non_integer_indices():
+    tr = Tracer(B)
+    tr.emit("UnitJ-i-add", (), i=1)
+    obj = trace_to_obj(tr.trace())
+    assert obj["steps"][0]["params"] == {"i": 1}
+    assert trace_from_obj(obj, SIG) == tr.trace()
+    for bad in ("1", 1.0, True):
+        obj["steps"][0]["params"]["i"] = bad
+        with pytest.raises(RuleError, match="is not an integer"):
+            trace_from_obj(obj, SIG)
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 
