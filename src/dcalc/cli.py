@@ -2,9 +2,9 @@
 
 One command per process: prove / check / sharp / termof / equiv / extract /
 normalize / parse.  Exit codes: 0 for provable, valid or true; 1 for the
-negative outcome; 2 for malformed input or input nested too deeply; 3 when
-an extraction precondition fails.  JSON output is deterministic (sorted
-keys, two-space indent).
+negative outcome; 2 for malformed input, input nested too deeply or running
+out of memory; 3 when an extraction precondition fails.  JSON output is
+deterministic (sorted keys, two-space indent).
 """
 
 from __future__ import annotations
@@ -345,6 +345,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

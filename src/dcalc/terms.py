@@ -12,9 +12,11 @@ their sharp images coincide.  The cases of ``_apply`` are the one statement
 of the twenty rules: each pattern is a redex and its body builds the reduct.
 
 ``normalize`` produces an explicit step-by-step trace from a term to the
-canonical term of its sharp image (the cons-list built by term_of_config),
-and ``extract`` pulls a designated leaf occurrence out of a term as a final
-wrap, again with a full trace.
+canonical term of its sharp image (the cons-list built by term_of_config);
+``is_canonical`` recognises that shape in one pass, without computing sharp,
+so normalization skips subterms already in it.  ``extract`` pulls a
+designated leaf occurrence out of a term as a final wrap, again with a full
+trace.
 """
 
 from __future__ import annotations
@@ -187,16 +189,25 @@ def subterm_at(t, path: tuple):
 
 
 def replace_at(t, path: tuple, new):
-    if not path:
-        return new
-    if not isinstance(t, (Cat, WrapT)):
-        raise IndexError("path descends below a leaf")
-    d, rest = path[0], path[1:]
-    left = replace_at(t.left, rest, new) if d == 0 else t.left
-    right = replace_at(t.right, rest, new) if d == 1 else t.right
-    if isinstance(t, Cat):
-        return Cat(left, right)
-    return WrapT(t.i, left, right)
+    """t with the subterm at `path` replaced by `new`; rebuilds the spine above
+    it, innermost node first.  A step other than 0 or 1 ends the walk there
+    and leaves that node's children as they are."""
+    spine = []  # (node, step) from the root down
+    for d in path:
+        if not isinstance(t, (Cat, WrapT)):
+            raise IndexError("path descends below a leaf")
+        spine.append((t, d))
+        if d == 0:
+            t = t.left
+        elif d == 1:
+            t = t.right
+        else:
+            break
+    for node, d in reversed(spine):
+        left = new if d == 0 else node.left
+        right = new if d == 1 else node.right
+        new = Cat(left, right) if isinstance(node, Cat) else WrapT(node.i, left, right)
+    return new
 
 
 def iter_subterms(t, prefix: tuple = ()) -> Iterator:
@@ -555,6 +566,38 @@ def _build_term(items: tuple, addr):
     return Cat(chain, tail), path
 
 
+def is_canonical(t) -> bool:
+    """Is t the canonical term of its sharp image, term_of_config(sharp(t))?
+
+    One pass with an explicit stack, over the shape that _build_term gives:
+    a cons-list of Cats ending in II whose heads are JJ, sort-0 leaves, or
+    wrap chains (((A +1 f1) +p2 f2) ... +pa fa) with A of sort a, each p the
+    previous one plus the previous filler's sort, and every filler canonical.
+    """
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        while type(t) is Cat:
+            head, t = t.left, t.right
+            if type(head) is ConstJ or (type(head) is Leaf and head.sort == 0):
+                continue
+            chain = []
+            while type(head) is WrapT:
+                chain.append(head)
+                head = head.left
+            if type(head) is not Leaf or head.sort != len(chain):
+                return False
+            pos = 1
+            for wrap in reversed(chain):
+                if wrap.i != pos:
+                    return False
+                pos += wrap.right.sort
+                todo.append(wrap.right)
+        if type(t) is not ConstI:
+            return False
+    return True
+
+
 def term_of_config(cfg: HyperConfig):
     """The canonical structural term denoting cfg (sharp is its inverse)."""
     term, _ = _build_term(cfg.items, None)
@@ -583,7 +626,7 @@ def normalize(t, budget: int = 10000) -> RewriteTrace:
 
 def _canon(tr: Tracer, path: tuple):
     sub = tr.at(path)
-    if sub == term_of_config(sharp(sub)):
+    if is_canonical(sub):
         return
     if isinstance(sub, ConstJ):
         tr.emit("UnitI-R-add", path)
@@ -604,7 +647,7 @@ def _canon(tr: Tracer, path: tuple):
         _canon(tr, path + (0,))
         _merge_wrap(tr, path)
         return
-    raise AssertionError("unreachable: %r" % (sub,))
+    raise TypeError("not a structural term: %r" % (sub,))
 
 
 def _pad_leaf_gaps(tr: Tracer, path: tuple):

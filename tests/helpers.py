@@ -12,6 +12,7 @@ from dcalc.hseq import (
     _seq_key,
     enumerate_rule_instances,
 )
+from dcalc.mseq import structural_step
 from dcalc.syntax import (
     EMPTY,
     SEP,
@@ -55,7 +56,9 @@ from dcalc.terms import (
     apply_rule,
     iter_subterms,
     rule_app,
+    sharp,
     sort_of_term,
+    term_of_config,
 )
 
 # ---------------------------------------------------------------------------
@@ -284,6 +287,41 @@ def reference_sort_of_term(t):
     if cls is ConstJ:
         return 1
     raise TypeError("not a structural term: %r" % (t,))
+
+
+# ---------------------------------------------------------------------------
+# reference term operations
+#
+# The definitions that is_canonical, the iterative replace_at and lift's
+# Structural chains built from stored trace terms replaced, kept as the
+# oracles those are checked against: canonical by sharp and term_of_config,
+# replacement by recursion, and each trace step replayed through
+# structural_step, which rewrites again with apply_rule.
+
+
+def reference_is_canonical(t):
+    return t == term_of_config(sharp(t))
+
+
+def reference_replace_at(t, path, new):
+    if not path:
+        return new
+    if not isinstance(t, (Cat, WrapT)):
+        raise IndexError("path descends below a leaf")
+    d, rest = path[0], path[1:]
+    left = reference_replace_at(t.left, rest, new) if d == 0 else t.left
+    right = reference_replace_at(t.right, rest, new) if d == 1 else t.right
+    if isinstance(t, Cat):
+        return Cat(left, right)
+    return WrapT(t.i, left, right)
+
+
+def reference_append_trace(md, trace):
+    assert trace.start == md.conclusion.antecedent
+    out = md
+    for step in trace.steps:
+        out = structural_step(out, step.app)
+    return out
 
 
 def reference_rule_apps(t):

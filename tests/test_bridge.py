@@ -1,11 +1,13 @@
 """Round-trip translation between the two presentations, plus the goldens."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
 
 import pytest
+from dcalc import bridge
 from dcalc.bridge import BridgeError, correspondence_check, lift, lower
 from dcalc.derivation import Derivation
 from dcalc.hseq import (
@@ -20,9 +22,14 @@ from dcalc.hseq import (
 from dcalc.mseq import check_m, check_m_node, m_derivation_from_obj, m_derivation_to_obj
 from dcalc.syntax import Signature, config_str, flatten, iter_items
 from dcalc.terms import (
+    Cat,
+    ConstI,
     Leaf,
+    apply_rule,
+    enumerate_rule_apps,
     extract,
     extractable,
+    is_canonical,
     iter_subterms,
     normalize,
     parse_term,
@@ -32,7 +39,7 @@ from dcalc.terms import (
 )
 
 import golden_defs
-from helpers import generate_derivations, random_term
+from helpers import generate_derivations, random_term, reference_append_trace
 
 GOLDEN = golden_defs.GOLDEN_DIR
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
@@ -123,6 +130,41 @@ def test_lift_all_rules_round_trip():
             stack.extend(node.premises)
     # the pool covers a healthy slice of the rule inventory
     assert len(rules) >= 10
+
+
+def _non_canonical_target(rng, t):
+    """A term with t's sharp image reached by a few random rewrite steps."""
+    for _ in range(3):
+        t = apply_rule(t, rng.choice(enumerate_rule_apps(t)))
+    return t if not is_canonical(t) else Cat(ConstI(), t)
+
+
+def test_lift_agrees_with_the_replayed_structural_chain(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    generated_atoms = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
+    for d in generate_derivations(random.Random(17), generated_atoms, 60):
+        target = _non_canonical_target(rng, term_of_config(d.conclusion.antecedent))
+        cases.append((d, target, lift(d), lift(d, target=target)))
+    monkeypatch.setattr(bridge, "_append_trace", reference_append_trace)
+    for d, target, plain, reshaped in cases:
+        assert plain == lift(d)
+        assert reshaped == lift(d, target=target)
+        assert reshaped.conclusion.antecedent == target
+
+
+def test_traced_benchmark_names_exist():
+    # the benchmark's traced run wraps these names where cli and bridge
+    # import them, and stops when one is missing
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "ops.py")
+    spec = importlib.util.spec_from_file_location("perfbench_ops", path)
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    assert bridge in ops.TRACED_IMPORTS
+    for module, names in ops.TRACED_IMPORTS.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)
 
 
 # ---------------------------------------------------------------------------

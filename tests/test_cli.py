@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from dcalc import cli
 from dcalc.cli import main
 from dcalc.hseq import derivation_to_obj, parse_hsequent, prove
 
@@ -182,6 +183,15 @@ def test_check_deep_structural_chain_exits_2(capsys, sig_file, tmp_path):
     path.write_text("".join(reversed(steps)) + leaf + "]}" * len(steps))
     code, out, err = run(capsys, "check", "md", str(path), "--sig", sig_file)
     assert code == 2 and out == "" and err == "error: input nested too deeply\n"
+
+
+def test_out_of_memory_exits_2(capsys, sig_file, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_sharp", exhausted)
+    code, out, err = run(capsys, "sharp", "(II + a)", "--sig", sig_file)
+    assert code == 2 and out == "" and err == "error: out of memory\n"
 
 
 def parse_sig(path):

@@ -41,8 +41,11 @@ from dcalc.terms import (
     extract,
     extractable,
     invert_trace,
+    is_canonical,
+    iter_subterms,
     normalize,
     parse_term,
+    replace_at,
     sharp,
     sort_of_term,
     subterm_at,
@@ -58,6 +61,8 @@ from helpers import (
     random_config,
     random_term,
     reference_flatten,
+    reference_is_canonical,
+    reference_replace_at,
     reference_rule_apps,
     reference_sharp,
     reference_sort_of_term,
@@ -218,6 +223,8 @@ def test_ill_sorted_wraps_and_non_terms():
             Cat(A, bad)
         with pytest.raises(TypeError, match="not a structural term"):
             WrapT(1, bad, A)
+        with pytest.raises(TypeError, match="not a structural term"):
+            normalize(bad)
     with pytest.raises(TypeError, match="not a type"):
         Leaf(A)
 
@@ -244,6 +251,42 @@ def test_a_long_wrap_chain_builds_in_linear_time():
     # sharp rebuilds the whole nested path at every wrap of this chain, so its
     # image takes time quadratic in the chain's length: check a prefix
     assert len(flatten(sharp(prefix))) == 2005
+
+
+def test_replace_at_agrees_with_the_reference_definition():
+    rng = random.Random(104)
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    outcomes = set()
+    for _ in range(2000):
+        t = random_term(rng, atoms, rng.randint(1, 5))
+        new = random_term(rng, atoms, rng.randint(0, 2))
+        for _ in range(10):
+            path = tuple(rng.choice((0, 1, 0, 1, 2, -1)) for _ in range(rng.randint(0, 5)))
+            try:
+                want = reference_replace_at(t, path, new)
+            except (IndexError, SortError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    replace_at(t, path, new)
+                assert str(got.value) == str(exc), (t, path, new)
+                outcomes.add(type(exc))
+            else:
+                assert replace_at(t, path, new) == want, (t, path, new)
+                outcomes.add(want == t)
+    # every branch was reached: errors of both kinds, changed and unchanged terms
+    assert outcomes == {IndexError, SortError, False, True}
+
+
+def test_replace_at_in_a_long_wrap_chain():
+    chain = B
+    for _ in range(5000):
+        chain = WrapT(1, chain, E)
+    d = Leaf(Atom("d", 2))
+    path = (0,) * 5000
+    got = replace_at(chain, path, d)  # the recursive definition overflows here
+    assert subterm_at(got, path) == d
+    assert subterm_at(got, path[:-1]) == WrapT(1, d, E)
+    assert subterm_at(got, path[:-1]) is not subterm_at(chain, path[:-1])
+    assert got.right is chain.right and sort_of_term(got) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +431,24 @@ def test_normalize_reaches_canonical_form():
     assert tr.start == t
     end = run(tr)
     assert end == term_of_config(sharp(t))
+
+
+def test_is_canonical_agrees_with_the_reference_definition():
+    universe = enumerate_terms((A, E, B, ConstI(), ConstJ()), 4)
+    assert len(universe) == 29535
+    for t in universe:
+        assert is_canonical(t) == reference_is_canonical(t), t
+    rng = random.Random(105)
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    canonical = 0
+    for _ in range(2000):
+        t = random_term(rng, atoms, rng.randint(1, 6))
+        for root in (t, term_of_config(sharp(t))):
+            for _, sub in iter_subterms(root):
+                want = reference_is_canonical(sub)
+                assert is_canonical(sub) == want, sub
+                canonical += want
+    assert canonical > 2000
 
 
 def test_normalize_budget():
