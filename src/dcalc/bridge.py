@@ -18,15 +18,13 @@ from __future__ import annotations
 from .syntax import (
     Separator,
     flatten,
-    generalized_wrap,
     item_at,
     iter_items,
-    splice_item,
 )
 from .hseq import (
     HDerivation,
     HSequent,
-    _item_gaps,
+    check_node,
     enumerate_rule_instances,
 )
 from .mseq import RULES as M_RULES, MDerivation, MSequent, m_instance_premises
@@ -200,15 +198,10 @@ def lower(md: MDerivation) -> HDerivation:
         return HDerivation(md.rule, target, (), ())
     lowered = tuple(lower(p) for p in md.premises)
     if md.rule == "Cut":
-        h1, h2 = lowered
-        a = h1.conclusion.succedent
-        for addr, item in iter_items(h2.conclusion.antecedent):
-            if isinstance(item, Separator) or item.type != a:
-                continue
-            plugged = generalized_wrap(h1.conclusion.antecedent, _item_gaps(item))
-            cand = splice_item(h2.conclusion.antecedent, addr, plugged.items)
-            if cand == target.antecedent:
-                return HDerivation("Cut", target, lowered, (("at", addr),))
+        for addr, _ in iter_items(lowered[1].conclusion.antecedent):
+            cut = HDerivation("Cut", target, lowered, (("at", addr),))
+            if check_node(cut):
+                return cut
         raise BridgeError("no matching cut position")
     want = tuple(l.conclusion for l in lowered)
     for rule, params, premises in enumerate_rule_instances(target, only_rule=md.rule):

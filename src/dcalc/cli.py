@@ -87,10 +87,10 @@ def _parse_path(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError("bad path %r; expected comma-separated integers" % text)
+    steps = [part.strip() for part in text.split(",")]
+    if not set(steps) <= {"0", "1"}:
+        raise ParseError("bad path %r; expected comma-separated 0s and 1s" % text)
+    return tuple(int(step) for step in steps)
 
 
 def trace_text(trace) -> str:

@@ -114,7 +114,9 @@ def derivation_from_obj(obj: dict, sig: Signature) -> HDerivation:
 # A chunk spec is (level, start, end) relative to the abstracted region:
 # the items [start:end) of the subconfiguration at the even-length `level`
 # address become one gap filler and are replaced by a separator.  Specs are
-# listed in flat (left-to-right, depth-first) order.
+# listed in flat order: each spec's end address level + (end,) is at most the
+# next spec's start address level + (start,), compared as tuples, which also
+# rules out overlapping chunks and chunks inside another chunk.
 
 
 def apply_chunks(region: HyperConfig, specs):
@@ -122,57 +124,18 @@ def apply_chunks(region: HyperConfig, specs):
 
     Returns (abstracted region, tuple of chunk contents in flat order).
     """
-    specs = tuple(specs)
-    by_level = {}
-    for idx, spec in enumerate(specs):
-        lvl, start, end = spec
-        lvl = tuple(lvl)
-        if len(lvl) % 2 or start > end or start < 0:
+    specs = [(tuple(level), start, end) for level, start, end in specs]
+    for spec in specs:
+        level, start, end = spec
+        if len(level) % 2 or any(i < 0 for i in level) or not 0 <= start <= end:
             raise InstanceError("bad chunk spec %r" % (spec,))
-        by_level.setdefault(lvl, []).append((start, end, idx))
-    collected = {}
-    order = []
-
-    def walk(items, lvl):
-        ranges = sorted(by_level.pop(lvl, ()))
-        out = []
-        i = 0
-        ridx = 0
-        while True:
-            while ridx < len(ranges) and ranges[ridx][0] == i:
-                start, end, idx = ranges[ridx]
-                if end > len(items):
-                    raise InstanceError("chunk %d:%d beyond the region" % (start, end))
-                collected[idx] = HyperConfig(items[start:end])
-                order.append(idx)
-                out.append(SEP)
-                i = end
-                ridx += 1
-            if ridx < len(ranges) and ranges[ridx][0] < i:
-                raise InstanceError("overlapping chunks")
-            if i >= len(items):
-                if ridx != len(ranges):
-                    raise InstanceError("chunk beyond the region")
-                break
-            item = items[i]
-            if isinstance(item, Occurrence):
-                gaps = tuple(
-                    HyperConfig(tuple(walk(gap.items, lvl + (i, g))))
-                    for g, gap in enumerate(item.gaps)
-                )
-                out.append(Occurrence(item.type, gaps))
-            else:
-                out.append(item)
-            i += 1
-        return out
-
-    new_items = walk(region.items, ())
-    if by_level:
-        raise InstanceError("chunk level inside another chunk or outside the region")
-    if order != list(range(len(specs))):
-        raise InstanceError("chunks not in flat order")
-    contents = tuple(collected[i] for i in range(len(specs)))
-    return HyperConfig(tuple(new_items)), contents
+    for (level, _, end), (after, start, _) in zip(specs, specs[1:]):
+        if level + (end,) > after + (start,):
+            raise InstanceError("chunks not in flat order")
+    contents = tuple(sub_slice(region, *spec) for spec in specs)
+    for spec in reversed(specs):
+        region = replace_range(region, *spec, (SEP,))
+    return region, contents
 
 
 def enum_chunkings(region: HyperConfig, count: int):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from .syntax import (
     Atom,
@@ -40,8 +40,8 @@ from .syntax import (
     _Scanner,
     figure,
     flatten,
+    item_at,
     iter_items,
-    sort_of_config,
     sort_of_type,
     wrap_items,
 )
@@ -520,50 +520,22 @@ def bounded_equiv_oracle(
 # canonical terms
 
 
-def _build_term(items: tuple, addr):
-    """Cons-list term of an item sequence; tracks the leaf path of addr."""
-    if not items:
-        if addr is not None:
-            raise IndexError("address beyond the item list")
-        return ConstI(), None
-    head = items[0]
-    head_addr = addr if addr is not None and addr[0] == 0 else None
-    tail_addr = (addr[0] - 1,) + addr[1:] if addr is not None and addr[0] > 0 else None
-    tail, tail_path = _build_term(items[1:], tail_addr)
-    path = ((1,) + tail_path) if tail_path is not None else None
-    if isinstance(head, Leaf0):
-        if head_addr is not None:
-            if len(head_addr) != 1:
-                raise IndexError("address descends into a leaf item")
-            path = (0,)
-        return Cat(Leaf(head.type), tail), path
-    if isinstance(head, Separator):
-        if head_addr is not None:
-            if len(head_addr) != 1:
-                raise IndexError("address descends into a separator")
-            path = (0,)
-        return Cat(ConstJ(), tail), path
-    # occurrence: wrap the gap fillers around the head leaf, gap 1 innermost
-    a = len(head.gaps)
-    chain = Leaf(head.type)
-    chain_path = None
-    if head_addr is not None and len(head_addr) == 1:
-        chain_path = ()
-    pos = 1
-    for g, gap in enumerate(head.gaps):
-        gap_addr = None
-        if head_addr is not None and len(head_addr) > 1 and head_addr[1] == g:
-            gap_addr = head_addr[2:]
-        filler, filler_path = _build_term(gap.items, gap_addr)
-        chain = WrapT(pos, chain, filler)
-        pos += sort_of_config(gap)
-        if chain_path is not None:
-            chain_path = (0,) + chain_path
-        elif filler_path is not None:
-            chain_path = (1,) + filler_path
-    if chain_path is not None:
-        path = (0,) + chain_path
-    return Cat(chain, tail), path
+def _build_term(items: tuple):
+    """Cons-list term of an item sequence, built from its last item."""
+    term = ConstI()
+    for item in reversed(items):
+        if type(item) is Leaf0:
+            head = Leaf(item.type)
+        elif type(item) is Separator:
+            head = ConstJ()
+        else:  # an occurrence: its gap fillers wrap its leaf, gap 1 innermost
+            head, pos = Leaf(item.type), 1
+            for gap in item.gaps:
+                filler = _build_term(gap.items)
+                head = WrapT(pos, head, filler)
+                pos += filler.sort
+        term = Cat(head, term)
+    return term
 
 
 def is_canonical(t) -> bool:
@@ -600,16 +572,29 @@ def is_canonical(t) -> bool:
 
 def term_of_config(cfg: HyperConfig):
     """The canonical structural term denoting cfg (sharp is its inverse)."""
-    term, _ = _build_term(cfg.items, None)
-    return term
+    return _build_term(cfg.items)
 
 
 def term_of_config_with_addr(cfg: HyperConfig, addr: tuple):
-    """Canonical term plus the path of the leaf for the item at addr."""
-    term, path = _build_term(cfg.items, tuple(addr))
-    if path is None:
+    """Canonical term plus the path of the leaf for the item at addr.
+
+    The path follows the address: item i of a level adds (1,)*i + (0,), the
+    head of the i-th cons cell; gap g of an occurrence with a gaps adds
+    (0,)*(a-1-g) + (1,), the filler of its wrap; the addressed item's own
+    leaf adds (0,)*a.  A bad address raises IndexError.
+    """
+    if len(addr) % 2 == 0 or min(addr) < 0:
         raise IndexError("item address %r not found" % (addr,))
-    return term, path
+    path = ()
+    for k in range(0, len(addr), 2):
+        item = item_at(cfg, addr[: k + 1])  # IndexError for any other bad address
+        a = len(item.gaps) if type(item) is Occurrence else 0
+        path += (1,) * addr[k] + (0,)
+        if k + 1 < len(addr):
+            path += (0,) * (a - 1 - addr[k + 1]) + (1,)
+        else:
+            path += (0,) * a
+    return _build_term(cfg.items), path
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +720,10 @@ def _merge_chain(tr: Tracer, path: tuple):
 
 def _extract_info(t, at: tuple):
     """(index i, item address in sharp(t)) when the leaf at `at` is visible."""
-    sub = subterm_at(t, at)
+    try:
+        sub = subterm_at(t, at)
+    except IndexError:  # the path descends below a leaf
+        sub = None
     if not isinstance(sub, Leaf):
         raise ExtractionError("path %r does not address a type leaf" % (at,))
     marker = Atom("\x00extract", sort_of_type(sub.type))

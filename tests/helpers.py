@@ -7,6 +7,7 @@ from dcalc.derivation import latex_escape
 from dcalc.hseq import (
     HDerivation,
     HSequent,
+    InstanceError,
     _balanced,
     _item_gaps,
     _seq_key,
@@ -322,6 +323,130 @@ def reference_append_trace(md, trace):
     for step in trace.steps:
         out = structural_step(out, step.app)
     return out
+
+
+# The parent definitions that the address-based apply_chunks and the
+# iterative canonical-term builder replaced: a walk of the whole region that
+# collects each level's ranges, and a builder that recurses once per item and
+# threads the address.
+
+
+def reference_apply_chunks(region: HyperConfig, specs):
+    """Replace each chunk of the region by a separator.
+
+    Returns (abstracted region, tuple of chunk contents in flat order).
+    """
+    specs = tuple(specs)
+    by_level = {}
+    for idx, spec in enumerate(specs):
+        lvl, start, end = spec
+        lvl = tuple(lvl)
+        if len(lvl) % 2 or start > end or start < 0:
+            raise InstanceError("bad chunk spec %r" % (spec,))
+        by_level.setdefault(lvl, []).append((start, end, idx))
+    collected = {}
+    order = []
+
+    def walk(items, lvl):
+        ranges = sorted(by_level.pop(lvl, ()))
+        out = []
+        i = 0
+        ridx = 0
+        while True:
+            while ridx < len(ranges) and ranges[ridx][0] == i:
+                start, end, idx = ranges[ridx]
+                if end > len(items):
+                    raise InstanceError("chunk %d:%d beyond the region" % (start, end))
+                collected[idx] = HyperConfig(items[start:end])
+                order.append(idx)
+                out.append(SEP)
+                i = end
+                ridx += 1
+            if ridx < len(ranges) and ranges[ridx][0] < i:
+                raise InstanceError("overlapping chunks")
+            if i >= len(items):
+                if ridx != len(ranges):
+                    raise InstanceError("chunk beyond the region")
+                break
+            item = items[i]
+            if isinstance(item, Occurrence):
+                gaps = tuple(
+                    HyperConfig(tuple(walk(gap.items, lvl + (i, g))))
+                    for g, gap in enumerate(item.gaps)
+                )
+                out.append(Occurrence(item.type, gaps))
+            else:
+                out.append(item)
+            i += 1
+        return out
+
+    new_items = walk(region.items, ())
+    if by_level:
+        raise InstanceError("chunk level inside another chunk or outside the region")
+    if order != list(range(len(specs))):
+        raise InstanceError("chunks not in flat order")
+    contents = tuple(collected[i] for i in range(len(specs)))
+    return HyperConfig(tuple(new_items)), contents
+
+
+def _reference_build_term(items: tuple, addr):
+    """Cons-list term of an item sequence; tracks the leaf path of addr."""
+    if not items:
+        if addr is not None:
+            raise IndexError("address beyond the item list")
+        return ConstI(), None
+    head = items[0]
+    head_addr = addr if addr is not None and addr[0] == 0 else None
+    tail_addr = (addr[0] - 1,) + addr[1:] if addr is not None and addr[0] > 0 else None
+    tail, tail_path = _reference_build_term(items[1:], tail_addr)
+    path = ((1,) + tail_path) if tail_path is not None else None
+    if isinstance(head, Leaf0):
+        if head_addr is not None:
+            if len(head_addr) != 1:
+                raise IndexError("address descends into a leaf item")
+            path = (0,)
+        return Cat(Leaf(head.type), tail), path
+    if isinstance(head, Separator):
+        if head_addr is not None:
+            if len(head_addr) != 1:
+                raise IndexError("address descends into a separator")
+            path = (0,)
+        return Cat(ConstJ(), tail), path
+    # occurrence: wrap the gap fillers around the head leaf, gap 1 innermost
+    a = len(head.gaps)
+    chain = Leaf(head.type)
+    chain_path = None
+    if head_addr is not None and len(head_addr) == 1:
+        chain_path = ()
+    pos = 1
+    for g, gap in enumerate(head.gaps):
+        gap_addr = None
+        if head_addr is not None and len(head_addr) > 1 and head_addr[1] == g:
+            gap_addr = head_addr[2:]
+        filler, filler_path = _reference_build_term(gap.items, gap_addr)
+        chain = WrapT(pos, chain, filler)
+        pos += sort_of_config(gap)
+        if chain_path is not None:
+            chain_path = (0,) + chain_path
+        elif filler_path is not None:
+            chain_path = (1,) + filler_path
+    if chain_path is not None:
+        path = (0,) + chain_path
+    return Cat(chain, tail), path
+
+
+def reference_term_of_config(cfg: HyperConfig):
+    """The canonical structural term denoting cfg (sharp is its inverse)."""
+    term, _ = _reference_build_term(cfg.items, None)
+    return term
+
+
+def reference_term_of_config_with_addr(cfg: HyperConfig, addr: tuple):
+    """Canonical term plus the path of the leaf for the item at addr."""
+    term, path = _reference_build_term(cfg.items, tuple(addr))
+    if path is None:
+        raise IndexError("item address %r not found" % (addr,))
+    return term, path
 
 
 def reference_rule_apps(t):

@@ -12,6 +12,8 @@ from dcalc.bridge import BridgeError, correspondence_check, lift, lower
 from dcalc.derivation import Derivation
 from dcalc.hseq import (
     RULES,
+    HDerivation,
+    HSequent,
     check,
     check_node,
     derivation_from_obj,
@@ -20,7 +22,15 @@ from dcalc.hseq import (
     prove,
 )
 from dcalc.mseq import check_m, check_m_node, m_derivation_from_obj, m_derivation_to_obj
-from dcalc.syntax import Signature, config_str, flatten, iter_items
+from dcalc.syntax import (
+    Signature,
+    config_str,
+    flatten,
+    generalized_wrap,
+    item_at,
+    iter_items,
+    splice_item,
+)
 from dcalc.terms import (
     Cat,
     ConstI,
@@ -177,6 +187,39 @@ def test_lower_golden():
     assert check(back)
     assert flatten(back.conclusion.antecedent) == flatten(sharp(mm.conclusion.antecedent))
     assert back.conclusion.succedent == mm.conclusion.succedent
+
+
+def _cut(left, right, at):
+    """The Cut of a proof of `left` into a proof of `right` at item `at`."""
+    d1, d2 = prove(hseq(left)), prove(hseq(right))
+    item = item_at(d2.conclusion.antecedent, at)
+    plugged = generalized_wrap(d1.conclusion.antecedent, getattr(item, "gaps", ()))
+    ant = splice_item(d2.conclusion.antecedent, at, plugged.items)
+    return HDerivation("Cut", HSequent(ant, d2.conclusion.succedent), (d1, d2), (("at", at),))
+
+
+def test_lift_and_lower_cut():
+    # cut formulas of sorts 0, 1 and 2; the last cuts into the second of two
+    # equal items, so lower passes over the first address
+    cuts = (
+        _cut("n, (n \\ s) => s", "s => s", (0,)),
+        _cut("0:e,[],1:e => e", "0:e,n,1:e => e @1 n", (0,)),
+        _cut("0:b,[],1:b,[],2:b => b", "0:b,[],1:b,[],2:b => b", (0,)),
+        _cut("n, (n \\ s) => s", "s, s => (s . s)", (1,)),
+    )
+    for cut in cuts:
+        assert check(cut)
+        md = lift(cut)
+        node = md
+        while node.rule == "Structural":
+            node = node.premises[0]
+        assert node.rule == "Cut"
+        assert check_m(md)
+        assert correspondence_check(cut, md)
+        back = lower(md)
+        assert check(back)
+        assert back == cut
+        assert json.dumps(derivation_to_obj(back)) == json.dumps(derivation_to_obj(cut))
 
 
 def test_correspondence_check_negative():

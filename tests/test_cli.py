@@ -256,6 +256,20 @@ def test_extract_json(capsys, sig_file):
     assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def test_extract_path_below_a_leaf_exits_3(capsys):
+    for term, at in (("a", "0"), ("(a + (b + c))", "0,1")):
+        code, out, err = run(capsys, "extract", term, "--at", at)
+        assert code == 3 and not out
+        assert "does not address a type leaf" in err
+
+
+def test_extract_path_steps_are_0_or_1(capsys):
+    code, out, err = run(capsys, "extract", "(a + b)", "--at", "2")
+    assert code == 2 and not out and "bad path" in err
+    code, out, _ = run(capsys, "extract", "(a + b)", "--at", "1")
+    assert code == 0 and out.splitlines()[:2] == ["index 1", "rest (a + JJ)"]
+
+
 # ---------------------------------------------------------------------------
 # sentence parsing
 

@@ -10,13 +10,16 @@ from dcalc.hseq import (
     RULES,
     HDerivation,
     HSequent,
+    InstanceError,
     _balanced,
     _seq_key,
+    apply_chunks,
     check,
     derivation_from_obj,
     derivation_latex,
     derivation_text,
     derivation_to_obj,
+    enum_chunkings,
     enumerate_rule_instances,
     instance_premises,
     parse_hsequent,
@@ -27,7 +30,14 @@ from dcalc.mseq import MDerivation, check_m, parse_msequent, structural_step
 from dcalc.syntax import Atom, HyperConfig, Leaf0, Signature, figure, parse_type
 from dcalc.terms import RuleApp
 
-from helpers import generate_derivations, hderivation_depth, reference_prove, reference_prove_all
+from helpers import (
+    generate_derivations,
+    hderivation_depth,
+    random_config,
+    reference_apply_chunks,
+    reference_prove,
+    reference_prove_all,
+)
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
 GENERATED_ATOMS = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
@@ -159,6 +169,40 @@ def test_enumeration_order_is_pinned():
             for rule, params, premises in enumerate_rule_instances(node.conclusion):
                 h.update(("%s %r %s\n" % (rule, params, [str(p) for p in premises])).encode())
     assert h.hexdigest() == ENUMERATION_DIGEST
+
+
+def _chunked(apply, region, specs):
+    try:
+        return apply(region, specs)
+    except (InstanceError, IndexError):
+        return None
+
+
+def test_apply_chunks_agrees_with_the_reference_definition():
+    rng = random.Random(23)
+    atoms = (("p", 0), ("r", 1), ("s", 2))
+    outcomes = set()
+    for _ in range(300):
+        region = random_config(rng, atoms, budget=8)
+        levels = list(hseq._levels(region))
+        cases = [specs for count in range(4) for specs in enum_chunkings(region, count)]
+        cases += [specs[::-1] for specs in cases if len(specs) > 1]
+        for _ in range(40):
+            specs = []
+            for _ in range(rng.randint(1, 3)):
+                level = rng.choice(levels)
+                # negative, out-of-range and odd-length levels
+                level = rng.choice((level, level + (0,), level + (-1, 0), level + (5, 0)))
+                start = rng.randint(-1, 4)
+                specs.append((level, start, start + rng.randint(-1, 3)))
+            # the random specs overlap, nest or sit at zero width; sorted,
+            # they often also come in flat order
+            cases += [tuple(specs), tuple(sorted(specs))]
+        for specs in cases:
+            want = _chunked(reference_apply_chunks, region, specs)
+            assert _chunked(apply_chunks, region, specs) == want, (str(region), specs)
+            outcomes.add(want is None)
+    assert outcomes == {False, True}
 
 
 def test_check_rejects_ill_typed_params():

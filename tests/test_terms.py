@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 
 from dcalc.syntax import (
     Atom,
+    HyperConfig,
+    Leaf0,
     Signature,
     SortError,
+    config_at,
     config_str,
     flatten,
+    iter_items,
     parse_config,
     sort_of_config,
     wrap_at,
@@ -66,6 +70,8 @@ from helpers import (
     reference_rule_apps,
     reference_sharp,
     reference_sort_of_term,
+    reference_term_of_config,
+    reference_term_of_config_with_addr,
     reference_wrap_at,
 )
 
@@ -141,6 +147,49 @@ def test_term_of_config_with_addr_returns_leaf_path():
     t, path = term_of_config_with_addr(cfg, (1,))
     assert subterm_at(t, path) == E
     assert flatten(sharp(t)) == flatten(cfg)
+
+
+def test_term_of_config_on_a_long_flat_configuration():
+    cfg = HyperConfig((Leaf0(A.type),) * 5000)
+    t = term_of_config(cfg)  # the per-item recursive builder overflowed here
+    assert is_canonical(t)
+    assert flatten(sharp(t)) == flatten(cfg)
+    t, path = term_of_config_with_addr(cfg, (4999,))
+    assert path == (1,) * 4999 + (0,)
+    assert subterm_at(t, path) == A
+
+
+
+def _term_and_path(build, cfg, addr):
+    try:
+        return build(cfg, addr)
+    except IndexError:
+        return IndexError
+
+
+def test_term_of_config_agrees_with_the_reference_definition():
+    rng = random.Random(105)
+    outcomes = set()
+    for _ in range(1000):
+        cfg = random_config(rng, ATOMS)
+        assert term_of_config(cfg) == reference_term_of_config(cfg), str(cfg)
+        addrs = [()]
+        for addr, item in iter_items(cfg):
+            level, i = addr[:-1], addr[-1]
+            addrs += [
+                addr,
+                level + (-1,),  # negative
+                level + (len(config_at(cfg, level).items),),  # past the end
+                addr + (0, 0),  # below a leaf or separator, or into gap 0
+                addr + (-1, 0),
+                addr + (len(getattr(item, "gaps", ())), 0),
+                addr + (0,),  # even length
+            ]
+        for addr in addrs:
+            want = _term_and_path(reference_term_of_config_with_addr, cfg, addr)
+            assert _term_and_path(term_of_config_with_addr, cfg, addr) == want, (str(cfg), addr)
+            outcomes.add(want is IndexError)
+    assert outcomes == {False, True}
 
 
 @settings(max_examples=200)
