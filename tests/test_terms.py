@@ -159,7 +159,6 @@ def test_term_of_config_on_a_long_flat_configuration():
     assert subterm_at(t, path) == A
 
 
-
 def _term_and_path(build, cfg, addr):
     try:
         return build(cfg, addr)
@@ -175,13 +174,13 @@ def test_term_of_config_agrees_with_the_reference_definition():
         assert term_of_config(cfg) == reference_term_of_config(cfg), str(cfg)
         addrs = [()]
         for addr, item in iter_items(cfg):
-            level, i = addr[:-1], addr[-1]
+            level = addr[:-1]
             addrs += [
                 addr,
                 level + (-1,),  # negative
                 level + (len(config_at(cfg, level).items),),  # past the end
                 addr + (0, 0),  # below a leaf or separator, or into gap 0
-                addr + (-1, 0),
+                addr + (-1, 0),  # a negative or missing gap
                 addr + (len(getattr(item, "gaps", ())), 0),
                 addr + (0,),  # even length
             ]
