@@ -4,7 +4,8 @@ One command per process: prove / check / sharp / termof / equiv / extract /
 normalize / parse.  Exit codes: 0 for provable, valid or true; 1 for the
 negative outcome; 2 for malformed input, input nested too deeply or running
 out of memory; 3 when an extraction precondition fails.  JSON output is
-deterministic (sorted keys, two-space indent).
+deterministic (sorted keys, two-space indent) and written by
+``derivation.json_text``, which keeps its own stack.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .derivation import (
     derivation_text,
     derivation_to_obj,
     first_violation,
+    json_text,
     latex_escape,
 )
 from .hseq import (
@@ -71,7 +73,7 @@ def _load_sig(args) -> Signature:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json_text(obj))
 
 
 def _emit_scalar(args, key: str, value) -> None:
@@ -287,36 +289,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", parents=[common], help="search for a derivation")
     p.add_argument("calculus", choices=("hd", "md"))
     p.add_argument("sequent", help="'config => type' for hd, 'term -> type' for md")
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("check", parents=[common], help="validate a derivation file")
     p.add_argument("calculus", choices=("hd", "md"))
     p.add_argument("file", help="derivation in the JSON schema emitted by prove")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sharp", parents=[common], help="configuration denoted by a term")
     p.add_argument("term")
-    p.set_defaults(func=cmd_sharp)
 
     p = sub.add_parser("termof", parents=[common], help="canonical term of a configuration")
     p.add_argument("config")
-    p.set_defaults(func=cmd_termof)
 
     p = sub.add_parser("equiv", parents=[common], help="do two terms denote the same configuration")
     p.add_argument("term1")
     p.add_argument("term2")
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("extract", parents=[common], help="pull a leaf to the top as a wrap")
     p.add_argument("term")
     p.add_argument("--at", default="", help="leaf path, e.g. 0,1 (0 = left, 1 = right)")
     p.add_argument("--seed", type=int, default=None, help="randomize the rewrite route")
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("normalize", parents=[common], help="rewrite a term to canonical form")
     p.add_argument("term")
     p.add_argument("--budget", type=int, default=10000, help="max rewrite steps")
-    p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("parse", parents=[common], help="parse a sentence with a lexicon")
     p.add_argument("lexicon", help="file with %%%% signature and %%%% lexicon sections")
@@ -328,15 +323,19 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="explicit antecedent configuration (overrides figure concatenation)",
     )
-    p.set_defaults(func=cmd_parse)
     return ap
 
 
+# built once, at import: parse_args returns a fresh namespace on every call,
+# and main looks each command up by name when it runs, so a cmd_* function
+# replaced after import still takes effect
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ExtractionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .syntax import ParseError
 
@@ -101,12 +102,53 @@ def params_from_obj(obj: dict) -> tuple:
 
 
 def derivation_to_obj(d: Derivation) -> dict:
-    return {
-        "rule": d.rule,
-        "sequent": str(d.conclusion),
-        "params": params_to_obj(d.params),
-        "premises": [derivation_to_obj(p) for p in d.premises],
-    }
+    """Nested dicts with the keys rule, sequent, params and premises; the walk
+    keeps its own stack, so a long Structural chain converts too."""
+    root = {}
+    stack = [(d, root)]
+    while stack:
+        node, obj = stack.pop()
+        premises = [{} for _ in node.premises]
+        obj.update(rule=node.rule, sequent=str(node.conclusion),
+                   params=params_to_obj(node.params), premises=premises)
+        stack.extend(zip(node.premises, premises))
+    return root
+
+
+_LITERAL = object()  # tags a stack entry whose second field is text to write
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for a JSON
+    value with string keys; the walk keeps its own stack, so a long
+    Structural chain writes too."""
+    parts = []
+    stack = [(obj, "")]  # (value, indent of its line) or (_LITERAL, text)
+    while stack:
+        value, pad = stack.pop()
+        if value is _LITERAL:
+            parts.append(pad)
+            continue
+        if isinstance(value, dict):
+            brackets = "{}"
+            entries = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items())]
+        elif isinstance(value, (list, tuple)):
+            brackets = "[]"
+            entries = [("", v) for v in value]
+        else:
+            parts.append(encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value))
+            continue
+        if not entries:
+            parts.append(brackets)
+            continue
+        parts.append(brackets[0])
+        stack.append((_LITERAL, "\n" + pad + brackets[1]))
+        inner = pad + "  "
+        for n in range(len(entries) - 1, -1, -1):
+            key, v = entries[n]
+            stack.append((v, inner))
+            stack.append((_LITERAL, ("," if n else "") + "\n" + inner + key))
+    return "".join(parts)
 
 
 def from_obj(obj: dict, sig, parse_sequent) -> Derivation:

@@ -557,32 +557,31 @@ def sep_index_at(cfg: HyperConfig, addr: tuple) -> int:
 # text: scanner
 
 
-_TOKEN_SPEC = [
-    ("WS", re.compile(r"[ \t]+")),
-    ("ARROW", re.compile(r"->")),
-    ("DARROW", re.compile(r"=>")),
-    ("SEPTOK", re.compile(r"\[\]")),
-    ("NAME", re.compile(r"[A-Za-z][A-Za-z0-9_]*")),
-    ("INT", re.compile(r"[0-9]+")),
-    ("KOP", re.compile(r"[@!^][0-9]+")),
-    ("PLUS", re.compile(r"\+[0-9]*")),
-    ("PUNCT", re.compile(r"[\\/.(),;:{}]")),
-]
+# named alternatives, tried left to right: the first that matches wins, and
+# m.lastgroup names it
+_TOKEN_RE = re.compile(
+    r"(?P<WS>[ \t]+)"
+    r"|(?P<ARROW>->)"
+    r"|(?P<DARROW>=>)"
+    r"|(?P<SEPTOK>\[\])"
+    r"|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<INT>[0-9]+)"
+    r"|(?P<KOP>[@!^][0-9]+)"
+    r"|(?P<PLUS>\+[0-9]*)"
+    r"|(?P<PUNCT>[\\/.(),;:{}])"
+)
 
 
 def _tokenize(text: str):
     tokens = []
     pos = 0
     while pos < len(text):
-        for kind, rx in _TOKEN_SPEC:
-            m = rx.match(text, pos)
-            if m:
-                if kind != "WS":
-                    tokens.append((kind, m.group(), pos))
-                pos = m.end()
-                break
-        else:
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
             raise ParseError("unexpected character %r at %d" % (text[pos], pos))
+        if m.lastgroup != "WS":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
     tokens.append(("EOF", "", len(text)))
     return tokens
 

@@ -184,25 +184,23 @@ def subterm_at(t, path: tuple):
     for d in path:
         if not isinstance(t, (Cat, WrapT)):
             raise IndexError("path descends below a leaf")
-        t = t.left if d == 0 else t.right
-    return t
-
-
-def replace_at(t, path: tuple, new):
-    """t with the subterm at `path` replaced by `new`; rebuilds the spine above
-    it, innermost node first.  A step other than 0 or 1 ends the walk there
-    and leaves that node's children as they are."""
-    spine = []  # (node, step) from the root down
-    for d in path:
-        if not isinstance(t, (Cat, WrapT)):
-            raise IndexError("path descends below a leaf")
-        spine.append((t, d))
         if d == 0:
             t = t.left
         elif d == 1:
             t = t.right
         else:
-            break
+            raise IndexError("bad path step %r; expected 0 or 1" % (d,))
+    return t
+
+
+def replace_at(t, path: tuple, new):
+    """t with the subterm at `path` replaced by `new`; rebuilds the spine above
+    it, innermost node first.  A step other than 0 or 1 raises IndexError."""
+    subterm_at(t, path)  # raises IndexError on a bad path
+    spine = []  # (node, step) from the root down
+    for d in path:
+        spine.append((t, d))
+        t = t.left if d == 0 else t.right
     for node, d in reversed(spine):
         left = new if d == 0 else node.left
         right = new if d == 1 else node.right

@@ -1,9 +1,10 @@
 """Random generators and the forward derivation builder used by the tests."""
 
 import random
+import re
 from itertools import product
 
-from dcalc.derivation import latex_escape
+from dcalc.derivation import latex_escape, params_to_obj
 from dcalc.hseq import (
     HDerivation,
     HSequent,
@@ -26,6 +27,7 @@ from dcalc.syntax import (
     Leaf0,
     Occurrence,
     Over,
+    ParseError,
     Prod,
     Separator,
     SortError,
@@ -310,6 +312,8 @@ def reference_replace_at(t, path, new):
     if not isinstance(t, (Cat, WrapT)):
         raise IndexError("path descends below a leaf")
     d, rest = path[0], path[1:]
+    if d not in (0, 1):
+        raise IndexError("bad path step %r; expected 0 or 1" % (d,))
     left = reference_replace_at(t.left, rest, new) if d == 0 else t.left
     right = reference_replace_at(t.right, rest, new) if d == 1 else t.right
     if isinstance(t, Cat):
@@ -473,9 +477,10 @@ def reference_rule_apps(t):
 #
 # The two search closures that hseq's single search replaced (a first-proof
 # search that remembers failures, an all-proofs search that remembers every
-# subgoal and drops repeated derivations), and the recursive LaTeX renderer
-# that derivation_latex's explicit-stack walk replaced, kept as the oracles
-# those are checked against.
+# subgoal and drops repeated derivations), and the recursive JSON-object
+# builder and LaTeX renderer that derivation_to_obj's and derivation_latex's
+# explicit-stack walks replaced, kept as the oracles those are checked
+# against.
 
 
 def reference_prove(seq):
@@ -527,6 +532,15 @@ def reference_prove_all(seq, limit=16):
     return go(seq)
 
 
+def reference_derivation_to_obj(d):
+    return {
+        "rule": d.rule,
+        "sequent": str(d.conclusion),
+        "params": params_to_obj(d.params),
+        "premises": [reference_derivation_to_obj(p) for p in d.premises],
+    }
+
+
 def reference_derivation_latex(d):
     def go(node):
         concl = "\\texttt{%s}" % latex_escape(str(node.conclusion))
@@ -534,6 +548,42 @@ def reference_derivation_latex(d):
         return "\\infer[\\mathrm{%s}]{%s}{%s}" % (latex_escape(node.rule), concl, prems)
 
     return go(d)
+
+
+# ---------------------------------------------------------------------------
+# reference tokenizer
+#
+# The scanner that syntax's single named-group regex replaced: nine regexes
+# tried in turn at each position, copied verbatim.
+
+_TOKEN_SPEC = [
+    ("WS", re.compile(r"[ \t]+")),
+    ("ARROW", re.compile(r"->")),
+    ("DARROW", re.compile(r"=>")),
+    ("SEPTOK", re.compile(r"\[\]")),
+    ("NAME", re.compile(r"[A-Za-z][A-Za-z0-9_]*")),
+    ("INT", re.compile(r"[0-9]+")),
+    ("KOP", re.compile(r"[@!^][0-9]+")),
+    ("PLUS", re.compile(r"\+[0-9]*")),
+    ("PUNCT", re.compile(r"[\\/.(),;:{}]")),
+]
+
+
+def reference_tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        for kind, rx in _TOKEN_SPEC:
+            m = rx.match(text, pos)
+            if m:
+                if kind != "WS":
+                    tokens.append((kind, m.group(), pos))
+                pos = m.end()
+                break
+        else:
+            raise ParseError("unexpected character %r at %d" % (text[pos], pos))
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from dcalc import cli
@@ -302,6 +304,25 @@ def test_parse_explicit_config(capsys):
         capsys, "parse", TOY_LEX, "john walks", "s", "--config", "n, (n \\ s)"
     )
     assert code == 0 and "1 reading(s)" in out
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    lexicon = tmp_path / "ambiguous.lex"
+    lexicon.write_text("%% signature\nn 0\n%% lexicon\nx\tn\nx\t(n / n)\nx\t(n \\ n)\n")
+    calls = (
+        ["parse", str(lexicon), "x x x", "n", "--limit", "1"],
+        ["parse", str(lexicon), "x x x", "n"],  # the default --limit 16 again
+        ["sharp", "(II + a)"],
+    )
+    results = [run(capsys, *argv) for argv in calls]
+    assert [out.split("\n")[0] for _, out, _ in results] == ["3 reading(s)", "8 reading(s)", "a"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for argv, result in zip(calls, results):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "dcalc", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == result, argv
 
 
 def test_parse_limit(capsys):

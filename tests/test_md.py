@@ -4,8 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dcalc.bridge import lift, lower
-from dcalc.derivation import derivation_latex, derivation_text
+from dcalc.derivation import derivation_latex, derivation_text, json_text
 from dcalc.hseq import HDerivation, check
 from dcalc.mseq import (
     MDerivation,
@@ -20,7 +23,7 @@ from dcalc.mseq import (
 from dcalc.syntax import Atom, ParseError, Signature, Under
 from dcalc.terms import Cat, ConstI, ConstJ, Leaf, RuleApp, WrapT
 
-from helpers import generate_derivations, reference_derivation_latex
+from helpers import generate_derivations, reference_derivation_latex, reference_derivation_to_obj
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
 
@@ -194,6 +197,19 @@ def test_m_derivation_json_round_trip():
     assert json.loads(text) == obj
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+def test_json_text_equals_indented_sorted_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_m_renderings_smoke():
     d = prove_m(mseq("(n + (n \\ s)) -> s"))
     text = derivation_text(d)
@@ -238,6 +254,27 @@ def test_latex_agrees_with_the_reference_renderer():
     ds = generate_derivations(random.Random(17), (("p", 0), ("q", 0), ("r", 1), ("s", 2)), 60)
     for d in ds + [lift(d) for d in ds]:
         assert derivation_latex(d) == reference_derivation_latex(d)
+
+
+def test_json_text_writes_a_long_structural_chain():
+    text = json_text(m_derivation_to_obj(long_structural_chain()))
+    assert text.count('"rule": "Structural"') == 2400
+    assert text.count('"rule": "Id"') == 1
+
+
+def test_json_text_of_a_short_chain_equals_dumps():
+    d = MDerivation("Id", mseq("a -> a"))
+    for n in range(50):
+        d = structural_step(d, RuleApp("UnitI-L-drop" if n % 2 else "UnitI-L-add", ()))
+    obj = m_derivation_to_obj(d)
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_objects_agree_with_the_reference_builder():
+    ds = generate_derivations(random.Random(18), (("p", 0), ("q", 0), ("r", 1), ("s", 2)), 60)
+    for d in ds + [lift(d) for d in ds]:
+        # unsorted dumps: the key order is pinned too
+        assert json.dumps(m_derivation_to_obj(d)) == json.dumps(reference_derivation_to_obj(d))
 
 
 def test_lower_skips_a_long_structural_chain():

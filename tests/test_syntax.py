@@ -38,11 +38,18 @@ from dcalc.syntax import (
     sort_of_config,
     sort_of_type,
     splice_item,
+    _tokenize,
     wrap_at,
 )
 from dcalc.terms import Leaf
 
-from helpers import generate_derivations, random_config, random_type, reference_sort_of_type
+from helpers import (
+    generate_derivations,
+    random_config,
+    random_type,
+    reference_sort_of_type,
+    reference_tokenize,
+)
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\n")
 ATOMS = (("a", 0), ("c", 0), ("e", 1), ("b", 2))
@@ -202,6 +209,33 @@ def test_parse_type_errors():
         parse_type("a @0 c", SIG)
     with pytest.raises(ParseError):
         parse_type("a @1 c", SIG)  # sort violation surfaces as a parse error
+
+
+# pieces of every token, partial tokens, whitespace, and characters that
+# start no token
+TEXT_PIECES = (
+    "a", "Ab_9", "7", "42", "->", "=>", "[]", "@2", "!1", "^13", "+", "+1", "\\", "/",
+    ".", "(", ")", ",", ";", ":", "{", "}", " ", "  ", "\t",
+    "-", "=", "[", "]", "@", "#", "&", "\n", "\u00e9",
+)
+
+
+def test_tokenizer_agrees_with_the_reference_scanner():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(20000):
+        text = "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, 10)))
+        try:
+            expected = reference_tokenize(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as caught:
+                _tokenize(text)
+            assert str(caught.value) == str(exc), text
+            outcomes.add("error")
+        else:
+            assert _tokenize(text) == expected, text
+            outcomes.add("tokens")
+    assert outcomes == {"tokens", "error"}
 
 
 @settings(max_examples=200)

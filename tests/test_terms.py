@@ -337,6 +337,17 @@ def test_replace_at_in_a_long_wrap_chain():
     assert got.right is chain.right and sort_of_term(got) == 2
 
 
+def test_path_steps_other_than_0_or_1_raise():
+    t = Cat(A, WrapT(1, E, C))
+    for path in ((2,), (1, 2), (-1, 0)):
+        with pytest.raises(IndexError, match="bad path step"):
+            subterm_at(t, path)
+        with pytest.raises(IndexError, match="bad path step"):
+            replace_at(t, path, A)
+    with pytest.raises(ExtractionError, match="does not address a type leaf"):
+        extractable(Cat(A, C), (2,))
+
+
 # ---------------------------------------------------------------------------
 # the rewrite rules
 
