@@ -3,7 +3,8 @@
 One command per process: prove / check / sharp / termof / equiv / extract /
 normalize / parse.  Exit codes: 0 for provable, valid or true; 1 for the
 negative outcome; 2 for malformed input, input nested too deeply or running
-out of memory; 3 when an extraction precondition fails.  JSON output is
+out of memory, or a reader that closed stdout early (``error: output
+closed``); 3 when an extraction precondition fails.  JSON output is
 deterministic (sorted keys, two-space indent) and written by
 ``derivation.json_text``, which keeps its own stack.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 
@@ -61,9 +63,6 @@ class _OpenSignature(Signature):
 
     def sort(self, name: str) -> int:
         return self.atoms.get(name, 0)
-
-    def __contains__(self, name: str) -> bool:
-        return True
 
 
 def _load_sig(args) -> Signature:
@@ -335,7 +334,14 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return globals()["cmd_" + args.command](args)
+        code = globals()["cmd_" + args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader went away; devnull takes what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed", file=sys.stderr)
+        return 2
     except ExtractionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -87,10 +87,6 @@ class HSequent:
         return "%s => %s" % (config_str(self.antecedent), self.succedent)
 
 
-def _freeze(params: dict) -> tuple:
-    return tuple(sorted(params.items()))
-
-
 def parse_hsequent(text: str, sig: Signature) -> HSequent:
     sc = _Scanner(text)
     cfg = _parse_config_body(sc, sig)
@@ -116,7 +112,9 @@ def derivation_from_obj(obj: dict, sig: Signature) -> HDerivation:
 # address become one gap filler and are replaced by a separator.  Specs are
 # listed in flat order: each spec's end address level + (end,) is at most the
 # next spec's start address level + (start,), compared as tuples, which also
-# rules out overlapping chunks and chunks inside another chunk.
+# rules out overlapping chunks and chunks inside another chunk.  DownL's
+# specs address one region, the items [mstart, mend) around the principal,
+# whose place is the argument's k-th separator: k - 1 chunks come before it.
 
 
 def apply_chunks(region: HyperConfig, specs):
@@ -185,27 +183,6 @@ def _shift_specs(specs, offset: int):
     return tuple(out)
 
 
-def _split_specs(specs, sep_pos: int):
-    """Split chunk specs of a combined region at the principal separator."""
-    left, right = [], []
-    for spec in specs:
-        lvl, start, end = spec
-        if lvl == ():
-            if end <= sep_pos:
-                left.append(spec)
-            elif start >= sep_pos + 1:
-                right.append(((), start - sep_pos - 1, end - sep_pos - 1))
-            else:
-                raise InstanceError("chunk overlaps the principal item")
-        elif lvl[0] < sep_pos:
-            left.append(spec)
-        elif lvl[0] > sep_pos:
-            right.append(((lvl[0] - sep_pos - 1,) + lvl[1:], start, end))
-        else:
-            raise InstanceError("chunk descends into the principal item")
-    return tuple(left), tuple(right)
-
-
 # ---------------------------------------------------------------------------
 # rule instances
 #
@@ -269,22 +246,17 @@ def _excisions(ant, succ):
 # right rules: premises
 
 
-def _id(ant, succ, params):
-    if ant != figure(succ):
-        raise InstanceError("Id needs the figure of the succedent")
-    return ()
+def _axiom(want):
+    """Premise function of an axiom, which fits when the antecedent is
+    want(succ); mseq's rule table shares it and calls it without params."""
 
+    def premises(ant, succ, params=None):
+        if ant != want(succ):
+            # constant text: Id fails at almost every subgoal of a search
+            raise InstanceError("the antecedent does not fit the axiom")
+        return ()
 
-def _ir(ant, succ, params):
-    if ant != EMPTY:
-        raise InstanceError("IR is Lambda => I")
-    return ()
-
-
-def _jr(ant, succ, params):
-    if ant.items != (SEP,):
-        raise InstanceError("JR is [] => J")
-    return ()
+    return premises
 
 
 def _under_r(ant, succ, params):
@@ -321,11 +293,9 @@ def _prod_r(ant, succ, params):
 
 
 def _dprod_r(ant, succ, params):
-    level, start, end = params["excise"]
-    level = tuple(level)
-    slice_cfg = sub_slice(ant, level, start, end)
-    main = replace_range(ant, level, start, end, (SEP,))
-    if sep_index_at(main, level + (start,)) != succ.k:
+    main, (slice_cfg,) = apply_chunks(ant, (params["excise"],))
+    level, start, _ = params["excise"]
+    if sep_index_at(main, tuple(level) + (start,)) != succ.k:
         raise InstanceError("excised slice is not at gap %d" % succ.k)
     return (HSequent(main, succ.left), HSequent(slice_cfg, succ.right))
 
@@ -454,24 +424,17 @@ def _down_l(ant, succ, addr, item, params):
     t = item.type
     level, p = addr[:-1], addr[-1]
     q, r = params["mstart"], params["mend"]
-    n = len(config_at(ant, level).items)
-    if not (0 <= q <= p and p + 1 <= r <= n):
+    items = config_at(ant, level).items
+    if not 0 <= q <= p < r <= len(items):
         raise InstanceError("bad region %r:%r" % (q, r))
-    lspecs, rspecs = _split_specs(params["chunks"], p - q)
-    absl, contl = apply_chunks(sub_slice(ant, level, q, p), lspecs)
-    absr, contr = apply_chunks(sub_slice(ant, level, p + 1, r), rspecs)
-    a = sort_of_type(t.left)
-    gamma = HyperConfig(absl.items + (SEP,) + absr.items)
-    ok = (
-        len(contl) + len(contr) == a - 1
-        and sort_of_config(gamma) == a
-        and sort_of_config(absl) == t.k - 1
-    )
-    if not ok:
-        raise InstanceError("abstraction does not fit the infix sort")
-    new = figure_items(t.right, contl + _item_gaps(item) + contr)
+    # the principal's place is the argument's k-th separator, a chunk of its own
+    place, k = ((), p - q, p - q + 1), t.k
+    chunks = tuple(params["chunks"])
+    region = HyperConfig(items[q:p] + (SEP,) + items[p + 1 : r])
+    abstracted, contents = _abstract(region, chunks[: k - 1] + (place,) + chunks[k - 1 :], t.left)
+    new = figure_items(t.right, contents[: k - 1] + _item_gaps(item) + contents[k:])
     return (
-        HSequent(gamma, t.left),
+        HSequent(abstracted, t.left),
         HSequent(replace_range(ant, level, q, r, new), succ),
     )
 
@@ -479,9 +442,9 @@ def _down_l(ant, succ, addr, item, params):
 # rule: (side, connective, candidate parameters, premises), in search order;
 # Id's connective is `object` because it applies to a succedent of any type
 RULES = {
-    "Id": ("R", object, _once, _id),
-    "IR": ("R", UnitI, _once, _ir),
-    "JR": ("R", UnitJ, _once, _jr),
+    "Id": ("R", object, _once, _axiom(figure)),
+    "IR": ("R", UnitI, _once, _axiom(lambda succ: EMPTY)),
+    "JR": ("R", UnitJ, _once, _axiom(lambda succ: HyperConfig((SEP,)))),
     "UnderR": ("R", Under, _once, _under_r),
     "OverR": ("R", Over, _once, _over_r),
     "DownR": ("R", DDown, _index, _down_r),
@@ -497,7 +460,6 @@ RULES = {
     "UpL": ("L", DUp, _gap_regions, _up_l),
     "DownL": ("L", DDown, _infix_regions, _down_l),
 }
-RULE_ORDER = tuple(RULES)
 
 
 def instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
@@ -529,7 +491,7 @@ def enumerate_rule_instances(seq: HSequent, only_rule=None):
     """Yield (rule, params, premises) for every instance concluding seq."""
     ant, succ = seq.antecedent, seq.succedent
     principals = [(addr, it) for addr, it in iter_items(ant) if not isinstance(it, Separator)]
-    for rule in RULE_ORDER if only_rule is None else (only_rule,):
+    for rule in RULES if only_rule is None else (only_rule,):
         if rule not in RULES:
             continue
         side, connective, candidates, _ = RULES[rule]
@@ -547,7 +509,7 @@ def enumerate_rule_instances(seq: HSequent, only_rule=None):
                 premises = instance_premises(seq, rule, params)
             except InstanceError:
                 continue
-            yield rule, _freeze(params), premises
+            yield rule, tuple(sorted(params.items())), premises
 
 
 # ---------------------------------------------------------------------------

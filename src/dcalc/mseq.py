@@ -48,7 +48,7 @@ from .terms import (
     subterm_at,
 )
 from .derivation import Derivation, derivation_to_obj, first_violation, from_obj
-from .hseq import InstanceError
+from .hseq import InstanceError, _axiom
 
 MDerivation = Derivation
 m_derivation_to_obj = derivation_to_obj  # the md name of the shared writer
@@ -101,17 +101,6 @@ def m_derivation_from_obj(obj: dict, sig: Signature) -> MDerivation:
 # succedent): the instance fits when the redex is the subterm at "at", and
 # its premises are minor -> minor succedent (for the binary rules) and the
 # conclusion with the redex replaced by the reduct.
-
-
-def _axiom(want):
-    """The shape of an axiom whose antecedent must be want(succ)."""
-
-    def shape(ant, succ):
-        if ant != want(succ):
-            raise InstanceError("the axiom needs the antecedent %s" % (want(succ),))
-        return ()
-
-    return shape
 
 
 def _halves(ant, succ):

@@ -53,9 +53,6 @@ class Signature:
             raise ParseError("atom %r not declared in signature" % (name,))
         return self.atoms[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.atoms
-
     @classmethod
     def from_text(cls, text: str) -> "Signature":
         atoms = {}

@@ -12,6 +12,7 @@ from dcalc.hseq import (
     _balanced,
     _item_gaps,
     _seq_key,
+    apply_chunks,
     enumerate_rule_instances,
 )
 from dcalc.mseq import structural_step
@@ -46,6 +47,7 @@ from dcalc.syntax import (
     sort_of_config,
     sort_of_type,
     splice_item,
+    sub_slice,
     wrap_at,
 )
 from dcalc.terms import (
@@ -470,6 +472,94 @@ def reference_rule_apps(t):
                     continue
                 out.append(app)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference axioms and region rules
+#
+# The parent premise functions that hseq's shared _axiom and its one-region
+# DownL and apply_chunks DProdR replaced, copied verbatim: DownL split its
+# chunk specs at the principal and abstracted each side on its own, DProdR
+# cut its slice out with sub_slice and replace_range.  REFERENCE_PREMISES
+# maps each rule to its copy, to stand in the rule's hseq.RULES row.
+
+
+def _split_specs(specs, sep_pos: int):
+    """Split chunk specs of a combined region at the principal separator."""
+    left, right = [], []
+    for spec in specs:
+        lvl, start, end = spec
+        if lvl == ():
+            if end <= sep_pos:
+                left.append(spec)
+            elif start >= sep_pos + 1:
+                right.append(((), start - sep_pos - 1, end - sep_pos - 1))
+            else:
+                raise InstanceError("chunk overlaps the principal item")
+        elif lvl[0] < sep_pos:
+            left.append(spec)
+        elif lvl[0] > sep_pos:
+            right.append(((lvl[0] - sep_pos - 1,) + lvl[1:], start, end))
+        else:
+            raise InstanceError("chunk descends into the principal item")
+    return tuple(left), tuple(right)
+
+
+def _id(ant, succ, params):
+    if ant != figure(succ):
+        raise InstanceError("Id needs the figure of the succedent")
+    return ()
+
+
+def _ir(ant, succ, params):
+    if ant != EMPTY:
+        raise InstanceError("IR is Lambda => I")
+    return ()
+
+
+def _jr(ant, succ, params):
+    if ant.items != (SEP,):
+        raise InstanceError("JR is [] => J")
+    return ()
+
+
+def _dprod_r(ant, succ, params):
+    level, start, end = params["excise"]
+    level = tuple(level)
+    slice_cfg = sub_slice(ant, level, start, end)
+    main = replace_range(ant, level, start, end, (SEP,))
+    if sep_index_at(main, level + (start,)) != succ.k:
+        raise InstanceError("excised slice is not at gap %d" % succ.k)
+    return (HSequent(main, succ.left), HSequent(slice_cfg, succ.right))
+
+
+def _down_l(ant, succ, addr, item, params):
+    t = item.type
+    level, p = addr[:-1], addr[-1]
+    q, r = params["mstart"], params["mend"]
+    n = len(config_at(ant, level).items)
+    if not (0 <= q <= p and p + 1 <= r <= n):
+        raise InstanceError("bad region %r:%r" % (q, r))
+    lspecs, rspecs = _split_specs(params["chunks"], p - q)
+    absl, contl = apply_chunks(sub_slice(ant, level, q, p), lspecs)
+    absr, contr = apply_chunks(sub_slice(ant, level, p + 1, r), rspecs)
+    a = sort_of_type(t.left)
+    gamma = HyperConfig(absl.items + (SEP,) + absr.items)
+    ok = (
+        len(contl) + len(contr) == a - 1
+        and sort_of_config(gamma) == a
+        and sort_of_config(absl) == t.k - 1
+    )
+    if not ok:
+        raise InstanceError("abstraction does not fit the infix sort")
+    new = figure_items(t.right, contl + _item_gaps(item) + contr)
+    return (
+        HSequent(gamma, t.left),
+        HSequent(replace_range(ant, level, q, r, new), succ),
+    )
+
+
+REFERENCE_PREMISES = {"Id": _id, "IR": _ir, "JR": _jr, "DProdR": _dprod_r, "DownL": _down_l}
 
 
 # ---------------------------------------------------------------------------

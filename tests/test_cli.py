@@ -306,9 +306,12 @@ def test_parse_explicit_config(capsys):
     assert code == 0 and "1 reading(s)" in out
 
 
+AMBIGUOUS_LEX = "%% signature\nn 0\n%% lexicon\nx\tn\nx\t(n / n)\nx\t(n \\ n)\n"
+
+
 def test_the_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
     lexicon = tmp_path / "ambiguous.lex"
-    lexicon.write_text("%% signature\nn 0\n%% lexicon\nx\tn\nx\t(n / n)\nx\t(n \\ n)\n")
+    lexicon.write_text(AMBIGUOUS_LEX)
     calls = (
         ["parse", str(lexicon), "x x x", "n", "--limit", "1"],
         ["parse", str(lexicon), "x x x", "n"],  # the default --limit 16 again
@@ -323,6 +326,32 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         )
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == result, argv
+
+
+def test_a_closed_stdout_exits_2(tmp_path):
+    lexicon = tmp_path / "ambiguous.lex"
+    lexicon.write_text(AMBIGUOUS_LEX)
+    command = [sys.executable, "-m", "dcalc", "parse", str(lexicon)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    # a short output stays in stdout's buffer until main flushes it into a
+    # pipe whose reader is already gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command + ["x x x", "n"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: output closed\n")
+    # `| head -c 10`: the reader takes 10 bytes of a 147 kB JSON text and goes,
+    # so the write, larger than the pipe's buffer, fails inside the command
+    proc = subprocess.Popen(command + ["x x x x x", "n", "--out", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "deriv'
+    proc.stdout.close()
+    assert (proc.wait(), proc.stderr.read()) == (2, b"error: output closed\n")
+    proc.stderr.close()
 
 
 def test_parse_limit(capsys):

@@ -4,6 +4,9 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
+
+import pytest
 
 from dcalc import hseq
 from dcalc.hseq import (
@@ -27,10 +30,23 @@ from dcalc.hseq import (
     prove_all,
 )
 from dcalc.mseq import MDerivation, check_m, parse_msequent, structural_step
-from dcalc.syntax import Atom, HyperConfig, Leaf0, Signature, figure, parse_type
+from dcalc.syntax import (
+    Atom,
+    DDown,
+    DProd,
+    HyperConfig,
+    Leaf0,
+    Separator,
+    Signature,
+    figure,
+    iter_items,
+    parse_type,
+)
 from dcalc.terms import RuleApp
 
 from helpers import (
+    REFERENCE_PREMISES,
+    _down_l,
     generate_derivations,
     hderivation_depth,
     random_config,
@@ -178,6 +194,11 @@ def _chunked(apply, region, specs):
         return None
 
 
+def _level_mutants(level):
+    # odd-length, negative and out-of-range levels
+    return (tuple(level) + (0,), tuple(level) + (-1, 0), tuple(level) + (5, 0))
+
+
 def test_apply_chunks_agrees_with_the_reference_definition():
     rng = random.Random(23)
     atoms = (("p", 0), ("r", 1), ("s", 2))
@@ -191,8 +212,7 @@ def test_apply_chunks_agrees_with_the_reference_definition():
             specs = []
             for _ in range(rng.randint(1, 3)):
                 level = rng.choice(levels)
-                # negative, out-of-range and odd-length levels
-                level = rng.choice((level, level + (0,), level + (-1, 0), level + (5, 0)))
+                level = rng.choice((level,) + _level_mutants(level))
                 start = rng.randint(-1, 4)
                 specs.append((level, start, start + rng.randint(-1, 3)))
             # the random specs overlap, nest or sit at zero width; sorted,
@@ -203,6 +223,112 @@ def test_apply_chunks_agrees_with_the_reference_definition():
             assert _chunked(apply_chunks, region, specs) == want, (str(region), specs)
             outcomes.add(want is None)
     assert outcomes == {False, True}
+
+
+def _premises(s, rule, params):
+    try:
+        return instance_premises(s, rule, params)
+    except InstanceError:
+        return None
+
+
+def _down_l_mutants(params):
+    q, r, chunks = params["mstart"], params["mend"], params["chunks"]
+    m = params["at"][-1] - q  # the principal's place in the region
+    yield params
+    for dq, dr in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        yield dict(params, mstart=q + dq, mend=r + dr)
+    for j, (level, start, end) in enumerate(chunks):
+        # moved next to, over and into the principal, or to a bad level
+        moves = [((), m, m), ((), m + 1, m + 1), ((), m, m + 1), ((), max(m - 1, 0), m + 1),
+                 ((m, 0), 0, 0)]
+        moves += [(lvl, start, end) for lvl in _level_mutants(level)]
+        for spec in moves:
+            yield dict(params, chunks=chunks[:j] + (spec,) + chunks[j + 1 :])
+
+
+def _dprod_r_mutants(params):
+    level, start, end = params["excise"]
+    yield params
+    # the same width one item to each side: often the slice at another gap
+    for d in (-1, 1):
+        yield {"excise": (level, start + d, end + d)}
+    for lvl in _level_mutants(level):
+        yield {"excise": (lvl, start, end)}
+
+
+def _subgoals(monkeypatch):
+    """The nodes of the generated derivations and every subgoal that the
+    search visits from their end-sequents and from shuffled copies."""
+    found = {}
+
+    def enumerate_and_record(s, only_rule=None):
+        found.setdefault(_seq_key(s), s)
+        return enumerate_rule_instances(s, only_rule)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hseq, "enumerate_rule_instances", enumerate_and_record)
+        for s in search_corpus():
+            prove_all(s, limit=16)
+    for d in generate_derivations(random.Random(17), GENERATED_ATOMS, 60):
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premises)
+            found.setdefault(_seq_key(node.conclusion), node.conclusion)
+    return list(found.values())
+
+
+# sort-3 arguments, which the generated derivations do not reach: DownL at
+# k = 1, 2 and 3 with chunks on both sides of the principal, DProdR at gap 2
+WIDE_SIG = Signature.from_text("a 0\nb 2\nc 3\ne 1\n")
+WIDE = (
+    "a, (c !2 b), a => a",
+    "0:e,a,1:e, (c !1 b), a, a => a",
+    "a, 0:e,[],1:e, (c !3 b) => e",
+    "a, (c !2 b), 0:e,a,1:e => a",
+    "0:b,a,1:b,[],2:b, (c !2 b), a => e",
+    "[], (c !2 b), [] => b",
+    "0:c,[],1:c,a,2:c,[],3:c => (c @2 a)",
+    "0:b,[],1:b,0:e,[],1:e,2:b => (b @2 e)",
+)
+
+
+def test_region_rules_and_axioms_agree_with_the_parent_definitions(monkeypatch):
+    cases = []
+    for s in _subgoals(monkeypatch) + [parse_hsequent(text, WIDE_SIG) for text in WIDE]:
+        cases += [(s, rule, {}) for rule in ("Id", "IR", "JR")]
+        if isinstance(s.succedent, DProd):
+            for params in hseq._excisions(s.antecedent, s.succedent):
+                cases += [(s, "DProdR", m) for m in _dprod_r_mutants(params)]
+        for addr, item in iter_items(s.antecedent):
+            if not isinstance(item, Separator) and isinstance(item.type, DDown):
+                for params in hseq._infix_regions(s.antecedent, addr, item):
+                    cases += [(s, "DownL", m) for m in _down_l_mutants(params)]
+    cases += [(seq(text), rule, {}) for text in ("Lambda => I", "[] => J", "0:e,[],1:e => e")
+              for rule in ("Id", "IR", "JR")]
+    now = [_premises(*case) for case in cases]
+    for rule, premises in REFERENCE_PREMISES.items():
+        monkeypatch.setitem(hseq.RULES, rule, hseq.RULES[rule][:3] + (premises,))
+    parent = [_premises(*case) for case in cases]
+    assert now == parent
+    outcomes = Counter((rule, p is None) for (_, rule, _), p in zip(cases, now))
+    for rule in REFERENCE_PREMISES:
+        assert outcomes[rule, False] and outcomes[rule, True], rule
+
+
+def test_down_l_chunks_come_in_one_flat_order():
+    # the parent split the specs at the principal and ordered each side on
+    # its own, so it also took a right chunk listed before a left one
+    sig = Signature.from_text("a 0\nb 2\nc 3\n")
+    s = parse_hsequent("a, (c !2 b), a => a", sig)
+    params = {"at": (1,), "mstart": 0, "mend": 3, "chunks": (((), 0, 1), ((), 2, 3))}
+    swapped = dict(params, chunks=params["chunks"][::-1])
+    premises = instance_premises(s, "DownL", params)
+    assert [str(p) for p in premises] == ["[],[],[] => c", "0:b,a,1:b,a,2:b => a"]
+    assert _down_l(s.antecedent, s.succedent, (1,), s.antecedent.items[1], swapped) == premises
+    with pytest.raises(InstanceError, match="chunks not in flat order"):
+        instance_premises(s, "DownL", swapped)
 
 
 def test_check_rejects_ill_typed_params():
