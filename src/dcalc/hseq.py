@@ -115,6 +115,12 @@ def derivation_from_obj(obj: dict, sig: Signature) -> HDerivation:
 # rules out overlapping chunks and chunks inside another chunk.  DownL's
 # specs address one region, the items [mstart, mend) around the principal,
 # whose place is the argument's k-th separator: k - 1 chunks come before it.
+#
+# Each guard has one home.  syntax's sub_slice and replace_range bound every
+# region, level and range (IndexError); apply_chunks checks the flat order;
+# the premises' data types check the sorts: the argument premise's HSequent
+# that the abstraction has the argument's sort, and the rebuilt occurrence's
+# gap count that there is one chunk per gap of the argument.
 
 
 def apply_chunks(region: HyperConfig, specs):
@@ -123,10 +129,6 @@ def apply_chunks(region: HyperConfig, specs):
     Returns (abstracted region, tuple of chunk contents in flat order).
     """
     specs = [(tuple(level), start, end) for level, start, end in specs]
-    for spec in specs:
-        level, start, end = spec
-        if len(level) % 2 or any(i < 0 for i in level) or not 0 <= start <= end:
-            raise InstanceError("bad chunk spec %r" % (spec,))
     for (level, _, end), (after, start, _) in zip(specs, specs[1:]):
         if level + (end,) > after + (start,):
             raise InstanceError("chunks not in flat order")
@@ -284,11 +286,9 @@ def _up_r(ant, succ, params):
 
 def _prod_r(ant, succ, params):
     split = params["split"]
-    if not 0 <= split <= len(ant.items):
-        raise InstanceError("bad split %r" % (split,))
     return (
-        HSequent(HyperConfig(ant.items[:split]), succ.left),
-        HSequent(HyperConfig(ant.items[split:]), succ.right),
+        HSequent(sub_slice(ant, (), 0, split), succ.left),
+        HSequent(sub_slice(ant, (), split, len(ant.items)), succ.right),
     )
 
 
@@ -350,8 +350,6 @@ def _il(ant, succ, addr, item, params):
 
 
 def _jl(ant, succ, addr, item, params):
-    if not isinstance(item, Occurrence):
-        raise InstanceError("JL needs a J occurrence")
     return (HSequent(splice_item(ant, addr, item.gaps[0].items), succ),)
 
 
@@ -373,22 +371,11 @@ def _dprod_l(ant, succ, addr, item, params):
     return (HSequent(splice_item(ant, addr, figure_items(t.left, new_gaps)), succ),)
 
 
-def _abstract(region: HyperConfig, chunks, argument: Type):
-    """Abstract the region into the argument's gaps; (abstracted, contents)."""
-    abstracted, contents = apply_chunks(region, chunks)
-    a = sort_of_type(argument)
-    if len(contents) != a or sort_of_config(abstracted) != a:
-        raise InstanceError("abstraction does not fit the argument sort")
-    return abstracted, contents
-
-
 def _under_l(ant, succ, addr, item, params):
     t = item.type
     level, p = addr[:-1], addr[-1]
     q = params["mstart"]
-    if not 0 <= q <= p:
-        raise InstanceError("bad region start %r" % (q,))
-    abstracted, contents = _abstract(sub_slice(ant, level, q, p), params["chunks"], t.left)
+    abstracted, contents = apply_chunks(sub_slice(ant, level, q, p), params["chunks"])
     new = figure_items(t.right, contents + _item_gaps(item))
     return (
         HSequent(abstracted, t.left),
@@ -400,9 +387,7 @@ def _over_l(ant, succ, addr, item, params):
     t = item.type
     level, p = addr[:-1], addr[-1]
     r = params["mend"]
-    if not p + 1 <= r <= len(config_at(ant, level).items):
-        raise InstanceError("bad region end %r" % (r,))
-    abstracted, contents = _abstract(sub_slice(ant, level, p + 1, r), params["chunks"], t.right)
+    abstracted, contents = apply_chunks(sub_slice(ant, level, p + 1, r), params["chunks"])
     new = figure_items(t.left, _item_gaps(item) + contents)
     return (
         HSequent(abstracted, t.right),
@@ -412,7 +397,7 @@ def _over_l(ant, succ, addr, item, params):
 
 def _up_l(ant, succ, addr, item, params):
     t = item.type
-    abstracted, contents = _abstract(item.gaps[t.k - 1], params["chunks"], t.right)
+    abstracted, contents = apply_chunks(item.gaps[t.k - 1], params["chunks"])
     new_gaps = item.gaps[: t.k - 1] + contents + item.gaps[t.k :]
     return (
         HSequent(abstracted, t.right),
@@ -424,15 +409,15 @@ def _down_l(ant, succ, addr, item, params):
     t = item.type
     level, p = addr[:-1], addr[-1]
     q, r = params["mstart"], params["mend"]
-    items = config_at(ant, level).items
-    if not 0 <= q <= p < r <= len(items):
-        raise InstanceError("bad region %r:%r" % (q, r))
-    # the principal's place is the argument's k-th separator, a chunk of its own
-    place, k = ((), p - q, p - q + 1), t.k
+    # the principal's place is a chunk of its own, listed after the first
+    # k - 1 chunks (or all, if fewer), and its content gives way to the
+    # principal's gaps; the sort and gap count checks make it the k-th
+    place = ((), p - q, p - q + 1)
+    region = replace_range(sub_slice(ant, level, q, r), *place, (SEP,))
     chunks = tuple(params["chunks"])
-    region = HyperConfig(items[q:p] + (SEP,) + items[p + 1 : r])
-    abstracted, contents = _abstract(region, chunks[: k - 1] + (place,) + chunks[k - 1 :], t.left)
-    new = figure_items(t.right, contents[: k - 1] + _item_gaps(item) + contents[k:])
+    n = min(len(chunks), t.k - 1)
+    abstracted, contents = apply_chunks(region, chunks[:n] + (place,) + chunks[n:])
+    new = figure_items(t.right, contents[:n] + _item_gaps(item) + contents[n + 1 :])
     return (
         HSequent(abstracted, t.left),
         HSequent(replace_range(ant, level, q, r, new), succ),

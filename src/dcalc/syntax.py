@@ -396,7 +396,7 @@ def _reassemble(tokens, pos, stop):
                 gaps.append(HyperConfig(tuple(sub)))
                 pos += 1
             items.append(Occurrence(tok.type, tuple(gaps)))
-        elif isinstance(tok, (Leaf0, Separator, Occurrence)):
+        elif isinstance(tok, (Leaf0, Separator)):
             items.append(tok)
             pos += 1
         else:
@@ -434,13 +434,7 @@ def wrap_items(items: tuple, k: int, filler_items: tuple) -> tuple:
             if type(item) is Separator:
                 seen += 1
                 if seen == k:
-                    out = items[:i] + filler_items + items[i + 1 :]
-                    while above:
-                        items, i, g = above.pop()
-                        occ = items[i]
-                        gaps = occ.gaps[:g] + (HyperConfig(out),) + occ.gaps[g + 1 :]
-                        out = items[:i] + (Occurrence(occ.type, gaps),) + items[i + 1 :]
-                    return out
+                    return _rebuild(above, items[:i] + filler_items + items[i + 1 :])
             elif type(item) is Occurrence:
                 above.append((items, i, 0))
                 items, i = item.gaps[0].items, 0
@@ -485,7 +479,8 @@ def generalized_wrap(cfg: HyperConfig, fillers) -> HyperConfig:
 #
 # An item address alternates item indices and gap indices, ending on an item
 # index: (i0, g0, i1, g1, ..., iN).  The even-length prefix is the "level"
-# address of the configuration that directly contains the item.
+# address of the configuration that directly contains the item.  _resolve is
+# the one place that walks and bounds addresses and ranges.
 
 
 def iter_items(cfg: HyperConfig, prefix: tuple = ()) -> Iterator:
@@ -497,34 +492,52 @@ def iter_items(cfg: HyperConfig, prefix: tuple = ()) -> Iterator:
                 yield from iter_items(gap, prefix + (i, g))
 
 
+def _resolve(cfg: HyperConfig, level: tuple, start: int = 0, end: int = 0):
+    """(subconfiguration at an even-length level address, spine above it).
+
+    The spine lists (items, index, gap) for each occurrence the address
+    steps into, outermost first.  Raises IndexError on an odd-length
+    address, a negative or out-of-range index, a step through a
+    non-occurrence, or when items[start:end] is not a range of the result.
+    """
+    spine = []
+    if level:  # the top level, the common case, skips the walk
+        for n in range(0, len(level), 2):
+            i, g = level[n], level[n + 1]  # IndexError at an odd length
+            item = cfg.items[i] if 0 <= i < len(cfg.items) else None
+            if type(item) is not Occurrence or not 0 <= g < len(item.gaps):
+                raise IndexError("bad level address %r" % (level,))
+            spine.append((cfg.items, i, g))
+            cfg = item.gaps[g]
+    if not 0 <= start <= end <= len(cfg.items):
+        raise IndexError("bad range %r:%r" % (start, end))
+    return cfg, spine
+
+
+def _rebuild(spine, out: tuple) -> tuple:
+    """Top-level items once the configuration at the spine's end holds `out`;
+    only the occurrences on the spine are rebuilt."""
+    for items, i, g in reversed(spine):
+        occ = items[i]
+        gaps = occ.gaps[:g] + (HyperConfig(out),) + occ.gaps[g + 1 :]
+        out = items[:i] + (Occurrence(occ.type, gaps),) + items[i + 1 :]
+    return out
+
+
 def config_at(cfg: HyperConfig, level: tuple) -> HyperConfig:
     """The subconfiguration at an even-length level address."""
-    if not level:
-        return cfg
-    item = cfg.items[level[0]]
-    if not isinstance(item, Occurrence):
-        raise IndexError("level address descends through a non-occurrence")
-    return config_at(item.gaps[level[1]], level[2:])
+    return _resolve(cfg, level)[0]
 
 
 def item_at(cfg: HyperConfig, addr: tuple) -> Item:
-    return config_at(cfg, addr[:-1]).items[addr[-1]]
+    """The item at an odd-length item address."""
+    return _resolve(cfg, addr[:-1], addr[-1], addr[-1] + 1)[0].items[addr[-1]]
 
 
 def replace_range(cfg: HyperConfig, level: tuple, start: int, end: int, new_items) -> HyperConfig:
     """Replace items[start:end] of the configuration at `level` by new_items."""
-    if not level:
-        items = cfg.items
-        if not 0 <= start <= end <= len(items):
-            raise IndexError("bad range %d:%d" % (start, end))
-        return HyperConfig(items[:start] + tuple(new_items) + items[end:])
-    i, g = level[0], level[1]
-    item = cfg.items[i]
-    if not isinstance(item, Occurrence):
-        raise IndexError("level address descends through a non-occurrence")
-    new_gap = replace_range(item.gaps[g], level[2:], start, end, new_items)
-    gaps = item.gaps[:g] + (new_gap,) + item.gaps[g + 1 :]
-    return HyperConfig(cfg.items[:i] + (Occurrence(item.type, gaps),) + cfg.items[i + 1 :])
+    sub, spine = _resolve(cfg, level, start, end)
+    return HyperConfig(_rebuild(spine, sub.items[:start] + tuple(new_items) + sub.items[end:]))
 
 
 def splice_item(cfg: HyperConfig, addr: tuple, new_items) -> HyperConfig:
@@ -533,10 +546,8 @@ def splice_item(cfg: HyperConfig, addr: tuple, new_items) -> HyperConfig:
 
 
 def sub_slice(cfg: HyperConfig, level: tuple, start: int, end: int) -> HyperConfig:
-    items = config_at(cfg, level).items
-    if not 0 <= start <= end <= len(items):
-        raise IndexError("bad range %d:%d" % (start, end))
-    return HyperConfig(items[start:end])
+    """The items [start:end) of the configuration at `level`."""
+    return HyperConfig(_resolve(cfg, level, start, end)[0].items[start:end])
 
 
 def sep_index_at(cfg: HyperConfig, addr: tuple) -> int:
@@ -694,32 +705,15 @@ def _parse_config_entry(sc: _Scanner, sig: Signature):
         sc.expect("PUNCT", ":")
         t = _parse_type_expr(sc, sig)
         return SegTok(t, int(value))
-    if kind == "PUNCT" and value == "{":
-        sc.next()
-        t = _parse_type_expr(sc, sig)
-        a = sort_of_type(t)
-        if a < 1:
-            sc.error("braced occurrence needs a type of sort >= 1")
-        sc.expect("PUNCT", ":")
-        gaps = [_parse_config_body(sc, sig, stops=(";", "}"))]
-        while sc.peek()[:2] == ("PUNCT", ";"):
-            sc.next()
-            gaps.append(_parse_config_body(sc, sig, stops=(";", "}")))
-        sc.expect("PUNCT", "}")
-        if len(gaps) != a:
-            raise ParseError("occurrence of %s needs %d gaps, got %d" % (t, a, len(gaps)))
-        return Occurrence(t, tuple(gaps))
     t = _parse_type_expr(sc, sig)
     if sort_of_type(t) != 0:
-        raise ParseError(
-            "bare item %s has sort %d; use segments or { } form" % (t, sort_of_type(t))
-        )
+        raise ParseError("bare item %s has sort %d; use segments" % (t, sort_of_type(t)))
     return Leaf0(t)
 
 
-def _parse_config_body(sc: _Scanner, sig: Signature, stops=()) -> HyperConfig:
+def _parse_config_body(sc: _Scanner, sig: Signature) -> HyperConfig:
     kind, value, _ = sc.peek()
-    if kind == "EOF" or (kind == "PUNCT" and value in stops):
+    if kind == "EOF":
         return EMPTY
     if kind == "NAME" and value == "Lambda":
         sc.next()

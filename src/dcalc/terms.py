@@ -581,11 +581,10 @@ def term_of_config_with_addr(cfg: HyperConfig, addr: tuple):
     (0,)*(a-1-g) + (1,), the filler of its wrap; the addressed item's own
     leaf adds (0,)*a.  A bad address raises IndexError.
     """
-    if len(addr) % 2 == 0 or min(addr) < 0:
-        raise IndexError("item address %r not found" % (addr,))
+    item_at(cfg, addr)  # IndexError for a bad address
     path = ()
     for k in range(0, len(addr), 2):
-        item = item_at(cfg, addr[: k + 1])  # IndexError for any other bad address
+        item = item_at(cfg, addr[: k + 1])
         a = len(item.gaps) if type(item) is Occurrence else 0
         path += (1,) * addr[k] + (0,)
         if k + 1 < len(addr):

@@ -32,6 +32,7 @@ from dcalc.syntax import (
     Prod,
     Separator,
     SortError,
+    Type,
     Under,
     UnitI,
     UnitJ,
@@ -477,11 +478,18 @@ def reference_rule_apps(t):
 # ---------------------------------------------------------------------------
 # reference axioms and region rules
 #
-# The parent premise functions that hseq's shared _axiom and its one-region
-# DownL and apply_chunks DProdR replaced, copied verbatim: DownL split its
-# chunk specs at the principal and abstracted each side on its own, DProdR
-# cut its slice out with sub_slice and replace_range.  REFERENCE_PREMISES
-# maps each rule to its copy, to stand in the rule's hseq.RULES row.
+# Parent premise functions, copied verbatim, each with its own guards:
+# - the axioms before hseq's shared _axiom;
+# - DownL before its one region: it split its chunk specs at the principal
+#   and abstracted each side on its own; DProdR before apply_chunks: it cut
+#   its slice out with sub_slice and replace_range;
+# - ProdR, UnderL, OverL and UpL before syntax bounded every address and
+#   range and the premises' data types checked the sorts: they checked
+#   their own split and region bounds, and _abstract checked the chunk count
+#   and the abstraction's sort.
+# They call today's apply_chunks, which test_hd pins on its own.
+# REFERENCE_PREMISES maps each rule to its copy, to stand in the rule's
+# hseq.RULES row.
 
 
 def _split_specs(specs, sep_pos: int):
@@ -559,7 +567,74 @@ def _down_l(ant, succ, addr, item, params):
     )
 
 
-REFERENCE_PREMISES = {"Id": _id, "IR": _ir, "JR": _jr, "DProdR": _dprod_r, "DownL": _down_l}
+def _prod_r(ant, succ, params):
+    split = params["split"]
+    if not 0 <= split <= len(ant.items):
+        raise InstanceError("bad split %r" % (split,))
+    return (
+        HSequent(HyperConfig(ant.items[:split]), succ.left),
+        HSequent(HyperConfig(ant.items[split:]), succ.right),
+    )
+
+
+def _abstract(region: HyperConfig, chunks, argument: Type):
+    """Abstract the region into the argument's gaps; (abstracted, contents)."""
+    abstracted, contents = apply_chunks(region, chunks)
+    a = sort_of_type(argument)
+    if len(contents) != a or sort_of_config(abstracted) != a:
+        raise InstanceError("abstraction does not fit the argument sort")
+    return abstracted, contents
+
+
+def _under_l(ant, succ, addr, item, params):
+    t = item.type
+    level, p = addr[:-1], addr[-1]
+    q = params["mstart"]
+    if not 0 <= q <= p:
+        raise InstanceError("bad region start %r" % (q,))
+    abstracted, contents = _abstract(sub_slice(ant, level, q, p), params["chunks"], t.left)
+    new = figure_items(t.right, contents + _item_gaps(item))
+    return (
+        HSequent(abstracted, t.left),
+        HSequent(replace_range(ant, level, q, p + 1, new), succ),
+    )
+
+
+def _over_l(ant, succ, addr, item, params):
+    t = item.type
+    level, p = addr[:-1], addr[-1]
+    r = params["mend"]
+    if not p + 1 <= r <= len(config_at(ant, level).items):
+        raise InstanceError("bad region end %r" % (r,))
+    abstracted, contents = _abstract(sub_slice(ant, level, p + 1, r), params["chunks"], t.right)
+    new = figure_items(t.left, _item_gaps(item) + contents)
+    return (
+        HSequent(abstracted, t.right),
+        HSequent(replace_range(ant, level, p, r, new), succ),
+    )
+
+
+def _up_l(ant, succ, addr, item, params):
+    t = item.type
+    abstracted, contents = _abstract(item.gaps[t.k - 1], params["chunks"], t.right)
+    new_gaps = item.gaps[: t.k - 1] + contents + item.gaps[t.k :]
+    return (
+        HSequent(abstracted, t.right),
+        HSequent(splice_item(ant, addr, figure_items(t.left, new_gaps)), succ),
+    )
+
+
+REFERENCE_PREMISES = {
+    "Id": _id,
+    "IR": _ir,
+    "JR": _jr,
+    "ProdR": _prod_r,
+    "DProdR": _dprod_r,
+    "UnderL": _under_l,
+    "OverL": _over_l,
+    "UpL": _up_l,
+    "DownL": _down_l,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,12 @@ def test_parse_errors_exit_2(capsys, sig_file):
     assert code == 2 and err
 
 
+def test_braced_occurrence_exits_2(capsys, sig_file):
+    # occurrences are written in segments, 0:e,a,1:e
+    code, out, err = run(capsys, "termof", "{e: a}", "--sig", sig_file)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # proving
 
@@ -141,6 +147,21 @@ def test_check_valid_and_corrupted(capsys, sig_file, tmp_path):
     bad.write_text(json.dumps(obj_bad))
     code, out, err = run(capsys, "check", "hd", str(bad), "--sig", sig_file)
     assert code == 1 and out == "" and err == "violation at [Id] s => n\n"
+
+
+def test_check_rejects_a_negative_address(capsys, sig_file, tmp_path):
+    # an IL node at (-1, 0, 0) whose premise repeats the occurrence: the
+    # premise has a proof, the conclusion has none
+    code, out, _ = run(capsys, "prove", "hd", "0:e,1:e,0:e,I,1:e => (e@1I).(e@1I)",
+                       "--sig", sig_file, "--out", "json")
+    assert code == 0
+    node = {"rule": "IL", "sequent": "0:e,I,1:e => (e@1I).(e@1I)", "params": {"at": [-1, 0, 0]},
+            "premises": [json.loads(out)]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(node))
+    code, out, err = run(capsys, "check", "hd", str(path), "--sig", sig_file)
+    assert code == 1 and out == ""
+    assert err == "violation at [IL] 0:e,I,1:e => (e@1I).(e@1I)\n"
 
 
 def test_check_malformed_files_exit_2(capsys, sig_file, tmp_path):

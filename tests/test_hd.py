@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from dcalc import hseq
+from dcalc.derivation import first_violation
 from dcalc.hseq import (
     RULES,
     HDerivation,
@@ -18,6 +19,7 @@ from dcalc.hseq import (
     _seq_key,
     apply_chunks,
     check,
+    check_node,
     derivation_from_obj,
     derivation_latex,
     derivation_text,
@@ -32,12 +34,11 @@ from dcalc.hseq import (
 from dcalc.mseq import MDerivation, check_m, parse_msequent, structural_step
 from dcalc.syntax import (
     Atom,
-    DDown,
-    DProd,
     HyperConfig,
     Leaf0,
     Separator,
     Signature,
+    config_at,
     figure,
     iter_items,
     parse_type,
@@ -232,19 +233,50 @@ def _premises(s, rule, params):
         return None
 
 
-def _down_l_mutants(params):
-    q, r, chunks = params["mstart"], params["mend"], params["chunks"]
-    m = params["at"][-1] - q  # the principal's place in the region
-    yield params
-    for dq, dr in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        yield dict(params, mstart=q + dq, mend=r + dr)
+def _chunk_mutants(chunks):
+    chunks = tuple(chunks)
+    # too few and too many chunks
+    yield chunks[:-1]
+    yield chunks[1:]
+    level, _, end = chunks[-1] if chunks else ((), 0, 0)
+    yield chunks + ((level, end, end),)
     for j, (level, start, end) in enumerate(chunks):
-        # moved next to, over and into the principal, or to a bad level
-        moves = [((), m, m), ((), m + 1, m + 1), ((), m, m + 1), ((), max(m - 1, 0), m + 1),
-                 ((m, 0), 0, 0)]
+        # shrunk by an item at either end, which leaves that item, often a
+        # separator, outside every chunk; or moved to a bad level
+        moves = [(level, start + 1, end), (level, start, end - 1)] if start < end else []
         moves += [(lvl, start, end) for lvl in _level_mutants(level)]
         for spec in moves:
+            yield chunks[:j] + (spec,) + chunks[j + 1 :]
+
+
+def _region_mutants(s, params):
+    """The candidate; its region bounds at -1, one off and past the end; its
+    chunk list with each chunk mutant."""
+    yield params
+    n = len(config_at(s.antecedent, params["at"][:-1]).items)
+    for key in ("mstart", "mend"):
+        if key in params:
+            for bound in (-1, params[key] - 1, params[key] + 1, n + 1):
+                yield dict(params, **{key: bound})
+    for chunks in _chunk_mutants(params["chunks"]):
+        yield dict(params, chunks=chunks)
+
+
+def _down_l_mutants(s, params):
+    yield from _region_mutants(s, params)
+    chunks = params["chunks"]
+    m = params["at"][-1] - params["mstart"]  # the principal's place in the region
+    for j in range(len(chunks)):
+        # moved next to, over and into the principal
+        for spec in (((), m, m), ((), m + 1, m + 1), ((), m, m + 1), ((), max(m - 1, 0), m + 1),
+                     ((m, 0), 0, 0)):
             yield dict(params, chunks=chunks[:j] + (spec,) + chunks[j + 1 :])
+
+
+def _prod_r_mutants(s, params):
+    yield params
+    for split in (-1, params["split"] - 1, params["split"] + 1, len(s.antecedent.items) + 1):
+        yield {"split": split}
 
 
 def _dprod_r_mutants(params):
@@ -294,17 +326,37 @@ WIDE = (
 )
 
 
+def _candidates(s, rule):
+    side, connective, candidates, _ = RULES[rule]
+    if side == "R":
+        return candidates(s.antecedent, s.succedent) if isinstance(s.succedent, connective) else ()
+    return [
+        params
+        for addr, item in iter_items(s.antecedent)
+        if not isinstance(item, Separator) and isinstance(item.type, connective)
+        for params in candidates(s.antecedent, addr, item)
+    ]
+
+
+# each rule that REFERENCE_PREMISES replaces, but the axioms: (mutants of
+# a candidate's parameters, given the sequent and the candidate)
+MUTANTS = {
+    "ProdR": _prod_r_mutants,
+    "DProdR": lambda s, params: _dprod_r_mutants(params),
+    "UnderL": _region_mutants,
+    "OverL": _region_mutants,
+    "UpL": _region_mutants,
+    "DownL": _down_l_mutants,
+}
+
+
 def test_region_rules_and_axioms_agree_with_the_parent_definitions(monkeypatch):
     cases = []
     for s in _subgoals(monkeypatch) + [parse_hsequent(text, WIDE_SIG) for text in WIDE]:
         cases += [(s, rule, {}) for rule in ("Id", "IR", "JR")]
-        if isinstance(s.succedent, DProd):
-            for params in hseq._excisions(s.antecedent, s.succedent):
-                cases += [(s, "DProdR", m) for m in _dprod_r_mutants(params)]
-        for addr, item in iter_items(s.antecedent):
-            if not isinstance(item, Separator) and isinstance(item.type, DDown):
-                for params in hseq._infix_regions(s.antecedent, addr, item):
-                    cases += [(s, "DownL", m) for m in _down_l_mutants(params)]
+        for rule, mutants in MUTANTS.items():
+            for params in _candidates(s, rule):
+                cases += [(s, rule, m) for m in mutants(s, params)]
     cases += [(seq(text), rule, {}) for text in ("Lambda => I", "[] => J", "0:e,[],1:e => e")
               for rule in ("Id", "IR", "JR")]
     now = [_premises(*case) for case in cases]
@@ -329,6 +381,36 @@ def test_down_l_chunks_come_in_one_flat_order():
     assert _down_l(s.antecedent, s.succedent, (1,), s.antecedent.items[1], swapped) == premises
     with pytest.raises(InstanceError, match="chunks not in flat order"):
         instance_premises(s, "DownL", swapped)
+
+
+NEGATIVE_SIG = Signature.from_text("a 0\nb 0\ne 1\n")
+
+
+def test_negative_addresses_are_rejected():
+    s = parse_hsequent("0:e,I,1:e => (e @1 a)", NEGATIVE_SIG)
+    premise = instance_premises(s, "IL", {"at": (0, 0, 0)})
+    assert [str(p) for p in premise] == ["0:e,1:e => e@1a"]
+    # the parent read -1 from the end and built 0:e,1:e,0:e,I,1:e => e@1a
+    with pytest.raises(InstanceError):
+        instance_premises(s, "IL", {"at": (-1, 0, 0)})
+
+
+def test_check_rejects_an_il_node_at_a_negative_address():
+    conclusion = parse_hsequent("0:e,I,1:e => (e@1I).(e@1I)", NEGATIVE_SIG)
+    wrong = prove(parse_hsequent("0:e,1:e,0:e,I,1:e => (e@1I).(e@1I)", NEGATIVE_SIG))
+    assert prove(conclusion) is None and wrong is not None and check(wrong)
+    node = HDerivation("IL", conclusion, (wrong,), (("at", (-1, 0, 0)),))
+    assert first_violation(node, check_node) is node
+
+
+def test_check_rejects_a_cut_at_a_negative_address():
+    left = prove(parse_hsequent("b => b", NEGATIVE_SIG))
+    right = prove(parse_hsequent("0:e,b,1:e => (e @1 b)", NEGATIVE_SIG))
+    good = HDerivation("Cut", right.conclusion, (left, right), (("at", (0, 0, 0)),))
+    assert check(good)
+    duplicated = parse_hsequent("0:e,b,1:e,0:e,b,1:e => (e @1 b)", NEGATIVE_SIG)
+    bad = HDerivation("Cut", duplicated, (left, right), (("at", (-1, 0, 0)),))
+    assert first_violation(bad, check_node) is bad
 
 
 def test_check_rejects_ill_typed_params():

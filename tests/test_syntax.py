@@ -26,22 +26,26 @@ from dcalc.syntax import (
     Under,
     UnitI,
     UnitJ,
+    config_at,
     config_str,
     figure,
     flatten,
     generalized_wrap,
+    item_at,
     iter_items,
     parse_config,
     parse_flat,
     parse_type,
+    replace_range,
     sep_index_at,
     sort_of_config,
     sort_of_type,
     splice_item,
+    sub_slice,
     _tokenize,
     wrap_at,
 )
-from dcalc.terms import Leaf
+from dcalc.terms import Leaf, term_of_config_with_addr
 
 from helpers import (
     generate_derivations,
@@ -270,6 +274,13 @@ def test_config_parse_examples():
     )
 
 
+def test_braced_occurrences_are_not_configuration_syntax():
+    # occurrences are written in segments, 0:e,a,1:e
+    for text in ("{e: a}", "{b: a; []}", "c, {e: Lambda}"):
+        with pytest.raises(ParseError):
+            parse_config(text, SIG)
+
+
 def test_config_str_is_flat_canonical():
     nested = parse_config("0:e,a,1:e", SIG)
     assert config_str(nested) == "0:e,a,1:e"
@@ -333,6 +344,70 @@ def test_splice_item_replaces_one_item():
     cfg = parse_config("a, c", SIG)
     out = splice_item(cfg, (1,), figure(Atom("e", 1)).items)
     assert config_str(out) == "a,0:e,[],1:e"
+
+
+# levels (), (1, 0) and (1, 0, 1, 0); items a, an e occurrence around c and
+# another e occurrence around a separator
+NESTED = "a,0:e,c,0:e,[],1:e,1:e"
+BAD_LEVELS = {
+    "odd": ((1,), (1, 0, 1)),
+    "negative": ((-1, 0), (1, -1), (1, 0, -1, 0)),
+    "out of range": ((2, 0), (1, 1), (1, 0, 2, 0)),
+    "through a non-occurrence": ((0, 0), (1, 0, 0, 0), (1, 0, 1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_LEVELS))
+def test_address_helpers_reject_bad_levels(kind):
+    cfg = parse_config(NESTED, SIG)
+    for level in BAD_LEVELS[kind]:
+        calls = (
+            lambda: config_at(cfg, level),
+            lambda: item_at(cfg, level + (0,)),
+            lambda: sub_slice(cfg, level, 0, 0),
+            lambda: replace_range(cfg, level, 0, 0, ()),
+            lambda: splice_item(cfg, level + (0,), ()),
+            lambda: term_of_config_with_addr(cfg, level + (0,)),
+        )
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+
+
+def test_address_helpers_bound_the_item_index_and_the_range():
+    cfg = parse_config(NESTED, SIG)
+    for level in ((), (1, 0), (1, 0, 1, 0)):
+        n = len(config_at(cfg, level).items)
+        for i in (-1, n):
+            for call in (item_at, term_of_config_with_addr, lambda c, a: splice_item(c, a, ())):
+                with pytest.raises(IndexError):
+                    call(cfg, level + (i,))
+        for start, end in ((-1, 0), (0, n + 1), (1, 0)):
+            with pytest.raises(IndexError):
+                sub_slice(cfg, level, start, end)
+            with pytest.raises(IndexError):
+                replace_range(cfg, level, start, end, ())
+    for addr in ((), (1, 0)):  # item addresses have odd length
+        for call in (item_at, term_of_config_with_addr):
+            with pytest.raises(IndexError):
+                call(cfg, addr)
+
+
+def test_address_helpers_walk_a_deep_level_without_recursion():
+    # HyperConfig's generated == recurses, so results are compared as text
+    depth = 2000
+    a, c = Leaf0(Atom("a", 0)), Leaf0(Atom("c", 0))
+    cfg = HyperConfig((a,))
+    for _ in range(depth):
+        cfg = HyperConfig((Occurrence(Atom("e", 1), (cfg,)),))
+    level = (0, 0) * depth
+    text = config_str(cfg)
+    assert text == "0:e," * depth + "a" + ",1:e" * depth
+    assert flatten(config_at(cfg, level)) == (a,)
+    assert item_at(cfg, level + (0,)) == a
+    assert flatten(sub_slice(cfg, level, 0, 1)) == (a,)
+    assert config_str(replace_range(cfg, level, 1, 1, (c,))) == text.replace("a", "a,c")
+    assert config_str(splice_item(cfg, level + (0,), (SEP,))) == text.replace("a", "[]")
 
 
 # ---------------------------------------------------------------------------
