@@ -1,13 +1,16 @@
-"""Derivation trees shared by both sequent calculi.
+"""Sequents and derivation trees shared by both sequent calculi.
 
-The two calculi have the same logical rules, one for one, so their
-derivations are the same trees: a rule name, a conclusion, premise
-derivations and the rule's parameters.  Only the conclusions differ
-(configuration sequents in ``hseq``, term sequents in ``mseq``), and only
-the term calculus adds Structural steps, whose rewrite ``indices`` are the
-one parameter written as a JSON object.  Serialising, rendering and the
-checking walk are defined here once; each calculus supplies its sequent
-parser and its single-node check.
+The calculi are one logic over two kinds of antecedent, configurations in
+``hseq`` and structural terms in ``mseq``.  ``Sequent`` states their sort
+law, their text form ``antecedent arrow type`` and its parser once; each
+calculus's subclass names its arrow and how to read and sort its
+antecedent.  The logical rules correspond one for one, so derivations are
+the same trees: a rule name, a conclusion, premise derivations and the
+rule's parameters.  Only the term calculus adds Structural steps, whose
+rewrite ``indices`` are the one parameter written as a JSON object.
+Serialising, rendering, the checking walk, the axioms' premise shape and
+how an instance that does not fit fails (``InstanceError``) are defined
+here once; each calculus supplies its rule table and single-node check.
 """
 
 from __future__ import annotations
@@ -16,13 +19,73 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .syntax import ParseError
+from .syntax import ParseError, SortError, Type, _parse_type_expr, _Scanner, sort_of_type
+
+
+class InstanceError(ValueError):
+    """A rule instance whose parameters do not fit the sequent."""
+
+
+@dataclass(frozen=True)
+class Sequent:
+    """An antecedent and a succedent type of the same sort.  A subclass sets
+    `arrow` and its scanner token `_arrow_token`, and `_sort` and
+    `_parse_antecedent` for its kind of antecedent."""
+
+    antecedent: object
+    succedent: Type
+
+    def __post_init__(self):
+        a = self._sort(self.antecedent)
+        b = sort_of_type(self.succedent)
+        if a != b:
+            raise SortError("antecedent sort %d does not match succedent sort %d" % (a, b))
+
+    def __str__(self):
+        return "%s %s %s" % (self.antecedent, self.arrow, self.succedent)
+
+    @classmethod
+    def parse(cls, text: str, sig):
+        """Read `antecedent arrow type`; a sort mismatch is a ParseError."""
+        sc = _Scanner(text)
+        ant = cls._parse_antecedent(sc, sig)
+        sc.expect(cls._arrow_token)
+        succ = _parse_type_expr(sc, sig)
+        if not sc.at_end():
+            sc.error("trailing input after sequent")
+        try:
+            return cls(ant, succ)
+        except SortError as exc:
+            raise ParseError(str(exc)) from exc
+
+
+def _axiom(want):
+    """Premise function of an axiom, which fits when the antecedent is
+    want(succ); hseq calls it with params, mseq without."""
+
+    def premises(ant, succ, params=None):
+        if ant != want(succ):
+            # constant text: Id fails at almost every subgoal of a search
+            raise InstanceError("the antecedent does not fit the axiom")
+        return ()
+
+    return premises
+
+
+def checked_premises(premises, seq: Sequent, rule: str, params) -> tuple:
+    """premises(seq, rule, params), where a Boolean or float parameter and
+    every failure of the instance to fit raise InstanceError."""
+    params = {k: _param_value(v, InstanceError) for k, v in dict(params).items()}
+    try:
+        return premises(seq, rule, params)
+    except (SortError, IndexError, KeyError, TypeError) as exc:
+        raise InstanceError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class Derivation:
     rule: str
-    conclusion: object  # HSequent or MSequent
+    conclusion: Sequent
     premises: tuple = ()
     params: tuple = ()
 
@@ -63,11 +126,18 @@ def _to_jsonable(v):
     return v
 
 
-def _from_jsonable(v):
-    if isinstance(v, list):
-        return tuple(_from_jsonable(x) for x in v)
-    if isinstance(v, (bool, float)):  # True == 1 == 1.0 would pass as an index
-        raise ParseError("rule parameter %s is not an integer or string" % json.dumps(v))
+_INT = frozenset((int,))
+
+
+def _param_value(v, error=ParseError):
+    """A rule parameter with its lists made tuples; a Boolean or float leaf
+    raises `error`, because True == 1 == 1.0 would pass as an index."""
+    if isinstance(v, (list, tuple)):
+        if _INT.issuperset(map(type, v)):  # plain ints, as in every address: all fine
+            return tuple(v)
+        return tuple(_param_value(x, error) for x in v)
+    if isinstance(v, (bool, float)):
+        raise error("rule parameter %s is not an integer or string" % json.dumps(v))
     return v
 
 
@@ -97,7 +167,7 @@ def params_from_obj(obj: dict) -> tuple:
             indices = _expect(v, dict, "indices").items()
             items.append((k, tuple(sorted((n, _index(x)) for n, x in indices))))
         else:
-            items.append((k, _from_jsonable(v)))
+            items.append((k, _param_value(v)))
     return tuple(sorted(items))
 
 

@@ -1,6 +1,7 @@
 """Hypersequent calculus over configurations, without structural rules.
 
-A sequent pairs a hyperconfiguration with a succedent type of equal sort.
+A sequent (``HSequent``, a ``derivation.Sequent`` written with ``=>``)
+pairs a hyperconfiguration with a succedent type of equal sort.
 Every connective has a left and a right rule; the left rules for the
 implications abstract a region of the antecedent into the gaps of the
 premise ("chunks"), which is where all the combinatorics of discontinuity
@@ -17,10 +18,10 @@ rule; it finds what an unpruned search finds.  There is one search,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .derivation import Derivation, first_violation, from_obj
+from .derivation import Derivation, InstanceError, Sequent, _axiom, _param_value
+from .derivation import checked_premises, first_violation, from_obj
 from .derivation import derivation_latex, derivation_text, derivation_to_obj  # noqa: F401 (re-exported)
 from .syntax import (
     EMPTY,
@@ -32,7 +33,6 @@ from .syntax import (
     Leaf0,
     Occurrence,
     Over,
-    ParseError,
     Prod,
     SEP,
     SegTok,
@@ -44,10 +44,7 @@ from .syntax import (
     UnitI,
     UnitJ,
     _parse_config_body,
-    _parse_type_expr,
-    _Scanner,
     config_at,
-    config_str,
     figure,
     figure_items,
     flatten,
@@ -66,38 +63,16 @@ from .syntax import (
 HDerivation = Derivation
 
 
-class InstanceError(ValueError):
-    """A rule instance whose parameters do not fit the sequent."""
+class HSequent(Sequent):
+    """A hyperconfiguration => a type."""
 
-
-@dataclass(frozen=True)
-class HSequent:
-    antecedent: HyperConfig
-    succedent: Type
-
-    def __post_init__(self):
-        a = sort_of_config(self.antecedent)
-        b = sort_of_type(self.succedent)
-        if a != b:
-            raise SortError(
-                "antecedent sort %d does not match succedent sort %d" % (a, b)
-            )
-
-    def __str__(self):
-        return "%s => %s" % (config_str(self.antecedent), self.succedent)
+    arrow, _arrow_token = "=>", "DARROW"
+    _sort = staticmethod(sort_of_config)
+    _parse_antecedent = staticmethod(_parse_config_body)
 
 
 def parse_hsequent(text: str, sig: Signature) -> HSequent:
-    sc = _Scanner(text)
-    cfg = _parse_config_body(sc, sig)
-    sc.expect("DARROW")
-    t = _parse_type_expr(sc, sig)
-    if not sc.at_end():
-        sc.error("trailing input after sequent")
-    try:
-        return HSequent(cfg, t)
-    except SortError as exc:
-        raise ParseError(str(exc)) from exc
+    return HSequent.parse(text, sig)
 
 
 def derivation_from_obj(obj: dict, sig: Signature) -> HDerivation:
@@ -246,19 +221,6 @@ def _excisions(ant, succ):
 
 
 # right rules: premises
-
-
-def _axiom(want):
-    """Premise function of an axiom, which fits when the antecedent is
-    want(succ); mseq's rule table shares it and calls it without params."""
-
-    def premises(ant, succ, params=None):
-        if ant != want(succ):
-            # constant text: Id fails at almost every subgoal of a search
-            raise InstanceError("the antecedent does not fit the axiom")
-        return ()
-
-    return premises
 
 
 def _under_r(ant, succ, params):
@@ -449,11 +411,9 @@ RULES = {
 
 def instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
     """Premise sequents of one rule instance; raises InstanceError if the
-    parameters do not fit the conclusion."""
-    try:
-        return _instance_premises(seq, rule, dict(params))
-    except (SortError, IndexError, KeyError) as exc:
-        raise InstanceError(str(exc)) from exc
+    parameters do not fit the conclusion or a Boolean or float is among
+    them."""
+    return checked_premises(_instance_premises, seq, rule, params)
 
 
 def _instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
@@ -490,9 +450,9 @@ def enumerate_rule_instances(seq: HSequent, only_rule=None):
                 for params in candidates(ant, addr, item)
             )
         for params in found:
-            try:
-                premises = instance_premises(seq, rule, params)
-            except InstanceError:
+            try:  # the candidates are well-typed: skip instance_premises' check
+                premises = _instance_premises(seq, rule, params)
+            except (InstanceError, SortError, IndexError, KeyError):
                 continue
             yield rule, tuple(sorted(params.items())), premises
 
@@ -512,7 +472,7 @@ def check_node(d: HDerivation) -> bool:
         if len(d.premises) != 2:
             return False
         p1, p2 = d.premises[0].conclusion, d.premises[1].conclusion
-        addr = tuple(d.params_dict()["at"])
+        addr = _param_value(d.params_dict()["at"], InstanceError)
         item = item_at(p2.antecedent, addr)
         if isinstance(item, Separator) or item.type != p1.succedent:
             return False

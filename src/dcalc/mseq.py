@@ -6,33 +6,25 @@ designated subterm, and a separate Structural rule applies one rewrite step
 to the whole antecedent.  The ``RULES`` table states each logical rule once,
 in the order of ``hseq.RULES``: a right rule's premises, or a left rule's
 redex, reduct and minor premise.  Checking and ``bridge.lift`` both read it.
-Derivations are the shared trees of ``derivation``; only the sequents, the
-rule table and the single-node check (``check_m_node``) belong to this
-calculus.  ``prove_m`` searches by
-translating the sharp image to the configuration calculus and lifting the
-proof found there.
+Sequents (``MSequent``, a ``derivation.Sequent`` written with ``->``) and
+derivations are the shared ones of ``derivation``; only the rule table and
+the single-node check (``check_m_node``) belong to this calculus.
+``prove_m`` searches by translating the sharp image to the configuration
+calculus and lifting the proof found there.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .syntax import (
     DDown,
     DProd,
     DUp,
     Over,
-    ParseError,
     Prod,
     Signature,
-    SortError,
-    Type,
     Under,
     UnitI,
     UnitJ,
-    _parse_type_expr,
-    _Scanner,
-    sort_of_type,
 )
 from .terms import (
     Cat,
@@ -47,41 +39,23 @@ from .terms import (
     sort_of_term,
     subterm_at,
 )
-from .derivation import Derivation, derivation_to_obj, first_violation, from_obj
-from .hseq import InstanceError, _axiom
+from .derivation import Derivation, InstanceError, Sequent, _axiom, _param_value
+from .derivation import checked_premises, derivation_to_obj, first_violation, from_obj
 
 MDerivation = Derivation
 m_derivation_to_obj = derivation_to_obj  # the md name of the shared writer
 
 
-@dataclass(frozen=True)
-class MSequent:
-    antecedent: object  # structural term
-    succedent: Type
+class MSequent(Sequent):
+    """A structural term -> a type."""
 
-    def __post_init__(self):
-        a = sort_of_term(self.antecedent)
-        b = sort_of_type(self.succedent)
-        if a != b:
-            raise SortError(
-                "antecedent sort %d does not match succedent sort %d" % (a, b)
-            )
-
-    def __str__(self):
-        return "%s -> %s" % (self.antecedent, self.succedent)
+    arrow, _arrow_token = "->", "ARROW"
+    _sort = staticmethod(sort_of_term)
+    _parse_antecedent = staticmethod(_parse_term)
 
 
 def parse_msequent(text: str, sig: Signature) -> MSequent:
-    sc = _Scanner(text)
-    t = _parse_term(sc, sig)
-    sc.expect("ARROW")
-    ty = _parse_type_expr(sc, sig)
-    if not sc.at_end():
-        sc.error("trailing input after sequent")
-    try:
-        return MSequent(t, ty)
-    except SortError as exc:
-        raise ParseError(str(exc)) from exc
+    return MSequent.parse(text, sig)
 
 
 def m_derivation_from_obj(obj: dict, sig: Signature) -> MDerivation:
@@ -144,11 +118,9 @@ RULES = {
 
 def m_instance_premises(seq: MSequent, rule: str, params: dict) -> tuple:
     """Premise sequents of a logical rule instance (Cut and Structural are
-    validated from their premises in check_m instead)."""
-    try:
-        return _m_instance_premises(seq, rule, dict(params))
-    except (SortError, IndexError, KeyError) as exc:
-        raise InstanceError(str(exc)) from exc
+    validated from their premises in check_m instead); raises InstanceError
+    as hseq.instance_premises does."""
+    return checked_premises(_m_instance_premises, seq, rule, params)
 
 
 def _m_instance_premises(seq: MSequent, rule: str, params: dict) -> tuple:
@@ -199,7 +171,7 @@ def check_m_node(d: MDerivation) -> bool:
             return False
         p = d.premises[0].conclusion
         ps = d.params_dict()
-        app = RuleApp(ps["srule"], tuple(ps["at"]), tuple(ps["indices"]))
+        app = RuleApp(ps["srule"], _param_value(ps["at"], InstanceError), tuple(ps["indices"]))
         return (
             apply_rule(p.antecedent, app) == d.conclusion.antecedent
             and p.succedent == d.conclusion.succedent
@@ -208,7 +180,7 @@ def check_m_node(d: MDerivation) -> bool:
         if len(d.premises) != 2:
             return False
         p1, p2 = d.premises[0].conclusion, d.premises[1].conclusion
-        at = tuple(d.params_dict()["at"])
+        at = _param_value(d.params_dict()["at"], InstanceError)
         return (
             subterm_at(p2.antecedent, at) == Leaf(p1.succedent)
             and d.conclusion.antecedent == replace_at(p2.antecedent, at, p1.antecedent)

@@ -371,9 +371,7 @@ def flatten(cfg: HyperConfig) -> tuple:
 
 def parse_flat(tokens) -> HyperConfig:
     """Rebuild the tree form from a flat token sequence (inverse of flatten)."""
-    items, pos = _reassemble(tuple(tokens), 0, None)
-    if pos != len(tokens):
-        raise ParseError("unmatched segment token at position %d" % pos)
+    items, _ = _reassemble(tuple(tokens), 0, None)  # without a stop, it reads every token
     return HyperConfig(tuple(items))
 
 
@@ -390,9 +388,7 @@ def _reassemble(tokens, pos, stop):
             gaps = []
             pos += 1
             for g in range(1, a + 1):
-                sub, pos = _reassemble(tokens, pos, (tok.type, g))
-                if pos >= len(tokens):
-                    raise ParseError("missing segment %d:%s" % (g, tok.type))
+                sub, pos = _reassemble(tokens, pos, (tok.type, g))  # stops at segment g
                 gaps.append(HyperConfig(tuple(sub)))
                 pos += 1
             items.append(Occurrence(tok.type, tuple(gaps)))
@@ -722,10 +718,7 @@ def _parse_config_body(sc: _Scanner, sig: Signature) -> HyperConfig:
     while sc.peek()[:2] == ("PUNCT", ","):
         sc.next()
         raw.append(_parse_config_entry(sc, sig))
-    items, pos = _reassemble(tuple(raw), 0, None)
-    if pos != len(raw):
-        raise ParseError("unmatched segment token in configuration")
-    return HyperConfig(tuple(items))
+    return parse_flat(raw)
 
 
 def parse_config(text: str, sig: Signature) -> HyperConfig:

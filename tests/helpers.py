@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import dataclass
 from itertools import product
 
 from dcalc.derivation import latex_escape, params_to_obj
@@ -31,12 +32,17 @@ from dcalc.syntax import (
     ParseError,
     Prod,
     Separator,
+    Signature,
     SortError,
     Type,
     Under,
     UnitI,
     UnitJ,
+    _parse_config_body,
+    _parse_type_expr,
+    _Scanner,
     config_at,
+    config_str,
     figure,
     figure_items,
     flatten,
@@ -59,6 +65,7 @@ from dcalc.terms import (
     Leaf,
     RuleError,
     WrapT,
+    _parse_term,
     apply_rule,
     iter_subterms,
     rule_app,
@@ -635,6 +642,75 @@ REFERENCE_PREMISES = {
     "UpL": _up_l,
     "DownL": _down_l,
 }
+
+
+# ---------------------------------------------------------------------------
+# reference sequents
+#
+# The two sequent classes and their parsers as they were before
+# derivation.Sequent stated the sort check, the text form and the parsing
+# steps once for both calculi, copied verbatim but for the "Reference" and
+# "reference_" prefixes of their names.
+
+
+@dataclass(frozen=True)
+class ReferenceHSequent:
+    antecedent: HyperConfig
+    succedent: Type
+
+    def __post_init__(self):
+        a = sort_of_config(self.antecedent)
+        b = sort_of_type(self.succedent)
+        if a != b:
+            raise SortError(
+                "antecedent sort %d does not match succedent sort %d" % (a, b)
+            )
+
+    def __str__(self):
+        return "%s => %s" % (config_str(self.antecedent), self.succedent)
+
+
+def reference_parse_hsequent(text: str, sig: Signature) -> ReferenceHSequent:
+    sc = _Scanner(text)
+    cfg = _parse_config_body(sc, sig)
+    sc.expect("DARROW")
+    t = _parse_type_expr(sc, sig)
+    if not sc.at_end():
+        sc.error("trailing input after sequent")
+    try:
+        return ReferenceHSequent(cfg, t)
+    except SortError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class ReferenceMSequent:
+    antecedent: object  # structural term
+    succedent: Type
+
+    def __post_init__(self):
+        a = sort_of_term(self.antecedent)
+        b = sort_of_type(self.succedent)
+        if a != b:
+            raise SortError(
+                "antecedent sort %d does not match succedent sort %d" % (a, b)
+            )
+
+    def __str__(self):
+        return "%s -> %s" % (self.antecedent, self.succedent)
+
+
+def reference_parse_msequent(text: str, sig: Signature) -> ReferenceMSequent:
+    sc = _Scanner(text)
+    t = _parse_term(sc, sig)
+    sc.expect("ARROW")
+    ty = _parse_type_expr(sc, sig)
+    if not sc.at_end():
+        sc.error("trailing input after sequent")
+    try:
+        return ReferenceMSequent(t, ty)
+    except SortError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

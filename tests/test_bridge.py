@@ -21,9 +21,18 @@ from dcalc.hseq import (
     parse_hsequent,
     prove,
 )
-from dcalc.mseq import check_m, check_m_node, m_derivation_from_obj, m_derivation_to_obj
+from dcalc.mseq import (
+    MSequent,
+    check_m,
+    check_m_node,
+    m_derivation_from_obj,
+    m_derivation_to_obj,
+    parse_msequent,
+)
 from dcalc.syntax import (
+    EMPTY,
     Signature,
+    SortError,
     config_str,
     flatten,
     generalized_wrap,
@@ -49,7 +58,15 @@ from dcalc.terms import (
 )
 
 import golden_defs
-from helpers import generate_derivations, random_term, reference_append_trace
+from helpers import (
+    ReferenceHSequent,
+    ReferenceMSequent,
+    generate_derivations,
+    random_term,
+    reference_append_trace,
+    reference_parse_hsequent,
+    reference_parse_msequent,
+)
 
 GOLDEN = golden_defs.GOLDEN_DIR
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
@@ -309,3 +326,95 @@ def test_check_verdicts_on_mutated_nodes_are_pinned():
                     h.update(("%s %s %r %s\n" % (m.rule, m.conclusion, m.params, v)).encode())
     assert verdicts == {False: 11007, True: 1042}
     assert h.hexdigest() == VERDICT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the sequents against their definitions before derivation.Sequent
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", repr(f(*args)).replace("Reference", "", 1)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_sequents_agree_with_the_reference_classes():
+    hs, mm = load_goldens()
+    generated_atoms = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
+    ds = generate_derivations(random.Random(17), generated_atoms, 60)
+    gen_sig = Signature(dict(generated_atoms))
+    trees = [(hs, golden_defs.SIG), (mm, golden_defs.SIG)]
+    trees += [(d, gen_sig) for d in ds] + [(lift(d), gen_sig) for d in ds]
+    pairs, parsed = [], set()
+    for tree, sig in trees:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premises)
+            s = node.conclusion
+            if isinstance(s, HSequent):
+                ref, parse, ref_parse = ReferenceHSequent, parse_hsequent, reference_parse_hsequent
+            else:
+                ref, parse, ref_parse = ReferenceMSequent, parse_msequent, reference_parse_msequent
+            old = ref(s.antecedent, s.succedent)
+            assert str(s) == str(old)
+            assert repr(s) == repr(old).replace("Reference", "", 1)
+            assert hash(s) == hash(old)
+            pairs.append((s, old))
+            if str(s) not in parsed:
+                parsed.add(str(s))
+                assert parse(str(s), sig) == s
+                assert _outcome(parse, str(s), sig) == _outcome(ref_parse, str(s), sig)
+    assert sum(isinstance(s, MSequent) for s, _ in pairs) > 100
+    # equal sequents print alike, so sorted by text each run of equals is
+    # compared within itself; a random sample pairs the rest, both calculi
+    pairs.sort(key=lambda pair: str(pair[0]))
+    rng = random.Random(0)
+    equal = 0
+    for n, (s, old) in enumerate(pairs):
+        for t, old_t in pairs[n : n + 4] + rng.sample(pairs, 4):
+            assert (s == t) == (old == old_t)
+            equal += s == t
+    assert 0 < equal < len(pairs) * 8
+
+
+# each text is malformed in at least one calculus
+MALFORMED_SEQUENTS = [
+    "a -> a",  # the other calculus's arrow
+    "a => a",
+    "a = > a",
+    "a => a a",  # trailing input
+    "a -> a a",
+    "a => a =>",
+    "a => e",  # sort mismatch
+    "e -> a",
+    "0:e,1:e => a",
+    "0:e,[],1:e => e",
+    "Lambda => a",  # the empty antecedent
+    "Lambda => e",
+    "Lambda -> a",
+    "Lambda, a => a",
+    "=> I",
+    "-> I",
+    "",
+    "a",
+    "a =>",
+    "(a -> a",
+    "1:e => e",
+]
+
+
+def test_sequent_parsers_fail_as_the_reference_parsers_do():
+    for text in MALFORMED_SEQUENTS:
+        assert _outcome(parse_hsequent, text, SIG) == _outcome(reference_parse_hsequent, text, SIG)
+        assert _outcome(parse_msequent, text, SIG) == _outcome(reference_parse_msequent, text, SIG)
+    e = parse_hsequent("0:e,[],1:e => e", SIG).succedent
+    a = parse_hsequent("a => a", SIG).succedent
+    for new, old, ant, succ in (
+        (HSequent, ReferenceHSequent, EMPTY, e),
+        (MSequent, ReferenceMSequent, Leaf(e), a),
+        (MSequent, ReferenceMSequent, ConstI(), e),
+    ):
+        assert _outcome(new, ant, succ) == _outcome(old, ant, succ)
+        assert _outcome(new, ant, succ)[0] is SortError

@@ -31,11 +31,19 @@ from dcalc.hseq import (
     prove,
     prove_all,
 )
-from dcalc.mseq import MDerivation, check_m, parse_msequent, structural_step
+from dcalc.mseq import (
+    MDerivation,
+    check_m,
+    check_m_node,
+    m_instance_premises,
+    parse_msequent,
+    structural_step,
+)
 from dcalc.syntax import (
     Atom,
     HyperConfig,
     Leaf0,
+    ParseError,
     Separator,
     Signature,
     config_at,
@@ -427,6 +435,56 @@ def test_check_rejects_ill_typed_params():
     assert check_m(step)
     params = tuple(sorted(dict(step.params, indices=(("i", "x"),)).items()))
     assert not check_m(MDerivation("Structural", step.conclusion, step.premises, params))
+
+
+def test_params_of_the_wrong_type_raise_instance_error():
+    # a string or float split raised TypeError; a Boolean passed as 0 or 1
+    # and built the premises, so check accepted the node
+    prod = must_prove("a, c => (a . c)")
+    under = must_prove("n, (n \\ s) => s")
+    assert (prod.rule, under.rule) == ("ProdR", "UnderL")
+    for d, bad in (
+        (prod, {"split": "1"}),
+        (prod, {"split": 1.0}),
+        (prod, {"split": True}),
+        (under, {"at": (True,), "mstart": False}),
+        (under, {"chunks": (((), 0.0, 0),)}),
+    ):
+        params = dict(d.params, **bad)
+        with pytest.raises(InstanceError):
+            instance_premises(d.conclusion, d.rule, params)
+        assert not check(HDerivation(d.rule, d.conclusion, d.premises, tuple(sorted(params.items()))))
+    assert instance_premises(prod.conclusion, "ProdR", {"split": 1}) == tuple(
+        p.conclusion for p in prod.premises
+    )
+    # read from JSON, a Boolean or float parameter is a ParseError
+    for params in ({"split": True}, {"split": 1.0}, {"at": [True]}, {"chunks": [[[], 0, 1.0]]}):
+        with pytest.raises(ParseError):
+            derivation_from_obj(dict(derivation_to_obj(under), params=params), SIG)
+    assert derivation_from_obj(derivation_to_obj(under), SIG) == under
+    left = prove(parse_hsequent("b => b", NEGATIVE_SIG))
+    right = prove(parse_hsequent("0:e,b,1:e => (e @1 b)", NEGATIVE_SIG))
+    cut = HDerivation("Cut", right.conclusion, (left, right), (("at", (False, 0, 0)),))
+    assert first_violation(cut, check_node) is cut
+    # md: the addresses (False,) and (0.0,) passed as (0,)
+    m = parse_msequent("((n + (n \\ s)) + I) -> s", SIG)
+    premises = tuple(MDerivation("Id", p) for p in m_instance_premises(m, "UnderL", {"at": (0,)}))
+    for at in ((False,), (0.0,)):
+        with pytest.raises(InstanceError):
+            m_instance_premises(m, "UnderL", {"at": at})
+        with pytest.raises(InstanceError):
+            check_m_node(MDerivation("UnderL", m, premises, (("at", at),)))
+    assert check_m_node(MDerivation("UnderL", m, premises, (("at", (0,)),)))
+    cut = (premises[0], MDerivation("Id", m))
+    assert check_m_node(MDerivation("Cut", m, cut, (("at", (0, 0)),)))
+    with pytest.raises(InstanceError):
+        check_m_node(MDerivation("Cut", m, cut, (("at", (False, 0)),)))
+    start = MDerivation("Id", parse_msequent("n -> n", SIG))
+    step = structural_step(structural_step(start, RuleApp("UnitI-L-add", ())), RuleApp("UnitI-L-add", (1,)))
+    assert check_m(step)
+    params = tuple(sorted(dict(step.params, at=(True,)).items()))
+    node = MDerivation("Structural", step.conclusion, step.premises, params)
+    assert first_violation(node, check_m_node) is node
 
 
 # ---------------------------------------------------------------------------
