@@ -242,12 +242,11 @@ def cmd_parse(args) -> int:
     if args.config is not None:
         antecedents = [parse_config(args.config, sig)]
     else:
-        antecedents = []
-        for assignment in itertools.product(*(entries[w] for w in words)):
-            items = ()
-            for t in assignment:
-                items = items + figure(t).items
-            antecedents.append(HyperConfig(items))
+        # one antecedent per lexical assignment, each built when its turn comes
+        antecedents = (
+            HyperConfig(tuple(itertools.chain.from_iterable(figure(t).items for t in assignment)))
+            for assignment in itertools.product(*(entries[w] for w in words))
+        )
     derivations = []
     for ant in antecedents:
         derivations.extend(prove_all(HSequent(ant, goal), limit=args.limit))

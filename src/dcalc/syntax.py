@@ -5,7 +5,10 @@ units: I (sort 0, the unit of continuous product) and J (sort 1, the unit of
 wrapping).  Every connective has a sort law.  Each type node stores its sort
 when it is built, computed from its operands' stored sorts, so
 ``sort_of_type`` is O(1); the constructors reject operand combinations that
-would produce a negative sort or an out-of-range wrap index.
+would produce a negative sort or an out-of-range wrap index.  A type also
+stores its figure and its segment tokens, but only once they are first asked
+for, since most parsed subtypes never become items.  None of these stored
+values is a dataclass field, so equality, hashing and printing ignore them.
 
 A hyperconfiguration is a sequence of items: sort-0 type leaves, separators
 (written ``[]``), and occurrences of types of sort >= 1, where an occurrence
@@ -329,12 +332,32 @@ def sort_of_config(cfg: HyperConfig) -> int:
 _GAP = HyperConfig((SEP,))
 
 
-def figure(t: Type) -> HyperConfig:
-    """The figure of a type: the canonical single-occurrence configuration."""
+def _stored(t: Type, name: str, build):
+    """The value t stores under name, built by build(t) the first time it is
+    asked for; not a dataclass field, so ==, hash and repr ignore it."""
+    value = getattr(t, name, None)
+    if value is None:
+        value = build(t)
+        object.__setattr__(t, name, value)
+    return value
+
+
+def _build_figure(t: Type) -> HyperConfig:
     a = sort_of_type(t)
     if a == 0:
         return HyperConfig((Leaf0(t),))
     return HyperConfig((Occurrence(t, (_GAP,) * a),))
+
+
+def figure(t: Type) -> HyperConfig:
+    """The figure of a type: the canonical single-occurrence configuration.
+    Each type builds its figure once and stores it, so every call returns
+    the same object."""
+    return _stored(t, "_figure", _build_figure)
+
+
+def _build_segments(t: Type) -> tuple:
+    return tuple(SegTok(t, i) for i in range(sort_of_type(t) + 1))
 
 
 def figure_items(t: Type, gaps: tuple) -> tuple:
@@ -342,23 +365,27 @@ def figure_items(t: Type, gaps: tuple) -> tuple:
     if sort_of_type(t) == 0:
         if gaps:
             raise SortError("sort-0 occurrence cannot carry gaps")
-        return (Leaf0(t),)
+        return figure(t).items
     return (Occurrence(t, tuple(gaps)),)
 
 
 def flatten(cfg: HyperConfig) -> tuple:
-    """Flat token sequence: Leaf0 and Separator items plus SegTok markers."""
+    """Flat token sequence: Leaf0 and Separator items plus SegTok markers.
+    The segment tokens are the ones each type stores, so two flattenings
+    share their SegTok objects."""
     out = []
     items = iter(cfg.items)
     above = []  # the suspended iterators of the enclosing levels
     while True:
         for item in items:
             if type(item) is Occurrence:
-                out.append(SegTok(item.type, 0))
+                # the a+1 segment tokens SegTok(t, 0..a), stored on the type
+                segments = _stored(item.type, "_segments", _build_segments)
+                out.append(segments[0])
                 rest = []  # each gap's items, then the segment token closing it
                 for i, gap in enumerate(item.gaps, 1):
                     rest += gap.items
-                    rest.append(SegTok(item.type, i))
+                    rest.append(segments[i])
                 above.append(items)
                 items = iter(rest)
                 break

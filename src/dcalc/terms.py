@@ -441,7 +441,8 @@ def sharp(t) -> HyperConfig:
     One post-order pass with an explicit stack, passing item tuples between
     nodes: a Cat concatenates its operands' items, and a WrapT rebuilds only
     the path to the filled separator of its left image (``wrap_items``) and
-    shares every other item.
+    shares every other item.  A leaf's image is the items of the figure its
+    type stores, so every leaf of one type shares them.
     """
     images = []  # item tuples of the subterms finished so far
     todo = [t]

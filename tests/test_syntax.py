@@ -29,6 +29,7 @@ from dcalc.syntax import (
     config_at,
     config_str,
     figure,
+    figure_items,
     flatten,
     generalized_wrap,
     item_at,
@@ -45,12 +46,14 @@ from dcalc.syntax import (
     _tokenize,
     wrap_at,
 )
-from dcalc.terms import Leaf, term_of_config_with_addr
+from dcalc.terms import Leaf, sharp, term_of_config, term_of_config_with_addr
 
 from helpers import (
     generate_derivations,
     random_config,
     random_type,
+    reference_flatten,
+    reference_sharp,
     reference_sort_of_type,
     reference_tokenize,
 )
@@ -300,6 +303,40 @@ def test_flatten_round_trip_random(seed):
     cfg = random_config(rng, ATOMS)
     assert parse_flat(flatten(cfg)) == cfg
     assert parse_config(config_str(cfg), SIG) == cfg
+
+
+def test_stored_figures_and_segment_tokens_change_no_value():
+    # criterion 2's configurations and random types: once figure,
+    # figure_items and flatten have stored their values on the types, each
+    # type still equals, hashes and prints as a fresh parse of it, and the
+    # stored values equal freshly built ones
+    rng = random.Random(202)
+    configs = [random_config(rng, ATOMS, budget=12, nesting=3) for _ in range(1000)]
+    types = [
+        u for seed in range(300) for u in subtypes(random_type(random.Random(seed), ATOMS, 4))
+    ]
+    for cfg in configs:
+        term = term_of_config(cfg)
+        assert sharp(term) == reference_sharp(term) == cfg
+        first, second = flatten(cfg), flatten(cfg)
+        assert first == reference_flatten(cfg) == flatten(sharp(term))
+        assert all(x is y for x, y in zip(first, second))
+        types += [item.type for _, item in iter_items(cfg) if item is not SEP]
+    for t in types:
+        a = sort_of_type(t)
+        fig = figure(t)
+        assert fig is figure(t)
+        if a == 0:
+            assert fig == HyperConfig((Leaf0(t),))
+            assert figure_items(t, ()) == (Leaf0(t),)
+        else:
+            assert fig == HyperConfig((Occurrence(t, (HyperConfig((SEP,)),) * a),))
+        first, second = flatten(fig), flatten(fig)
+        assert first == reference_flatten(fig)
+        assert all(x is y for x, y in zip(first, second))
+        fresh = parse_type(str(t), SIG)
+        assert fresh == t and hash(fresh) == hash(t)
+        assert repr(fresh) == repr(t) and str(fresh) == str(t)
 
 
 def test_wrap_at_replaces_kth_separator():

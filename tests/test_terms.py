@@ -15,10 +15,13 @@ from dcalc.syntax import (
     Atom,
     HyperConfig,
     Leaf0,
+    Prod,
     Signature,
     SortError,
     config_at,
     config_str,
+    figure,
+    figure_items,
     flatten,
     iter_items,
     parse_config,
@@ -569,16 +572,24 @@ def test_bounded_oracle_small_cases():
 def test_library_calls_keep_no_argument_alive():
     t = parse_term("((a + II) + (e +1 (c + II)))", SIG)
     cfg = parse_config("a,0:e,c,1:e", SIG)
-    refs = (weakref.ref(t), weakref.ref(cfg))
+    # a type stores its figure and segment tokens, which refer back to it:
+    # only the cycle collector frees them, and nothing else may hold them
+    wide, narrow = Prod(Atom("e", 1), Atom("b", 2)), Prod(Atom("a", 0), Atom("c", 0))
+    refs = tuple(
+        weakref.ref(x) for x in (t, cfg, t.left.left.type, cfg.items[1].type, wide, narrow)
+    )
     normalize(t)
     sharp(t)
     sort_of_term(t)
     term_of_config(cfg)
     sort_of_config(cfg)
+    flatten(cfg)
+    flatten(figure(wide))
+    figure_items(narrow, ())
     bounded_equiv_oracle(t, term_of_config(cfg), depth=2)
-    del t, cfg
+    del t, cfg, wide, narrow
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert [r() for r in refs] == [None] * 6
 
 
 # ---------------------------------------------------------------------------
