@@ -8,8 +8,12 @@ index against its left operand's stored sort), so ``sort_of_term`` is O(1).
 The ``sharp`` map sends every term to the hyperconfiguration it denotes; the
 twenty rewrite rules (unit laws, associativities, split-wrap and mixed
 permutation) all preserve sharp, and two terms are equivalent exactly when
-their sharp images coincide.  The cases of ``_apply`` are the one statement
-of the twenty rules: each pattern is a redex and its body builds the reduct.
+their sharp images coincide.  sharp stores its image on each Cat or WrapT
+operand that holds at most two thirds of its parent's flat tokens (not as a
+dataclass field), O(n log n) tokens per term, so the image of a one-step
+rewrite rebuilds little more than the path to its redex.  The cases of
+``_apply`` are the one statement of the twenty rules: each pattern is a
+redex and its body builds the reduct.
 
 ``normalize`` produces an explicit step-by-step trace from a term to the
 canonical term of its sharp image (the cons-list built by term_of_config);
@@ -96,6 +100,7 @@ class Cat:
     left: "StructTerm"
     right: "StructTerm"
     sort: int = field(init=False, repr=False, compare=False)
+    _image = None  # (items, flat length) once sharp stores it; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "sort", sort_of_term(self.left) + sort_of_term(self.right))
@@ -110,6 +115,7 @@ class WrapT:
     left: "StructTerm"
     right: "StructTerm"
     sort: int = field(init=False, repr=False, compare=False)
+    _image = None  # (items, flat length) once sharp stores it; not a field
 
     def __post_init__(self):
         s = sort_of_term(self.left)
@@ -135,9 +141,13 @@ def sort_of_term(t) -> int:
 
 
 def term_size(t) -> int:
-    if isinstance(t, (Cat, WrapT)):
-        return 1 + term_size(t.left) + term_size(t.right)
-    return 1
+    """Number of nodes of t: a loop over a list of them that grows as it
+    reaches each Cat or WrapT, so no recursion."""
+    nodes = [t]
+    for t in nodes:
+        if type(t) is Cat or type(t) is WrapT:
+            nodes += (t.left, t.right)
+    return len(nodes)
 
 
 def parse_term(text: str, sig: Signature):
@@ -209,10 +219,14 @@ def replace_at(t, path: tuple, new):
 
 
 def iter_subterms(t, prefix: tuple = ()) -> Iterator:
-    yield prefix, t
-    if isinstance(t, (Cat, WrapT)):
-        yield from iter_subterms(t.left, prefix + (0,))
-        yield from iter_subterms(t.right, prefix + (1,))
+    """Yield (path, subterm) pairs in pre-order, left before right, with an
+    explicit stack."""
+    todo = [(prefix, t)]
+    while todo:
+        path, t = todo.pop()
+        yield path, t
+        if type(t) is Cat or type(t) is WrapT:
+            todo += ((path + (1,), t.right), (path + (0,), t.left))
 
 
 # ---------------------------------------------------------------------------
@@ -443,28 +457,55 @@ def sharp(t) -> HyperConfig:
     the path to the filled separator of its left image (``wrap_items``) and
     shares every other item.  A leaf's image is the items of the figure its
     type stores, so every leaf of one type shares them.
+
+    A second stack holds each image's flat length, ``len(flatten(...))``:
+    2a+1 for a leaf of sort a, one for JJ, none for II, the operands' sum
+    for a Cat and one less for a WrapT.  When a node is joined, each
+    operand that is a Cat or WrapT with at most two thirds of the node's
+    flat tokens stores ``(items, flat length)`` on itself, and later passes
+    take it as finished: once sharp(t) has run, the image of a one-step
+    rewrite of t walks little more than the rebuilt path to its redex.  So
+    every token lies under O(log n) stored images, O(n log n) tokens per
+    term; the root and the operands on a heavy path, such as a long spine's,
+    store nothing.  A stored image holds items, never a term, so reference
+    counting frees it with its node.
     """
     images = []  # item tuples of the subterms finished so far
+    lengths = []  # their flat lengths
     todo = [t]
     while todo:
         node = todo.pop()
         cls = type(node)
         if node is _JOIN:
             node = todo.pop()
-            right = images.pop()
-            left = images.pop()
+            right, right_n = images.pop(), lengths.pop()
+            left, left_n = images.pop(), lengths.pop()
             if type(node) is Cat:
+                n = left_n + right_n
                 images.append(left + right)
             else:
+                n = left_n + right_n - 1
                 images.append(wrap_items(left, node.i, right))
+            lengths.append(n)
+            if 3 * left_n <= 2 * n and (type(node.left) is Cat or type(node.left) is WrapT):
+                object.__setattr__(node.left, "_image", (left, left_n))
+            if 3 * right_n <= 2 * n and (type(node.right) is Cat or type(node.right) is WrapT):
+                object.__setattr__(node.right, "_image", (right, right_n))
         elif cls is Cat or cls is WrapT:
-            todo += (node, _JOIN, node.right, node.left)
+            if node._image is None:
+                todo += (node, _JOIN, node.right, node.left)
+            else:
+                images.append(node._image[0])
+                lengths.append(node._image[1])
         elif cls is Leaf:
             images.append(figure(node.type).items)
+            lengths.append(2 * node.sort + 1)
         elif cls is ConstJ:
             images.append((SEP,))
+            lengths.append(1)
         elif cls is ConstI:
             images.append(())
+            lengths.append(0)
         else:
             raise TypeError("not a structural term: %r" % (node,))
     return HyperConfig(images[0])

@@ -56,6 +56,7 @@ from dcalc.syntax import (
     splice_item,
     sub_slice,
     wrap_at,
+    wrap_items,
 )
 from dcalc.terms import (
     RULE_NAMES,
@@ -230,6 +231,39 @@ def reference_sharp(t):
     if isinstance(t, WrapT):
         return reference_wrap_at(reference_sharp(t.left), t.i, reference_sharp(t.right))
     raise TypeError("not a structural term: %r" % (t,))
+
+
+# The explicit-stack sharp before each term node could store its image,
+# copied verbatim: it walks every node of the term on every call.
+
+_PARENT_JOIN = object()
+
+
+def parent_sharp(t):
+    images = []  # item tuples of the subterms finished so far
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if node is _PARENT_JOIN:
+            node = todo.pop()
+            right = images.pop()
+            left = images.pop()
+            if type(node) is Cat:
+                images.append(left + right)
+            else:
+                images.append(wrap_items(left, node.i, right))
+        elif cls is Cat or cls is WrapT:
+            todo += (node, _PARENT_JOIN, node.right, node.left)
+        elif cls is Leaf:
+            images.append(figure(node.type).items)
+        elif cls is ConstJ:
+            images.append((SEP,))
+        elif cls is ConstI:
+            images.append(())
+        else:
+            raise TypeError("not a structural term: %r" % (node,))
+    return HyperConfig(images[0])
 
 
 # ---------------------------------------------------------------------------

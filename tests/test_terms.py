@@ -5,6 +5,7 @@ import gc
 import json
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -53,11 +54,13 @@ from dcalc.terms import (
     normalize,
     parse_term,
     replace_at,
+    rule_app,
     sharp,
     sort_of_term,
     subterm_at,
     term_of_config,
     term_of_config_with_addr,
+    term_size,
     trace_from_obj,
     trace_to_obj,
     uniqueness_check,
@@ -65,6 +68,7 @@ from dcalc.terms import (
 
 from helpers import (
     enumerate_terms,
+    parent_sharp,
     random_config,
     random_term,
     reference_flatten,
@@ -304,6 +308,98 @@ def test_a_long_wrap_chain_builds_in_linear_time():
     assert len(flatten(sharp(prefix))) == 2005
 
 
+def test_stored_images_change_no_value():
+    # criterion 2's canonical terms and random terms, each built three times:
+    # the one-step successors of one copy go through sharp before the term
+    # does, those of another after it, so they both miss and reuse the images
+    # that the term's unchanged subterms store; the third copy never meets
+    # sharp.  Every successor has the term's image (criterion 1), so each one
+    # is compared with the term's image under the parent copy of sharp and
+    # under the recursive definition
+    rng = random.Random(202)
+    configs = [random_config(rng, ATOMS, budget=12, nesting=3) for _ in range(1000)]
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+
+    def random_case(seed):
+        rng = random.Random(seed)
+        return random_term(rng, atoms, rng.randint(1, 6))
+
+    builds = [lambda cfg=cfg: term_of_config(cfg) for cfg in configs]
+    builds += [lambda seed=seed: random_case(seed) for seed in range(1000)]
+    stored = 0
+    for build in builds:
+        before, after, fresh = build(), build(), build()
+        image = parent_sharp(fresh)
+        assert image == reference_sharp(fresh), fresh
+        apps = enumerate_rule_apps(fresh)
+        firsts = [apply_rule(before, app) for app in apps]
+        assert all(sharp(s) == image for s in firsts), fresh
+        assert sharp(before) == sharp(after) == image, fresh
+        seconds = [apply_rule(after, app) for app in apps]
+        # a rewrite builds its path and reduct afresh: only the subterms it
+        # shares with the term may come with a stored image
+        shared = {id(sub) for _, sub in iter_subterms(after)}
+        for s in seconds:
+            todo = [s]
+            for node in todo:
+                if id(node) not in shared and type(node) in (Cat, WrapT):
+                    assert node._image is None, (fresh, s)
+                    todo += (node.left, node.right)
+        assert all(sharp(s) == image for s in seconds), fresh
+        assert firsts == seconds and list(map(hash, firsts)) == list(map(hash, seconds))
+        for t in (before, after):
+            assert t == fresh and hash(t) == hash(fresh)
+            assert repr(t) == repr(fresh) and str(t) == str(fresh)
+            for _, sub in iter_subterms(t):
+                if getattr(sub, "_image", None) is not None:
+                    want = parent_sharp(sub)
+                    assert sub._image == (want.items, len(flatten(want))), sub
+                    stored += 1
+    assert stored > 0
+
+
+def _retained_bytes(work):
+    """Bytes that work() allocates and still holds once it has returned and
+    its result is dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stored_images_retain_little_memory():
+    # a right-nested spine of 5,001 leaves and the 1,000-wrap prefix: the
+    # operands on their heavy paths hold more than two thirds of their
+    # parents' flat tokens, so sharp stores almost nothing on them
+    spine = A
+    for _ in range(5000):
+        spine = Cat(A, spine)
+    prefix = B
+    for _ in range(1000):
+        prefix = WrapT(1, prefix, E)
+    for t in (spine, prefix):
+        assert _retained_bytes(lambda: sharp(t)) < 2_000_000
+    # a spine grown one Cat at a time with sharp after each step, kept alive
+    # in `grown`: storing each root's image would keep every prefix's image,
+    # quadratic in all
+    grown = []
+
+    def grow(with_sharp):
+        t = A
+        for _ in range(1000):
+            t = Cat(A, t)
+            if with_sharp:
+                sharp(t)
+        grown.append(t)
+
+    with_sharp, without = _retained_bytes(lambda: grow(True)), _retained_bytes(lambda: grow(False))
+    assert with_sharp - without < 2_000_000, (with_sharp, without)
+
+
 def test_replace_at_agrees_with_the_reference_definition():
     rng = random.Random(104)
     atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
@@ -466,6 +562,21 @@ def test_enumeration_equals_its_definition():
     assert found == set(RULE_NAMES)
 
 
+def test_enumeration_and_size_on_a_long_cons_list():
+    # the canonical term of 1,500 flat items is a cons list 1,500 Cats deep;
+    # iter_subterms and term_size walk it with their own stacks
+    t = term_of_config(HyperConfig((Leaf0(Atom("a", 0)),) * 1500))
+    assert term_size(t) == 3001
+    paths = [path for path, _ in iter_subterms(t)]
+    assert paths[:5] == [(), (0,), (1,), (1, 0), (1, 1)] and paths[-1] == (1,) * 1500
+    apps = enumerate_rule_apps(t)
+    # three unit insertions at every subterm, both split-wraps at every Cat,
+    # AsscC-bwd at every Cat but the last and UnitI-R-drop at the last
+    assert len(apps) == 3 * 3001 + 2 * 1500 + 1499 + 1
+    assert apps[-1] == rule_app("UnitJ-L-add", (1,) * 1500)
+    assert flatten(sharp(apply_rule(t, apps[-2]))) == flatten(sharp(t))
+
+
 def test_enumerated_apps_apply_and_invert():
     rng = random.Random(5)
     exercised = set()
@@ -590,6 +701,22 @@ def test_library_calls_keep_no_argument_alive():
     del t, cfg, wide, narrow
     gc.collect()
     assert [r() for r in refs] == [None] * 6
+    # an image that sharp stores on a subterm holds items, never a term: with
+    # the cycle collector off, reference counting alone frees a term and every
+    # subterm of it after sharp, normalize and extract
+    t = parse_term("((a + (c + II)) + ((e +1 (c + a)) + (b +2 (a + c))))", SIG)
+    refs = [weakref.ref(sub) for _, sub in iter_subterms(t)]
+    gc.disable()
+    try:
+        sharp(t)
+        sharp(apply_rule(t, rule_app("AsscC-bwd")))
+        normalize(t)
+        extract(t, (1, 0, 1, 0))
+        assert sum(getattr(r(), "_image", None) is not None for r in refs) == 6
+        del t
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
