@@ -8,9 +8,10 @@ makes the induction go through.  ``lower`` erases the rewrite steps and maps
 each logical rule back to a configuration rule instance.
 
 The Structural chains are built from the rewrite traces of ``normalize``,
-``invert_trace`` and ``extract``: each step of a trace was applied and checked
-when the trace was made, so lift takes each Structural node's antecedent
-from the term stored in the step rather than rewriting again.
+``invert_trace`` and ``extract``: each step of a trace was applied, or, in
+an inverted trace, checked in place against the term the forward trace
+holds, when the trace was made, so lift takes each Structural node's
+antecedent from the term stored in the step rather than rewriting again.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def correspondence_check(hd: HDerivation, md: MDerivation) -> bool:
 
 def _append_trace(md: MDerivation, trace) -> MDerivation:
     """md extended by one Structural step per trace step, each ending at the
-    term the trace stored for it (the trace's Tracer applied the step)."""
+    term the trace stored for it (the trace applied or checked the step)."""
     assert trace.start == md.conclusion.antecedent
     succ = md.conclusion.succedent
     out = md

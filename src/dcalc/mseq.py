@@ -35,6 +35,7 @@ from .terms import (
     WrapT,
     _parse_term,
     apply_rule,
+    is_step,
     replace_at,
     sort_of_term,
     subterm_at,
@@ -173,7 +174,7 @@ def check_m_node(d: MDerivation) -> bool:
         ps = d.params_dict()
         app = RuleApp(ps["srule"], _param_value(ps["at"], InstanceError), tuple(ps["indices"]))
         return (
-            apply_rule(p.antecedent, app) == d.conclusion.antecedent
+            is_step(p.antecedent, app, d.conclusion.antecedent)
             and p.succedent == d.conclusion.succedent
         )
     if d.rule == "Cut":

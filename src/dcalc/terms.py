@@ -13,7 +13,11 @@ operand that holds at most two thirds of its parent's flat tokens (not as a
 dataclass field), O(n log n) tokens per term, so the image of a one-step
 rewrite rebuilds little more than the path to its redex.  The cases of
 ``_apply`` are the one statement of the twenty rules: each pattern is a
-redex and its body builds the reduct.
+redex and its body builds the reduct.  A rewrite step walks down its path
+once and rebuilds the spine above the reduct; ``is_step`` checks a step
+whose result is already known in place, comparing that result with the
+spine and the reduct instead of building it, and ``invert_trace`` and
+``RewriteTrace.validate`` check every step that way.
 
 ``normalize`` produces an explicit step-by-step trace from a term to the
 canonical term of its sharp image (the cons-list built by term_of_config);
@@ -190,32 +194,41 @@ def _parse_term(sc: _Scanner, sig: Signature):
 # paths
 
 
-def subterm_at(t, path: tuple):
+def _descend(t, path: tuple):
+    """(spine, subterm at `path`), where the spine holds the (node, step)
+    pairs the walk passes, from the root down.  A path below a leaf or a
+    step other than 0 or 1 raises IndexError."""
+    spine = []
     for d in path:
         if not isinstance(t, (Cat, WrapT)):
             raise IndexError("path descends below a leaf")
+        spine.append((t, d))
         if d == 0:
             t = t.left
         elif d == 1:
             t = t.right
         else:
             raise IndexError("bad path step %r; expected 0 or 1" % (d,))
-    return t
+    return spine, t
 
 
-def replace_at(t, path: tuple, new):
-    """t with the subterm at `path` replaced by `new`; rebuilds the spine above
-    it, innermost node first.  A step other than 0 or 1 raises IndexError."""
-    subterm_at(t, path)  # raises IndexError on a bad path
-    spine = []  # (node, step) from the root down
-    for d in path:
-        spine.append((t, d))
-        t = t.left if d == 0 else t.right
+def subterm_at(t, path: tuple):
+    return _descend(t, path)[1]
+
+
+def _rebuild(spine: list, new):
+    """The spine's nodes rebuilt around `new`, innermost node first."""
     for node, d in reversed(spine):
         left = new if d == 0 else node.left
         right = new if d == 1 else node.right
-        new = Cat(left, right) if isinstance(node, Cat) else WrapT(node.i, left, right)
+        new = Cat(left, right) if type(node) is Cat else WrapT(node.i, left, right)
     return new
+
+
+def replace_at(t, path: tuple, new):
+    """t with the subterm at `path` replaced by `new`: one walk down the path,
+    then the spine above it rebuilt; IndexError on a bad path."""
+    return _rebuild(_descend(t, path)[0], new)
 
 
 def iter_subterms(t, prefix: tuple = ()) -> Iterator:
@@ -334,17 +347,48 @@ def _apply(s, rule: str, i: Optional[int] = None):
     return None
 
 
-def _step(t, rule: str, at: tuple, i: Optional[int]):
-    """t with `rule` applied at the subterm `at`: (new term, filled indices)."""
-    done = _apply(subterm_at(t, at), rule, i)
+def _reduct(sub, rule: str, at: tuple, i: Optional[int]):
+    """`rule` applied at the root of `sub`, the subterm at `at`: (reduct,
+    filled indices), or RuleError when the rule does not fit."""
+    done = _apply(sub, rule, i)
     if done is None:
         raise RuleError(
             "%s does not fit the subterm at %r" % (rule, at)
             if rule in RULE_NAMES
             else "unknown rule %r" % (rule,)
         )
-    new_sub, filled = done
-    return replace_at(t, at, new_sub), filled
+    return done
+
+
+def _step(t, rule: str, at: tuple, i: Optional[int]):
+    """t with `rule` applied at the subterm `at`: (new term, filled indices),
+    from one walk down `at` and one rebuild of the spine above it."""
+    spine, sub = _descend(t, at)
+    new_sub, filled = _reduct(sub, rule, at, i)
+    return _rebuild(spine, new_sub), filled
+
+
+def _step_onto(t, rule: str, at: tuple, i: Optional[int], u):
+    """(filled indices, does the step give u?) for `rule` at `at` of t,
+    checked without building u: one walk down `at` (raising what _step
+    raises), then u compared with the spine, level by level, and with the
+    reduct at the bottom.  A sibling u shares with t, as the terms of one
+    trace do, compares by identity first."""
+    spine, sub = _descend(t, at)
+    reduct, filled = _reduct(sub, rule, at, i)
+    for node, d in spine:
+        cls = type(node)
+        if type(u) is not cls or (cls is WrapT and u.i != node.i):
+            return filled, False
+        if d == 0:
+            if u.right is not node.right and u.right != node.right:
+                return filled, False
+            u = u.left
+        else:
+            if u.left is not node.left and u.left != node.left:
+                return filled, False
+            u = u.right
+    return filled, reduct == u
 
 
 def _int_params(rule: str, at: tuple, given: dict) -> dict:
@@ -354,17 +398,30 @@ def _int_params(rule: str, at: tuple, given: dict) -> dict:
     return given
 
 
-def apply_rule(t, app: RuleApp):
-    """Apply one rewrite step to the whole term; validates shape and indices."""
-    given = _int_params(app.rule, app.at, app.params_dict())
-    new, filled = _step(t, app.rule, app.at, given.get("i"))
+def _check_indices(rule: str, at: tuple, given: dict, filled: dict):
     for key, val in given.items():
         if key in filled and filled[key] != val:
             raise RuleError(
                 "%s at %r: parameter %s=%d does not match the redex (%d)"
-                % (app.rule, app.at, key, val, filled[key])
+                % (rule, at, key, val, filled[key])
             )
+
+
+def apply_rule(t, app: RuleApp):
+    """Apply one rewrite step to the whole term; validates shape and indices."""
+    given = _int_params(app.rule, app.at, app.params_dict())
+    new, filled = _step(t, app.rule, app.at, given.get("i"))
+    _check_indices(app.rule, app.at, given, filled)
     return new
+
+
+def is_step(t, app: RuleApp, u) -> bool:
+    """apply_rule(t, app) == u, raising what apply_rule(t, app) raises, but
+    checked in place: only the reduct at the bottom of `app.at` is built."""
+    given = _int_params(app.rule, app.at, app.params_dict())
+    filled, same = _step_onto(t, app.rule, app.at, given.get("i"), u)
+    _check_indices(app.rule, app.at, given, filled)
+    return same
 
 
 def enumerate_rule_apps(t) -> list:
@@ -398,11 +455,16 @@ class RewriteTrace:
         return self.steps[-1].result if self.steps else self.start
 
     def validate(self) -> bool:
+        """Does each step rewrite the term before it into its result?  A step
+        that does not fit, or has a bad path or index, is False too."""
         cur = self.start
         for step in self.steps:
-            cur = apply_rule(cur, step.app)
-            if cur != step.result:
+            try:
+                if not is_step(cur, step.app, step.result):
+                    return False
+            except (IndexError, RuleError):
                 return False
+            cur = step.result
         return True
 
     def __len__(self):
@@ -433,13 +495,23 @@ class Tracer:
 
 
 def invert_trace(trace: RewriteTrace) -> RewriteTrace:
-    """The reverse trace: same paths, each rule replaced by its inverse."""
-    tr = Tracer(trace.end())
-    for step in reversed(trace.steps):
-        tr.emit(INVERSE_RULE[step.app.rule], step.app.at, **step.app.params_dict())
-    out = tr.trace()
-    assert out.end() == trace.start
-    return out
+    """The reverse trace: same paths, each rule replaced by its inverse.
+
+    The inverse of step k ends at the term the forward trace already holds
+    before it (step k-1's result, or the start), so each inverse step is
+    checked in place on that term and nothing is rebuilt; ``_apply`` fills
+    its indices.  A step that does not fit, or whose inverse misses that
+    term, raises RuleError."""
+    terms = (trace.start,) + tuple(step.result for step in trace.steps)
+    steps = []
+    for k in range(len(trace.steps), 0, -1):
+        app = trace.steps[k - 1].app
+        rule = INVERSE_RULE[app.rule]
+        filled, same = _step_onto(terms[k], rule, app.at, app.params_dict().get("i"), terms[k - 1])
+        if not same:
+            raise RuleError("%s does not undo step %d, %s" % (rule, k, app))
+        steps.append(TraceStep(RuleApp(rule, app.at, tuple(sorted(filled.items()))), terms[k - 1]))
+    return RewriteTrace(trace.end(), tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -917,11 +989,18 @@ def trace_to_obj(trace: RewriteTrace) -> dict:
 
 
 def trace_from_obj(obj: dict, sig: Signature) -> RewriteTrace:
-    start = parse_term(obj["start"], sig)
-    tr = Tracer(start)
+    """Read a trace back; each step is checked in place against its parsed
+    result, and its indices are the ones the redex fills."""
+    cur = start = parse_term(obj["start"], sig)
+    steps = []
     for step in obj["steps"]:
         rule, at = step["rule"], tuple(step["path"])
-        tr.emit(rule, at, **_int_params(rule, at, step.get("params", {})))
-        if parse_term(step["result"], sig) != tr.term:
+        given = _int_params(rule, at, step.get("params", {}))
+        result = parse_term(step["result"], sig)
+        filled, same = _step_onto(cur, rule, at, given.get("i"), result)
+        _check_indices(rule, at, given, filled)
+        if not same:
             raise RuleError("trace step result does not match")
-    return tr.trace()
+        steps.append(TraceStep(RuleApp(rule, at, tuple(sorted(filled.items()))), result))
+        cur = result
+    return RewriteTrace(start, tuple(steps))

@@ -59,12 +59,14 @@ from dcalc.syntax import (
     wrap_items,
 )
 from dcalc.terms import (
+    INVERSE_RULE,
     RULE_NAMES,
     Cat,
     ConstI,
     ConstJ,
     Leaf,
     RuleError,
+    Tracer,
     WrapT,
     _parse_term,
     apply_rule,
@@ -370,6 +372,20 @@ def reference_append_trace(md, trace):
     out = md
     for step in trace.steps:
         out = structural_step(out, step.app)
+    return out
+
+
+# The invert_trace that re-applied every inverse step, copied verbatim: it
+# rebuilds each term that the forward trace already holds, and asserts only
+# that the last one is the forward trace's start.
+
+
+def parent_invert_trace(trace):
+    tr = Tracer(trace.end())
+    for step in reversed(trace.steps):
+        tr.emit(INVERSE_RULE[step.app.rule], step.app.at, **step.app.params_dict())
+    out = tr.trace()
+    assert out.end() == trace.start
     return out
 
 

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from dcalc import hseq
+from dcalc.bridge import lift
 from dcalc.derivation import first_violation
 from dcalc.hseq import (
     RULES,
@@ -33,6 +34,7 @@ from dcalc.hseq import (
 )
 from dcalc.mseq import (
     MDerivation,
+    MSequent,
     check_m,
     check_m_node,
     m_instance_premises,
@@ -51,7 +53,7 @@ from dcalc.syntax import (
     iter_items,
     parse_type,
 )
-from dcalc.terms import RuleApp
+from dcalc.terms import Cat, ConstI, RuleApp, WrapT, replace_at, subterm_at
 
 from helpers import (
     REFERENCE_PREMISES,
@@ -485,6 +487,40 @@ def test_params_of_the_wrong_type_raise_instance_error():
     params = tuple(sorted(dict(step.params, at=(True,)).items()))
     node = MDerivation("Structural", step.conclusion, step.premises, params)
     assert first_violation(node, check_m_node) is node
+
+
+def test_check_m_rejects_forged_structural_conclusions():
+    # a lifted derivation whose Structural steps pass below wraps of sort-2
+    # left operands; each forged conclusion is the true rewrite result with
+    # one thing changed off the redex, so only the exact step check sees it
+    md = lift(must_prove("0:b,a,1:b,c,2:b => ((b @1 a) @1 c)"))
+    assert check_m(md)
+    stack, steps = [md], []
+    while stack:
+        node = stack.pop()
+        stack += node.premises
+        if node.rule == "Structural" and node.params_dict()["at"]:
+            steps.append(node)
+    forged = Counter()
+    for node in steps:
+        at, u = node.params_dict()["at"], node.conclusion.antecedent
+        # an off-path sibling replaced by a different term with the same image
+        sibling = at[:-1] + (1 - at[-1],)
+        sub = subterm_at(u, sibling)
+        variants = [("sibling", replace_at(u, sibling, Cat(sub, ConstI())))]
+        # a spine wrap's index changed, which keeps its sort
+        for depth in range(len(at)):
+            wrap = subterm_at(u, at[:depth])
+            if isinstance(wrap, WrapT) and wrap.left.sort >= 2:
+                i = 2 if wrap.i == 1 else 1
+                variants.append(("index", replace_at(u, at[:depth], WrapT(i, wrap.left, wrap.right))))
+        for kind, v in variants:
+            assert v != u
+            bad = MDerivation("Structural", MSequent(v, node.conclusion.succedent), node.premises, node.params)
+            assert not check_m_node(bad), (kind, node.params)
+            assert first_violation(bad, check_m_node) is bad
+            forged[kind] += 1
+    assert forged["sibling"] > 0 and forged["index"] > 0, forged
 
 
 # ---------------------------------------------------------------------------

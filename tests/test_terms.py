@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +39,10 @@ from dcalc.terms import (
     INVERSE_RULE,
     Leaf,
     RULE_NAMES,
+    RewriteTrace,
     RuleApp,
     RuleError,
+    TraceStep,
     Tracer,
     WrapT,
     apply_rule,
@@ -50,6 +53,7 @@ from dcalc.terms import (
     extractable,
     invert_trace,
     is_canonical,
+    is_step,
     iter_subterms,
     normalize,
     parse_term,
@@ -68,6 +72,7 @@ from dcalc.terms import (
 
 from helpers import (
     enumerate_terms,
+    parent_invert_trace,
     parent_sharp,
     random_config,
     random_term,
@@ -594,6 +599,69 @@ def test_enumerated_apps_apply_and_invert():
     assert exercised == set(RULE_NAMES)
 
 
+def _outcome(call):
+    """call()'s value, or the type and text of the IndexError or RuleError it
+    raises."""
+    try:
+        return call()
+    except (IndexError, RuleError) as exc:
+        return type(exc), str(exc)
+
+
+def test_is_step_agrees_with_apply_rule():
+    # is_step(t, app, u) is defined as apply_rule(t, app) == u, a raise
+    # counted as a raise.  Every app of criterion 2's canonical terms and of
+    # 500 random terms is checked against: its own result; the results of
+    # the other apps (all of them on terms with at most 30 apps, three drawn
+    # by rng on larger ones, which keeps this test to seconds); its result
+    # with one off-path sibling s swapped for (s + II), a different term of
+    # the same sort, and with one spine wrap index changed, each at a level
+    # drawn by rng; and
+    # the app with a wrong, a Boolean or a missing i, or a path one step too
+    # long
+    rng = random.Random(202)
+    terms = [term_of_config(random_config(rng, ATOMS, budget=12, nesting=3)) for _ in range(1000)]
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    rng = random.Random(18)
+    terms += [random_term(rng, atoms, rng.randint(1, 6)) for _ in range(500)]
+    seen = Counter()
+    for t in terms:
+        apps = enumerate_rule_apps(t)
+        results = [apply_rule(t, app) for app in apps]
+        for app, u in zip(apps, results):
+            # (app, candidate result, reference: apply_rule(t, app) == it)
+            others = results if len(apps) <= 30 else rng.sample(results, 3)
+            cases = [(app, r, u == r) for r in others + [u]]
+            if app.at:
+                level = rng.randrange(len(app.at))
+                sibling = app.at[:level] + (1 - app.at[level],)
+                v = replace_at(u, sibling, Cat(subterm_at(u, sibling), ConstI()))
+                cases.append((app, v, u == v))
+                wraps, node = [], u
+                for k, d in enumerate(app.at):
+                    if type(node) is WrapT and node.left.sort >= 2:
+                        wraps.append((app.at[:k], node))
+                    node = node.left if d == 0 else node.right
+                if wraps:
+                    p, wrap = rng.choice(wraps)
+                    i = rng.choice([k for k in range(1, wrap.left.sort + 1) if k != wrap.i])
+                    v = replace_at(u, p, WrapT(i, wrap.left, wrap.right))
+                    cases.append((app, v, u == v))
+            ps = app.params_dict()
+            variants = [dict(ps, i=ps.get("i", 0) + 1), dict(ps, i=True)]
+            if "i" in ps:
+                variants.append({key: val for key, val in ps.items() if key != "i"})
+            for params in variants:
+                bad = RuleApp(app.rule, app.at, tuple(sorted(params.items())))
+                cases.append((bad, u, _outcome(lambda: apply_rule(t, bad) == u)))
+            bad = RuleApp(app.rule, app.at + (2,), app.params)
+            cases.append((bad, u, _outcome(lambda: apply_rule(t, bad) == u)))
+            for a, v, want in cases:
+                assert _outcome(lambda: is_step(t, a, v)) == want, (t, a, v)
+                seen[want if type(want) is bool else want[0]] += 1
+    assert set(seen) == {True, False, IndexError, RuleError}, seen
+
+
 # ---------------------------------------------------------------------------
 # normalisation and traces
 
@@ -640,12 +708,78 @@ def test_invert_trace_replays_backwards():
         assert run(back) == t
 
 
+def test_invert_trace_equals_the_parent_copy():
+    # the parent re-applied every inverse step; now each is checked in place
+    # on the term the forward trace holds.  Traces: the extract trace of a
+    # random extractable leaf of each of criterion 2's canonical terms, and
+    # normalize's trace back from its end; normalize and extract of random
+    # terms
+    rng = random.Random(202)
+    terms = [term_of_config(random_config(rng, ATOMS, budget=12, nesting=3)) for _ in range(1000)]
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    rng = random.Random(19)
+    terms += [random_term(rng, atoms, rng.randint(1, 6)) for _ in range(500)]
+    steps = 0
+    for t in terms:
+        traces = [normalize(t)]
+        leaves = [p for p, sub in iter_subterms(t) if type(sub) is Leaf and extractable(t, p)]
+        if leaves:
+            trace = extract(t, rng.choice(leaves), rng)[2]
+            traces += [trace, normalize(trace.end())]
+        for trace in traces:
+            back = invert_trace(trace)
+            assert back == parent_invert_trace(trace), trace
+            assert back.validate() and back.end() == trace.start
+            steps += len(back)
+    assert steps > 10000, steps
+
+
+def test_validate_is_false_on_ill_formed_traces():
+    # each step raised out of validate: a rule that does not fit, a path
+    # below a leaf, and a Boolean index
+    t = parse_term("((a + a) + a)", SIG)
+    good = TraceStep(RuleApp("AsscC-fwd", ()), apply_rule(t, RuleApp("AsscC-fwd", ())))
+    assert RewriteTrace(t, (good,)).validate()
+    for app, error in (
+        (RuleApp("UnitI-L-drop", ()), "UnitI-L-drop does not fit the subterm at \\(\\)"),
+        (RuleApp("AsscC-fwd", (0, 0, 0)), "path descends below a leaf"),
+        (RuleApp("AsscC-fwd", (), (("i", True),)), "is not an integer"),
+    ):
+        with pytest.raises((IndexError, RuleError), match=error):
+            apply_rule(t, app)
+        assert RewriteTrace(t, (TraceStep(app, good.result),)).validate() is False
+        assert RewriteTrace(t, (good, TraceStep(app, t))).validate() is False
+
+
+def test_invert_trace_rejects_a_step_that_is_not_its_rewrite():
+    # the inverse of the first does not fit; that of the second fits but
+    # misses the start, which only an assert caught before
+    t = parse_term("((a + a) + a)", SIG)
+    u = parse_term("(a + (a + a))", SIG)
+    for bad in (TraceStep(RuleApp("AsscC-fwd", ()), t), TraceStep(RuleApp("UnitI-L-add", ()), Cat(ConstI(), u))):
+        assert not RewriteTrace(t, (bad,)).validate()
+        with pytest.raises(RuleError):
+            invert_trace(RewriteTrace(t, (bad,)))
+
+
 def test_trace_serialization_round_trip():
     tr = normalize(WrapT(1, Cat(ConstJ(), A), C))
     obj = trace_to_obj(tr)
     assert trace_from_obj(obj, SIG) == tr
     text = json.dumps(obj, indent=2, sort_keys=True)
     assert json.loads(text) == obj
+
+
+def test_trace_from_obj_fills_indices_and_rejects_wrong_ones():
+    tr = Tracer(WrapT(1, B, WrapT(1, E, A)))
+    tr.emit("AsscD1")
+    obj = trace_to_obj(tr.trace())
+    assert obj["steps"][0]["params"] == {"i": 1, "j": 1}
+    del obj["steps"][0]["params"]
+    assert trace_from_obj(obj, SIG) == tr.trace()
+    obj["steps"][0]["params"] = {"i": 1, "j": 2}
+    with pytest.raises(RuleError, match="does not match the redex"):
+        trace_from_obj(obj, SIG)
 
 
 def test_trace_from_obj_rejects_non_integer_indices():
