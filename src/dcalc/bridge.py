@@ -39,6 +39,7 @@ from .terms import (
     ConstJ,
     Leaf,
     WrapT,
+    _leaf_path,
     extract,
     invert_trace,
     normalize,
@@ -89,16 +90,6 @@ def _reshape_to(md: MDerivation, w) -> MDerivation:
     return _append_trace(md, trace)
 
 
-def _sep_addr(cfg, k: int) -> tuple:
-    n = 0
-    for addr, item in iter_items(cfg):
-        if isinstance(item, Separator):
-            n += 1
-            if n == k:
-                return addr
-    raise BridgeError("configuration has no separator %d" % k)
-
-
 def lift(d: HDerivation, target=None) -> MDerivation:
     """Translate a configuration derivation into a term derivation.
 
@@ -142,11 +133,14 @@ def _lift(d: HDerivation) -> MDerivation:
 
     if rule == "UpR":
         child = _lift(d.premises[0])
-        prem_ant = d.premises[0].conclusion.antecedent
-        addr = _sep_addr(seq.antecedent, succ.k)
-        canon, leaf_path = term_of_config_with_addr(prem_ant, addr)
-        assert canon == child.conclusion.antecedent
-        rest, i, trace = extract(canon, leaf_path)
+        # the premise's figure of succ.right has the place in flat order of
+        # the conclusion's succ.k-th separator
+        items = iter_items(seq.antecedent)
+        seps = [n for n, (_, item) in enumerate(items) if type(item) is Separator]
+        if len(seps) < succ.k:
+            raise BridgeError("configuration has no separator %d" % succ.k)
+        canon = child.conclusion.antecedent
+        rest, i, trace = extract(canon, _leaf_path(canon, seps[succ.k - 1]))
         assert i == succ.k
         child = _append_trace(child, trace)
         md = MDerivation(rule, MSequent(rest, succ), (child,), ())

@@ -215,8 +215,8 @@ def load_lexicon(path: str):
                     raise ParseError("line %d: unknown section %r" % (lineno, name))
                 section = name
                 continue
-            if section == "signature":
-                sig_lines.append(line)
+            if section == "signature":  # padded, so from_text numbers the file's lines
+                sig_lines += [""] * (lineno - 1 - len(sig_lines)) + [line]
             elif section == "lexicon":
                 entry_lines.append((lineno, line))
             else:

@@ -22,24 +22,26 @@ spine and the reduct instead of building it, and ``invert_trace`` and
 ``normalize`` produces an explicit step-by-step trace from a term to the
 canonical term of its sharp image (the cons-list built by term_of_config);
 ``is_canonical`` recognises that shape in one pass, without computing sharp,
-so normalization skips subterms already in it.  ``extract`` pulls a
-designated leaf occurrence out of a term as a final wrap, again with a full
-trace.
+so normalization skips subterms already in it.  A canonical term's Leaf and
+JJ leaves, left to right, are its items' leaves in flat order (``_leaf_path``).
+``extract`` pulls a designated leaf occurrence out of a term as a final wrap,
+again with a full trace.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional
 
 from .syntax import (
     Atom,
     HyperConfig,
     Leaf0,
-    Occurrence,
     ParseError,
     SEP,
+    SegTok,
     Separator,
     SortError,
     Signature,
@@ -231,10 +233,10 @@ def replace_at(t, path: tuple, new):
     return _rebuild(_descend(t, path)[0], new)
 
 
-def iter_subterms(t, prefix: tuple = ()) -> Iterator:
+def iter_subterms(t) -> Iterator:
     """Yield (path, subterm) pairs in pre-order, left before right, with an
     explicit stack."""
-    todo = [(prefix, t)]
+    todo = [((), t)]
     while todo:
         path, t = todo.pop()
         yield path, t
@@ -687,25 +689,22 @@ def term_of_config(cfg: HyperConfig):
     return _build_term(cfg.items)
 
 
-def term_of_config_with_addr(cfg: HyperConfig, addr: tuple):
-    """Canonical term plus the path of the leaf for the item at addr.
+def _leaf_path(t, place: int) -> tuple:
+    """The path of t's Leaf or JJ leaf at `place`, counting from 0 left to
+    right: on a canonical term, the leaf of its item at that place in
+    iter_items order (an occurrence's leaf comes before its gap fillers)."""
+    leaves = (path for path, sub in iter_subterms(t) if type(sub) is Leaf or type(sub) is ConstJ)
+    return next(islice(leaves, place, None))
 
-    The path follows the address: item i of a level adds (1,)*i + (0,), the
-    head of the i-th cons cell; gap g of an occurrence with a gaps adds
-    (0,)*(a-1-g) + (1,), the filler of its wrap; the addressed item's own
-    leaf adds (0,)*a.  A bad address raises IndexError.
-    """
+
+def term_of_config_with_addr(cfg: HyperConfig, addr: tuple):
+    """Canonical term plus the path of the leaf for the item at addr, found
+    by the item's place in flat order; a bad address raises IndexError."""
     item_at(cfg, addr)  # IndexError for a bad address
-    path = ()
-    for k in range(0, len(addr), 2):
-        item = item_at(cfg, addr[: k + 1])
-        a = len(item.gaps) if type(item) is Occurrence else 0
-        path += (1,) * addr[k] + (0,)
-        if k + 1 < len(addr):
-            path += (0,) * (a - 1 - addr[k + 1]) + (1,)
-        else:
-            path += (0,) * a
-    return _build_term(cfg.items), path
+    addr = tuple(addr)
+    place = next(n for n, (a, _) in enumerate(iter_items(cfg)) if a == addr)
+    term = _build_term(cfg.items)
+    return term, _leaf_path(term, place)
 
 
 # ---------------------------------------------------------------------------
@@ -830,39 +829,31 @@ def _merge_chain(tr: Tracer, path: tuple):
 
 
 def _extract_info(t, at: tuple):
-    """(index i, item address in sharp(t)) when the leaf at `at` is visible."""
+    """(slot i, place) when the leaf at `at` is visible, read off the flat
+    image with a marker atom for the leaf: i is 1 plus the separators before
+    the marker, place the number of items (Leaf0, SEP, SegTok 0) before it."""
     try:
         sub = subterm_at(t, at)
     except IndexError:  # the path descends below a leaf
         sub = None
     if not isinstance(sub, Leaf):
         raise ExtractionError("path %r does not address a type leaf" % (at,))
-    marker = Atom("\x00extract", sort_of_type(sub.type))
-    marked = sharp(replace_at(t, at, Leaf(marker)))
-    hit = None
-    seps_before = 0
-    for addr, item in iter_items(marked):
-        if isinstance(item, Separator) and hit is None:
-            seps_before += 1
-        if isinstance(item, Leaf0) and item.type == marker:
-            hit = addr
-            break
-        if isinstance(item, Occurrence) and item.type == marker:
-            if any(g.items != (SEP,) for g in item.gaps):
-                return None
-            hit = addr
-            break
-    if hit is None:  # the leaf's material was erased by a sort-collapsing wrap
+    marker = Atom("\x00extract", sub.sort)
+    shape = flatten(figure(marker))
+    toks = flatten(sharp(replace_at(t, at, Leaf(marker))))
+    pos = toks.index(shape[0])
+    if toks[pos : pos + len(shape)] != shape:  # a gap holds more than its separator
         return None
-    return seps_before + 1, hit
+    before = toks[:pos]
+    return before.count(SEP) + 1, sum(type(tok) is not SegTok or tok.idx == 0 for tok in before)
 
 
 def extractable(t, at: tuple) -> Optional[int]:
     """The separator index the leaf at `at` occupies, when it is visible.
 
     Visible means: in sharp(t) the leaf's occurrence appears as exactly the
-    figure of its type (each gap a single separator).  Sort-0 leaves whose
-    material survives are always visible.
+    figure of its type (each gap a single separator).  Sort-0 leaves are
+    always visible.
     """
     info = _extract_info(t, at)
     return info[0] if info else None
@@ -937,17 +928,16 @@ def extract(t, at: tuple, rng: Optional[random.Random] = None):
     info = _extract_info(t, at)
     if info is None:
         raise ExtractionError("occurrence at %r is not visible for extraction" % (at,))
-    want_i, item_addr = info
+    want_i, place = info
     leaf = subterm_at(t, at)
     tr = Tracer(t)
     try:
         got = _pull(tr, (), at, rng)
-    except _Degenerate:
+    except _Degenerate:  # pull the leaf of its item out of the canonical term
         tr = Tracer(t)
         _canon(tr, ())
-        canon, leaf_path = term_of_config_with_addr(sharp(t), item_addr)
-        assert tr.term == canon
-        got = _pull(tr, (), leaf_path, rng)
+        assert is_canonical(tr.term)
+        got = _pull(tr, (), _leaf_path(tr.term, place), rng)
     final = tr.term
     assert isinstance(final, WrapT) and final.right == leaf and final.i == got
     assert got == want_i, "extraction index %d disagrees with sharp (%d)" % (got, want_i)

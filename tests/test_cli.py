@@ -327,6 +327,15 @@ def test_parse_explicit_config(capsys):
     assert code == 0 and "1 reading(s)" in out
 
 
+def test_lexicon_signature_errors_give_the_file_line(capsys, tmp_path):
+    # the signature's lines were numbered within the section, blank lines
+    # and comments skipped, so this error named line 2
+    lexicon = tmp_path / "bad.lex"
+    lexicon.write_text("# a comment\n%% signature\nn 0\n\nBad 0\n%% lexicon\nx\tn\n")
+    code, out, err = run(capsys, "parse", str(lexicon), "x", "n")
+    assert (code, out, err) == (2, "", "error: signature line 5: bad atom name 'Bad'\n")
+
+
 AMBIGUOUS_LEX = "%% signature\nn 0\n%% lexicon\nx\tn\nx\t(n / n)\nx\t(n \\ n)\n"
 
 

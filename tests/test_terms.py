@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import random
 import time
@@ -883,3 +884,44 @@ def test_extractable_matches_extract():
 def test_uniqueness_check_on_extractable_pair():
     t = Cat(A, WrapT(1, E, C))
     assert uniqueness_check(t, (1, 1), trials=5, seed=3)
+
+
+# A wrap that fills a gap of the leaf's own occurrence with more than a bare
+# separator stops _pull (_Degenerate); extraction then normalizes the whole
+# term and pulls the leaf of the same item out of the canonical term.  The
+# sort-1 term below reaches that route at its leaf e (path 0,0), and so does
+# every random term with it planted at a sort-1 leaf.  sha256 of each such
+# extraction's term, path, slot, rest and trace.
+FALLBACK_PLANT = "((e +1 (JJ + JJ)) +1 II)"
+FALLBACK_DIGEST = "fb3620bde2704fadb4f1bd0dd0bcb8d0f168afdabb0fc8fa99b9df596365e19e"
+
+
+def test_extraction_fallback_route_is_pinned(monkeypatch):
+    fallbacks = []
+
+    class Spy(Exception):
+        def __init__(self):
+            fallbacks.append(1)
+
+    monkeypatch.setattr("dcalc.terms._Degenerate", Spy)
+    plant = parse_term(FALLBACK_PLANT, SIG)
+    rest, i, trace = extract(plant, (0, 0))
+    assert (str(rest), i, len(trace)) == ("(JJ + II)", 1, 24) and len(fallbacks) == 1
+    rng = random.Random(5)
+    cases = [(plant, (0, 0))]
+    for _ in range(120):
+        t = random_term(rng, ATOMS, 4)
+        for path, sub in iter_subterms(t):
+            if type(sub) is Leaf and sub.sort == 1:
+                u = replace_at(t, path, plant)
+                if extractable(u, path + (0, 0)) is not None:
+                    cases.append((u, path + (0, 0)))
+    assert len(cases) == 68
+    h = hashlib.sha256()
+    for t, at in cases:
+        fallbacks.clear()
+        rest, i, trace = extract(t, at)
+        assert len(fallbacks) == 1, (str(t), at)
+        assert trace.validate() and uniqueness_check(t, at)
+        h.update(json.dumps([str(t), at, i, str(rest), trace_to_obj(trace)]).encode())
+    assert h.hexdigest() == FALLBACK_DIGEST
