@@ -228,7 +228,10 @@ def load_lexicon(path: str):
         if len(parts) != 2:
             raise ParseError("line %d: expected 'word<TAB>type'" % lineno)
         word, type_text = parts
-        entries.setdefault(word, []).append(parse_type(type_text, sig))
+        try:
+            entries.setdefault(word, []).append(parse_type(type_text, sig))
+        except (ParseError, SortError) as exc:
+            raise type(exc)("line %d: %s" % (lineno, exc)) from None
     return sig, entries
 
 

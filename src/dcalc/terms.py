@@ -20,7 +20,8 @@ spine and the reduct instead of building it, and ``invert_trace`` and
 ``RewriteTrace.validate`` check every step that way.
 
 ``normalize`` produces an explicit step-by-step trace from a term to the
-canonical term of its sharp image (the cons-list built by term_of_config);
+canonical term of its sharp image (the cons-list built by term_of_config),
+in one loop over a stack of pending tasks, so no term is too deep for it;
 ``is_canonical`` recognises that shape in one pass, without computing sharp,
 so normalization skips subterms already in it.  A canonical term's Leaf and
 JJ leaves, left to right, are its items' leaves in flat order (``_leaf_path``).
@@ -715,34 +716,76 @@ def normalize(t, budget: int = 10000) -> RewriteTrace:
     """Explicit rewrite trace from t to term_of_config(sharp(t))."""
     tr = Tracer(t, budget=budget)
     _canon(tr, ())
-    assert tr.term == term_of_config(sharp(t))
+    assert is_canonical(tr.term) and flatten(sharp(tr.term)) == flatten(sharp(t))
     return tr.trace()
 
 
 def _canon(tr: Tracer, path: tuple):
-    sub = tr.at(path)
-    if is_canonical(sub):
-        return
-    if isinstance(sub, ConstJ):
-        tr.emit("UnitI-R-add", path)
-        return
-    if isinstance(sub, Leaf):
-        if sort_of_type(sub.type) == 0:
-            tr.emit("UnitI-R-add", path)
+    """Rewrite the subterm at path to its canonical term, in one loop over a
+    stack of pending (task, path) pairs; each task reads its subterm when it
+    is popped, and pushes its follow-up work in reverse order:
+
+    - canon: any subterm --> its canonical term;
+    - cons: a Cat whose right operand is canonical --> a canonical cons-list;
+    - cat: a Cat of two canonical cons-lists --> one canonical cons-list;
+    - wrap: a wrap of two canonical terms --> a canonical cons-list;
+    - chain: push the filler of (chain +i v) down to the gap that holds i.
+    """
+    todo = [("canon", path)]
+    while todo:
+        task, path = todo.pop()
+        sub = tr.at(path)
+        if task == "canon":
+            if is_canonical(sub):
+                continue
+            if type(sub) is Cat:
+                todo += (("cons", path), ("canon", path + (1,)))
+            elif type(sub) is WrapT:
+                todo += (("wrap", path), ("canon", path + (0,)), ("canon", path + (1,)))
+            elif type(sub) is Leaf or type(sub) is ConstJ:
+                if type(sub) is Leaf and sub.sort > 0:
+                    _pad_leaf_gaps(tr, path)
+                tr.emit("UnitI-R-add", path)
+            else:
+                raise TypeError("not a structural term: %r" % (sub,))
+        elif task == "cons":
+            x = sub.left
+            if type(x) is ConstI:
+                tr.emit("UnitI-L-drop", path)
+            elif type(x) is Leaf and x.sort > 0:
+                _pad_leaf_gaps(tr, path + (0,))
+            elif type(x) is Cat:
+                tr.emit("AsscC-fwd", path)
+                todo += (("cons", path), ("cons", path + (1,)))
+            elif type(x) is WrapT:  # canonicalize it standalone, then merge
+                todo += (("cat", path), ("canon", path + (0,)))
+        elif task == "cat":
+            if type(sub.left) is ConstI:
+                tr.emit("UnitI-L-drop", path)
+            else:
+                tr.emit("AsscC-fwd", path)
+                todo.append(("cat", path + (1,)))
+        elif task == "wrap":
+            head = sub.left.left
+            if type(head) is ConstJ and sub.i == 1:
+                tr.emit("SW-left-bwd", path)
+                todo.append(("cat", path))
+            elif sub.i > head.sort:
+                tr.emit("SW-right-fwd", path + (0,))
+                tr.emit("AsscD2", path)
+                tr.emit("SW-right-bwd", path)
+                todo.append(("wrap", path + (1,)))
+            else:  # the filler lands inside the head occurrence's wrap chain
+                tr.emit("SW-left-fwd", path + (0,))
+                tr.emit("AsscD2", path)
+                tr.emit("SW-left-bwd", path)
+                todo.append(("chain", path + (0,)))
+        elif sub.i >= sub.left.i:  # chain
+            tr.emit("AsscD2", path)
+            todo.append(("wrap", path + (1,)))
         else:
-            _pad_leaf_gaps(tr, path)
-            tr.emit("UnitI-R-add", path)
-        return
-    if isinstance(sub, Cat):
-        _canon(tr, path + (1,))
-        _cons(tr, path)
-        return
-    if isinstance(sub, WrapT):
-        _canon(tr, path + (1,))
-        _canon(tr, path + (0,))
-        _merge_wrap(tr, path)
-        return
-    raise TypeError("not a structural term: %r" % (sub,))
+            tr.emit("MixPerm2-fwd", path)
+            todo.append(("chain", path + (0,)))
 
 
 def _pad_leaf_gaps(tr: Tracer, path: tuple):
@@ -752,76 +795,6 @@ def _pad_leaf_gaps(tr: Tracer, path: tuple):
         tr.emit("UnitJ-i-add", path, i=m)
     for m in range(1, a + 1):
         tr.emit("UnitI-R-add", path + (0,) * (a - m) + (1,))
-
-
-def _cons(tr: Tracer, path: tuple):
-    """Cat node whose right child is canonical --> canonical cons-list."""
-    sub = tr.at(path)
-    x = sub.left
-    if isinstance(x, ConstI):
-        tr.emit("UnitI-L-drop", path)
-        return
-    if isinstance(x, ConstJ):
-        return
-    if isinstance(x, Leaf):
-        if sort_of_type(x.type) > 0:
-            _pad_leaf_gaps(tr, path + (0,))
-        return
-    if isinstance(x, Cat):
-        tr.emit("AsscC-fwd", path)
-        _cons(tr, path + (1,))
-        _cons(tr, path)
-        return
-    # wrap: canonicalize it standalone, then merge the two cons-lists
-    _canon(tr, path + (0,))
-    _merge_cat(tr, path)
-
-
-def _merge_cat(tr: Tracer, path: tuple):
-    """Cat of two canonical cons-lists --> one canonical cons-list."""
-    while True:
-        sub = tr.at(path)
-        if isinstance(sub.left, ConstI):
-            tr.emit("UnitI-L-drop", path)
-            return
-        tr.emit("AsscC-fwd", path)
-        path = path + (1,)
-
-
-def _merge_wrap(tr: Tracer, path: tuple):
-    """Wrap of two canonical terms --> canonical cons-list."""
-    sub = tr.at(path)
-    i, cu = sub.i, sub.left
-    head = cu.left
-    w = sort_of_term(head)
-    if isinstance(head, ConstJ) and i == 1:
-        tr.emit("SW-left-bwd", path)
-        _merge_cat(tr, path)
-        return
-    if i > w:
-        tr.emit("SW-right-fwd", path + (0,))
-        tr.emit("AsscD2", path)
-        tr.emit("SW-right-bwd", path)
-        _merge_wrap(tr, path + (1,))
-        return
-    # the filler lands inside the head occurrence's wrap chain
-    tr.emit("SW-left-fwd", path + (0,))
-    tr.emit("AsscD2", path)
-    tr.emit("SW-left-bwd", path)
-    _merge_chain(tr, path + (0,))
-
-
-def _merge_chain(tr: Tracer, path: tuple):
-    """Push the filler of (chain +i v) down to the gap that holds index i."""
-    sub = tr.at(path)
-    i, chain = sub.i, sub.left
-    p = chain.i
-    if i >= p:
-        tr.emit("AsscD2", path)
-        _merge_wrap(tr, path + (1,))
-        return
-    tr.emit("MixPerm2-fwd", path)
-    _merge_chain(tr, path + (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Random generators and the forward derivation builder used by the tests."""
 
-import random
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -68,8 +67,10 @@ from dcalc.terms import (
     RuleError,
     Tracer,
     WrapT,
+    _pad_leaf_gaps,
     _parse_term,
     apply_rule,
+    is_canonical,
     iter_subterms,
     rule_app,
     sharp,
@@ -387,6 +388,112 @@ def parent_invert_trace(trace):
     out = tr.trace()
     assert out.end() == trace.start
     return out
+
+
+# The parent's normalize: five mutually recursive helpers, which the task loop
+# in terms._canon replaced; kept as the oracle its traces are checked against.
+
+
+def parent_normalize(t, budget=10000):
+    tr = Tracer(t, budget=budget)
+    _parent_canon(tr, ())
+    return tr.trace()
+
+
+def _parent_canon(tr: Tracer, path: tuple):
+    sub = tr.at(path)
+    if is_canonical(sub):
+        return
+    if isinstance(sub, ConstJ):
+        tr.emit("UnitI-R-add", path)
+        return
+    if isinstance(sub, Leaf):
+        if sort_of_type(sub.type) == 0:
+            tr.emit("UnitI-R-add", path)
+        else:
+            _pad_leaf_gaps(tr, path)
+            tr.emit("UnitI-R-add", path)
+        return
+    if isinstance(sub, Cat):
+        _parent_canon(tr, path + (1,))
+        _parent_cons(tr, path)
+        return
+    if isinstance(sub, WrapT):
+        _parent_canon(tr, path + (1,))
+        _parent_canon(tr, path + (0,))
+        _parent_merge_wrap(tr, path)
+        return
+    raise TypeError("not a structural term: %r" % (sub,))
+
+
+def _parent_cons(tr: Tracer, path: tuple):
+    """Cat node whose right child is canonical --> canonical cons-list."""
+    sub = tr.at(path)
+    x = sub.left
+    if isinstance(x, ConstI):
+        tr.emit("UnitI-L-drop", path)
+        return
+    if isinstance(x, ConstJ):
+        return
+    if isinstance(x, Leaf):
+        if sort_of_type(x.type) > 0:
+            _pad_leaf_gaps(tr, path + (0,))
+        return
+    if isinstance(x, Cat):
+        tr.emit("AsscC-fwd", path)
+        _parent_cons(tr, path + (1,))
+        _parent_cons(tr, path)
+        return
+    # wrap: canonicalize it standalone, then merge the two cons-lists
+    _parent_canon(tr, path + (0,))
+    _parent_merge_cat(tr, path)
+
+
+def _parent_merge_cat(tr: Tracer, path: tuple):
+    """Cat of two canonical cons-lists --> one canonical cons-list."""
+    while True:
+        sub = tr.at(path)
+        if isinstance(sub.left, ConstI):
+            tr.emit("UnitI-L-drop", path)
+            return
+        tr.emit("AsscC-fwd", path)
+        path = path + (1,)
+
+
+def _parent_merge_wrap(tr: Tracer, path: tuple):
+    """Wrap of two canonical terms --> canonical cons-list."""
+    sub = tr.at(path)
+    i, cu = sub.i, sub.left
+    head = cu.left
+    w = sort_of_term(head)
+    if isinstance(head, ConstJ) and i == 1:
+        tr.emit("SW-left-bwd", path)
+        _parent_merge_cat(tr, path)
+        return
+    if i > w:
+        tr.emit("SW-right-fwd", path + (0,))
+        tr.emit("AsscD2", path)
+        tr.emit("SW-right-bwd", path)
+        _parent_merge_wrap(tr, path + (1,))
+        return
+    # the filler lands inside the head occurrence's wrap chain
+    tr.emit("SW-left-fwd", path + (0,))
+    tr.emit("AsscD2", path)
+    tr.emit("SW-left-bwd", path)
+    _parent_merge_chain(tr, path + (0,))
+
+
+def _parent_merge_chain(tr: Tracer, path: tuple):
+    """Push the filler of (chain +i v) down to the gap that holds index i."""
+    sub = tr.at(path)
+    i, chain = sub.i, sub.left
+    p = chain.i
+    if i >= p:
+        tr.emit("AsscD2", path)
+        _parent_merge_wrap(tr, path + (1,))
+        return
+    tr.emit("MixPerm2-fwd", path)
+    _parent_merge_chain(tr, path + (0,))
 
 
 # The parent definitions that the address-based apply_chunks and the

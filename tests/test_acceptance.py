@@ -15,7 +15,6 @@ from dcalc.hseq import (
     HSequent,
     check,
     derivation_from_obj,
-    parse_hsequent,
     prove,
     prove_all,
 )
@@ -27,7 +26,6 @@ from dcalc.syntax import (
     Leaf0,
     Over,
     Prod,
-    Signature,
     Under,
     UnitI,
     UnitJ,

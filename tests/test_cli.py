@@ -336,6 +336,19 @@ def test_lexicon_signature_errors_give_the_file_line(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: signature line 5: bad atom name 'Bad'\n")
 
 
+def test_lexicon_type_errors_give_the_file_line(capsys, tmp_path):
+    # the type parser's message named no line
+    lexicon = tmp_path / "bad.lex"
+    for entry, error in (
+        ("y\t(n / m)", "atom 'm' not declared in signature"),
+        ("z\t(n /", "expected a type at position 4 (near 'end')"),
+        ("w\t(n @2 n)", "@2 on sort-0 left operand"),
+    ):
+        lexicon.write_text("# a comment\n%% signature\nn 0\n%% lexicon\n" + entry + "\n")
+        code, out, err = run(capsys, "parse", str(lexicon), "x", "n")
+        assert (code, out, err) == (2, "", "error: line 5: %s\n" % error)
+
+
 AMBIGUOUS_LEX = "%% signature\nn 0\n%% lexicon\nx\tn\nx\t(n / n)\nx\t(n \\ n)\n"
 
 

@@ -49,9 +49,7 @@ from dcalc.syntax import (
     Separator,
     Signature,
     config_at,
-    figure,
     iter_items,
-    parse_type,
 )
 from dcalc.terms import Cat, ConstI, RuleApp, WrapT, replace_at, subterm_at
 

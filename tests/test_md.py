@@ -12,7 +12,6 @@ from dcalc.derivation import derivation_latex, derivation_text, json_text
 from dcalc.hseq import HDerivation, check
 from dcalc.mseq import (
     MDerivation,
-    MSequent,
     check_m,
     m_derivation_from_obj,
     m_derivation_to_obj,

@@ -74,6 +74,7 @@ from dcalc.terms import (
 from helpers import (
     enumerate_terms,
     parent_invert_trace,
+    parent_normalize,
     parent_sharp,
     random_config,
     random_term,
@@ -691,6 +692,43 @@ def test_is_canonical_agrees_with_the_reference_definition():
                 assert is_canonical(sub) == want, sub
                 canonical += want
     assert canonical > 2000
+
+
+def test_normalize_equals_the_parent_copy():
+    # the parent's five mutually recursive helpers are now one task loop:
+    # same steps, same results, on random terms, every subterm of them, and
+    # wrap chains ((b +1 e) +1 e)... that push fillers down gap after gap
+    rng = random.Random(11)
+    terms = [WrapT(1, Cat(ConstJ(), A), C)] + [random_term(rng, ATOMS, 4) for _ in range(40)]
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    rng = random.Random(19)
+    terms += [random_term(rng, atoms, rng.randint(1, 6)) for _ in range(100)]
+    terms += [sub for t in terms for path, sub in iter_subterms(t) if path]
+    chain = B
+    for k in range(20):
+        chain = WrapT(1, chain, E)
+        terms.append(chain)
+        if k % 5 == 0:
+            terms.append(WrapT(1 + k % 2, Cat(C, chain), Cat(E, A)))
+    steps = 0
+    for t in terms:
+        trace = normalize(t)
+        assert trace == parent_normalize(t), t
+        steps += len(trace)
+    assert steps > 20000, steps
+
+
+def test_normalize_deep_terms():
+    # the parent recursed once per level: a Cat of 332 leaves nested either
+    # way raised RecursionError under the default recursion limit
+    left = right = A
+    for _ in range(1999):
+        left = Cat(left, A)
+    for _ in range(1499):
+        right = Cat(A, right)
+    for t, leaves in ((left, 2000), (right, 1500)):
+        end = normalize(t).end()
+        assert is_canonical(end) and flatten(sharp(end)) == (Leaf0(Atom("a", 0)),) * leaves
 
 
 def test_normalize_budget():
