@@ -12,12 +12,19 @@ The Structural chains are built from the rewrite traces of ``normalize``,
 an inverted trace, checked in place against the term the forward trace
 holds, when the trace was made, so lift takes each Structural node's
 antecedent from the term stored in the step rather than rewriting again.
+
+Each configuration derivation node stores its canonical lift once built, as
+types store their figure: a second ``lift`` of the same derivation, onto any
+target, reuses it and only reshapes, and a subderivation that ``prove``
+shares between premises is lifted once.  The stored lift refers to no node
+of the derivation, so both are freed together.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     Separator,
+    _stored,
     flatten,
     item_at,
     iter_items,
@@ -105,6 +112,11 @@ def lift(d: HDerivation, target=None) -> MDerivation:
 
 
 def _lift(d: HDerivation) -> MDerivation:
+    """The lift of d to its canonical term, which d stores once built."""
+    return _stored(d, "_lifted", _lift_node)
+
+
+def _lift_node(d: HDerivation) -> MDerivation:
     seq = d.conclusion
     succ = seq.succedent
     rule = d.rule

@@ -222,14 +222,30 @@ def json_text(obj) -> str:
 
 
 def from_obj(obj: dict, sig, parse_sequent) -> Derivation:
-    """Read a derivation, parsing each sequent with `parse_sequent(text, sig)`."""
-    _expect(obj, dict, "a derivation node")
-    seq = parse_sequent(_expect(obj["sequent"], str, "sequent"), sig)
-    premises = tuple(
-        from_obj(p, sig, parse_sequent) for p in _expect(obj.get("premises", []), list, "premises")
-    )
-    rule = _expect(obj["rule"], str, "rule")
-    return Derivation(rule, seq, premises, params_from_obj(obj.get("params", {})))
+    """Read a derivation, parsing each distinct sequent text once with
+    `parse_sequent(text, sig)`.  A node's sequent is read before its
+    premises, its rule and params after them; the walk keeps its own stack,
+    so a long Structural chain reads too."""
+    parsed = {}
+    done = []  # the nodes read so far whose parent is not finished yet
+    stack = [(obj, None, 0)]  # (node, its sequent once expanded, premise count)
+    while stack:
+        node, seq, n = stack.pop()
+        if seq is None:
+            _expect(node, dict, "a derivation node")
+            text = _expect(node["sequent"], str, "sequent")
+            seq = parsed.get(text)
+            if seq is None:
+                seq = parsed[text] = parse_sequent(text, sig)
+            premises = _expect(node.get("premises", []), list, "premises")
+            stack.append((node, seq, len(premises)))
+            stack.extend((p, None, 0) for p in reversed(premises))
+            continue
+        premises = tuple(done[len(done) - n:])
+        del done[len(done) - n:]
+        rule = _expect(node["rule"], str, "rule")
+        done.append(Derivation(rule, seq, premises, params_from_obj(node.get("params", {}))))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

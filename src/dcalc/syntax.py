@@ -332,13 +332,14 @@ def sort_of_config(cfg: HyperConfig) -> int:
 _GAP = HyperConfig((SEP,))
 
 
-def _stored(t: Type, name: str, build):
-    """The value t stores under name, built by build(t) the first time it is
-    asked for; not a dataclass field, so ==, hash and repr ignore it."""
-    value = getattr(t, name, None)
+def _stored(obj, name: str, build):
+    """The value the immutable obj (a type, a derivation node) stores under
+    name, built by build(obj) the first time it is asked for; not a
+    dataclass field, so ==, hash and repr ignore it."""
+    value = getattr(obj, name, None)
     if value is None:
-        value = build(t)
-        object.__setattr__(t, name, value)
+        value = build(obj)
+        object.__setattr__(obj, name, value)
     return value
 
 

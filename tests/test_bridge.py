@@ -1,10 +1,12 @@
 """Round-trip translation between the two presentations, plus the goldens."""
 
+import gc
 import hashlib
 import importlib.util
 import json
 import os
 import random
+import weakref
 
 import pytest
 from dcalc import bridge
@@ -170,14 +172,87 @@ def test_lift_agrees_with_the_replayed_structural_chain(monkeypatch):
     rng = random.Random(5)
     cases = []
     generated_atoms = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
+    gen_sig = Signature(dict(generated_atoms))
     for d in generate_derivations(random.Random(17), generated_atoms, 60):
         target = _non_canonical_target(rng, term_of_config(d.conclusion.antecedent))
         cases.append((d, target, lift(d), lift(d, target=target)))
     monkeypatch.setattr(bridge, "_append_trace", reference_append_trace)
     for d, target, plain, reshaped in cases:
-        assert plain == lift(d)
-        assert reshaped == lift(d, target=target)
+        # d and its subderivations store their lifts, and the generated
+        # derivations share nodes: a fresh, equal copy is lifted anew
+        fresh = derivation_from_obj(derivation_to_obj(d), gen_sig)
+        assert fresh == d and getattr(fresh, "_lifted", None) is None
+        assert plain == lift(fresh)
+        assert reshaped == lift(fresh, target=target)
         assert reshaped.conclusion.antecedent == target
+
+
+def test_a_derivation_stores_its_lift(monkeypatch):
+    d = prove(hseq("n, (n \\ s) => s"))
+    plain = lift(d)
+    assert lift(d) is plain
+    calls = []
+
+    def counting_normalize(t):
+        calls.append(t)
+        return normalize(t)
+
+    monkeypatch.setattr(bridge, "normalize", counting_normalize)
+    target = parse_term("((II + n) + (n \\ s))", SIG)
+    md = lift(d, target=target)
+    # only the reshape onto the target normalizes
+    assert calls == [target]
+    assert md.conclusion.antecedent == target and check_m(md)
+    assert lift(d) is plain
+
+
+def _nodes(d):
+    """Every node occurrence of d, in pre-order."""
+    out, stack = [], [d]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.premises)
+    return out
+
+
+def test_a_shared_subderivation_is_lifted_once(monkeypatch):
+    d = prove(hseq("(n . (n . n)) => ((n . n) . n)"))
+    occurrences = _nodes(d)
+    distinct = {id(node) for node in occurrences}
+    # prove's memo shares a subderivation object between premises
+    assert len(distinct) < len(occurrences)
+    lifted = []
+
+    def counting_lift_node(node):
+        lifted.append(id(node))
+        return lift_node(node)
+
+    lift_node = bridge._lift_node
+    monkeypatch.setattr(bridge, "_lift_node", counting_lift_node)
+    md = lift(d)
+    assert sorted(lifted) == sorted(distinct)
+    assert check_m(md) and correspondence_check(d, md)
+
+
+def test_a_derivation_and_its_lifts_are_freed_together():
+    # the stored lift refers to no node of the derivation: with the cycle
+    # collector off, reference counting alone frees every node of d and of
+    # both lifts
+    d = prove(hseq("(n . (n . n)) => ((n . n) . n)"))
+    target = Cat(ConstI(), term_of_config(d.conclusion.antecedent))
+    # prove's search closure refers to itself and holds its memo, which
+    # holds d: only the collector frees that cycle
+    gc.collect()
+    gc.disable()
+    try:
+        plain, reshaped = lift(d), lift(d, target=target)
+        refs = [weakref.ref(node) for tree in (d, plain, reshaped) for node in _nodes(tree)]
+        assert getattr(d, "_lifted", None) is plain
+        del d, plain, reshaped
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_traced_benchmark_names_exist():

@@ -261,6 +261,34 @@ def test_json_text_writes_a_long_structural_chain():
     assert text.count('"rule": "Id"') == 1
 
 
+def test_from_obj_reads_a_long_structural_chain():
+    # the object is built in-process: json.loads itself recurses per level
+    obj = m_derivation_to_obj(long_structural_chain())
+    d = m_derivation_from_obj(obj, SIG)
+    assert check_m(d)
+    # dict == recurses too; the text compares the whole tree
+    assert json_text(m_derivation_to_obj(d)) == json_text(obj)
+
+
+def test_from_obj_reads_a_node_sequent_first_and_rule_last():
+    good = m_derivation_to_obj(MDerivation("Id", mseq("a -> a")))
+    bad_sequent = dict(good, sequent="a -> ")
+    bad_rule = dict(good, rule=7)
+    # a node's own sequent before its premises
+    with pytest.raises(ParseError, match="sequent"):
+        m_derivation_from_obj(dict(bad_rule, sequent=3, premises=[bad_sequent]), SIG)
+    # its premises in order, each read whole before the next
+    with pytest.raises(ParseError, match="rule"):
+        m_derivation_from_obj(dict(good, premises=[dict(good, premises=[bad_rule]), 5]), SIG)
+    # its rule and params after its premises
+    with pytest.raises(ParseError, match="a derivation node"):
+        m_derivation_from_obj(dict(bad_rule, params=[], premises=[good, 5]), SIG)
+    with pytest.raises(ParseError, match="rule"):
+        m_derivation_from_obj(dict(bad_rule, params=[], premises=[good]), SIG)
+    with pytest.raises(ParseError, match="params"):
+        m_derivation_from_obj(dict(good, params=[], premises=[good]), SIG)
+
+
 def test_json_text_of_a_short_chain_equals_dumps():
     d = MDerivation("Id", mseq("a -> a"))
     for n in range(50):
