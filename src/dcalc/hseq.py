@@ -10,10 +10,12 @@ each row names the side and the connective a rule acts on, how its
 candidate parameters are generated and how its premises are built.
 Enumeration, proof search and checking all read it.  Cut is supported by
 the checker but never used in search.  Every rule keeps each atom's
-polarity-weighted count equal on both sides, so the search drops a
-subgoal that breaks this count invariant (``_balanced``) without trying a
-rule; it finds what an unpruned search finds.  There is one search,
-``prove_all``; ``prove`` is its first derivation (``limit=1``).
+polarity-weighted count equal on both sides (the count invariant,
+``_balanced``), so the search checks the root's counts once and then
+filters rule candidates by counts: a candidate whose minor premise
+breaks the invariant is skipped before any premise is built.  It finds
+what an unpruned search finds.  There is one search, ``prove_all``;
+``prove`` is its first derivation (``limit=1``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .derivation import checked_premises, first_violation, from_obj
 from .derivation import derivation_latex, derivation_text, derivation_to_obj  # noqa: F401 (re-exported)
 from .syntax import (
     EMPTY,
-    Atom,
     DDown,
     DProd,
     DUp,
@@ -39,11 +40,11 @@ from .syntax import (
     Separator,
     Signature,
     SortError,
-    Type,
     Under,
     UnitI,
     UnitJ,
     _parse_config_body,
+    atom_counts,
     config_at,
     figure,
     figure_items,
@@ -117,37 +118,39 @@ def enum_chunkings(region: HyperConfig, count: int):
     """All ways to abstract the region into `count` gaps.
 
     Every separator of the region must fall inside a chunk; chunks are
-    contiguous item ranges at any depth, zero-width ranges allowed.
+    contiguous item ranges at any depth, zero-width ranges allowed.  A
+    depth-first walk with its own stack: a state is a place in some item
+    list, the chunks left to place, the specs so far and the places to
+    resume at once that list is done (the next gap of the occurrence it is
+    in, then the items after it), as a linked list.  At each state it tries,
+    in this order: leaving the list, a chunk from here to each place at or
+    after it, and stepping over the item here.
     """
-
-    def gen(items, lvl, i, r):
+    stack = [(region.items, (), 0, count, (), None)]
+    while stack:
+        items, lvl, i, r, specs, resume = stack.pop()
+        tries = []
         if i == len(items):
-            yield (), r
+            if resume is None:
+                if r == 0:
+                    yield specs
+            else:
+                (items2, lvl2, i2), rest = resume
+                tries.append((items2, lvl2, i2, r, specs, rest))
         if r >= 1:
             for e in range(i, len(items) + 1):
-                for rest, rr in gen(items, lvl, e, r - 1):
-                    yield ((lvl, i, e),) + rest, rr
+                tries.append((items, lvl, e, r - 1, specs + ((lvl, i, e),), resume))
         if i < len(items):
             item = items[i]
             if isinstance(item, Leaf0):
-                yield from gen(items, lvl, i + 1, r)
+                tries.append((items, lvl, i + 1, r, specs, resume))
             elif isinstance(item, Occurrence):
-                for inner, r1 in gen_gaps(item, lvl + (i,), 0, r):
-                    for rest, r2 in gen(items, lvl, i + 1, r1):
-                        yield inner + rest, r2
+                after = ((items, lvl, i + 1), resume)
+                for g in range(len(item.gaps) - 1, 0, -1):
+                    after = ((item.gaps[g].items, lvl + (i, g), 0), after)
+                tries.append((item.gaps[0].items, lvl + (i, 0), 0, r, specs, after))
             # a bare separator can only be consumed by a chunk
-
-    def gen_gaps(occ, base, g, r):
-        if g == len(occ.gaps):
-            yield (), r
-            return
-        for first, r1 in gen(occ.gaps[g].items, base + (g,), 0, r):
-            for rest, r2 in gen_gaps(occ, base, g + 1, r1):
-                yield first + rest, r2
-
-    for specs, left in gen(region.items, (), 0, count):
-        if left == 0:
-            yield specs
+        stack += reversed(tries)
 
 
 def _shift_specs(specs, offset: int):
@@ -166,40 +169,78 @@ def _shift_specs(specs, offset: int):
 # The RULES table at the end of this section gives each rule the side it
 # acts on ("R": the succedent; "L": the antecedent item at params["at"]), the
 # connective the type there must have, and two functions.  The candidates
-# function yields parameter dicts and is called only where the side and the
-# connective fit: with (ant, succ) for a right rule, (ant, addr, item) for a
-# left rule.  The premises function, called with (ant, succ, params) or
-# (ant, succ, addr, item, params), builds the premise sequents and raises
-# InstanceError when the rest of the instance does not fit.
+# function is called only where the side and the connective fit: with (ant,
+# succ) for a right rule, (ant, addr, item) for a left rule.  It yields
+# (params, fits) pairs, where fits tells whether the minor premise (the one
+# whose succedent is an operand of the principal type: ProdR's left,
+# DProdR's excised slice, the argument of the left rules for implications)
+# keeps the count invariant (see _balanced); it is True for rules with one
+# premise or none.  The candidates keep running sums of the stored atom
+# counts as their splits and regions grow, so fits costs no premise.  The
+# premises function, called with (ant, succ, params) or (ant, succ, addr,
+# item, params), builds the premise sequents and raises InstanceError when
+# the rest of the instance does not fit.
 
 
 def _item_gaps(item) -> tuple:
     return item.gaps if isinstance(item, Occurrence) else ()
 
 
+def _add(counts: dict, more: dict, sign: int = 1) -> dict:
+    for name, n in more.items():
+        counts[name] = counts.get(name, 0) + sign * n
+    return counts
+
+
+def _add_items(counts: dict, items, sign: int = 1) -> dict:
+    """Add the atom counts of the items, their gaps' items included."""
+    stack = [items]
+    while stack:
+        for item in stack.pop():
+            if type(item) is not Separator:
+                _add(counts, atom_counts(item.type), sign)
+                if type(item) is Occurrence:
+                    stack += [gap.items for gap in item.gaps]
+    return counts
+
+
+def _cancels(counts: dict) -> bool:
+    """Is every atom's count zero?"""
+    return not any(counts.values())
+
+
+def _unchunked(counts: dict, region: HyperConfig, specs) -> dict:
+    """counts less the atom counts of what the chunks take out of region."""
+    taken = [config_at(region, lvl).items[start:end] for lvl, start, end in specs if start < end]
+    if taken:
+        counts = dict(counts)
+        for items in taken:
+            _add_items(counts, items, -1)
+    return counts
+
+
 # right rules: candidate parameters
 
 
 def _once(ant, succ):
-    return ({},)
+    return (({}, True),)
 
 
 def _index(ant, succ):
-    return ({"k": succ.k},)
+    return (({"k": succ.k}, True),)
 
 
 def _splits(ant, succ):
     want = sort_of_type(succ.left)
     total = 0
+    counts = _add({}, atom_counts(succ.left), -1)  # the left part's, less succ.left's
     for split in range(len(ant.items) + 1):
         if total == want:
-            yield {"split": split}
+            yield {"split": split}, _cancels(counts)
         if split < len(ant.items):
             item = ant.items[split]
-            if isinstance(item, Separator):
-                total += 1
-            elif isinstance(item, Occurrence):
-                total += sum(sort_of_config(g) for g in item.gaps)
+            total += sort_of_config(HyperConfig((item,)))
+            _add_items(counts, (item,))
 
 
 def _levels(cfg: HyperConfig):
@@ -215,9 +256,16 @@ def _excisions(ant, succ):
     for level in _levels(ant):
         items = config_at(ant, level).items
         for start in range(len(items) + 1):
+            total = 0  # the slice's sort
+            counts = _add({}, atom_counts(succ.right), -1)  # the slice's, less succ.right's
             for end in range(start, len(items) + 1):
-                if sort_of_config(HyperConfig(items[start:end])) == want:
-                    yield {"excise": (level, start, end)}
+                if end > start:
+                    total += sort_of_config(HyperConfig(items[end - 1 : end]))
+                    _add_items(counts, (items[end - 1],))
+                if total > want:
+                    break
+                if total == want:
+                    yield {"excise": (level, start, end)}, _cancels(counts)
 
 
 # right rules: premises
@@ -266,42 +314,72 @@ def _dprod_r(ant, succ, params):
 
 
 def _principal(ant, addr, item):
-    return ({"at": addr},)
+    return (({"at": addr}, True),)
+
+
+# The left rules' minor premise is the region, its chunks taken out, against
+# the argument type: each region's counts start from the argument's, negated,
+# and grow by one item as the region does.
 
 
 def _left_regions(ant, addr, item):
     level, p = addr[:-1], addr[-1]
-    count = sort_of_type(item.type.left)
+    items = config_at(ant, level).items
+    arg = item.type.left
+    counts = _add({}, atom_counts(arg), -1)
     for q in range(p, -1, -1):
-        for specs in enum_chunkings(sub_slice(ant, level, q, p), count):
-            yield {"at": addr, "mstart": q, "chunks": specs}
+        region = HyperConfig(items[q:p])
+        if q < p:
+            _add_items(counts, (items[q],))
+        for specs in enum_chunkings(region, sort_of_type(arg)):
+            fits = _cancels(_unchunked(counts, region, specs))
+            yield {"at": addr, "mstart": q, "chunks": specs}, fits
 
 
 def _right_regions(ant, addr, item):
     level, p = addr[:-1], addr[-1]
-    count = sort_of_type(item.type.right)
-    for r in range(p + 1, len(config_at(ant, level).items) + 1):
-        for specs in enum_chunkings(sub_slice(ant, level, p + 1, r), count):
-            yield {"at": addr, "mend": r, "chunks": specs}
+    items = config_at(ant, level).items
+    arg = item.type.right
+    counts = _add({}, atom_counts(arg), -1)
+    for r in range(p + 1, len(items) + 1):
+        region = HyperConfig(items[p + 1 : r])
+        if r > p + 1:
+            _add_items(counts, (items[r - 1],))
+        for specs in enum_chunkings(region, sort_of_type(arg)):
+            fits = _cancels(_unchunked(counts, region, specs))
+            yield {"at": addr, "mend": r, "chunks": specs}, fits
 
 
 def _gap_regions(ant, addr, item):
     t = item.type
-    for specs in enum_chunkings(item.gaps[t.k - 1], sort_of_type(t.right)):
-        yield {"at": addr, "chunks": specs}
+    region = item.gaps[t.k - 1]
+    counts = _add_items(_add({}, atom_counts(t.right), -1), region.items)
+    for specs in enum_chunkings(region, sort_of_type(t.right)):
+        yield {"at": addr, "chunks": specs}, _cancels(_unchunked(counts, region, specs))
 
 
 def _infix_regions(ant, addr, item):
+    # the principal's place is a chunk of its own, so the minor premise
+    # holds the left and the right part of the region, each less its chunks
     t = item.type
     level, p = addr[:-1], addr[-1]
+    items = config_at(ant, level).items
     a = sort_of_type(t.left)
-    n = len(config_at(ant, level).items)
+    left = _add({}, atom_counts(t.left), -1)
     for q in range(p, -1, -1):
-        for lspecs in enum_chunkings(sub_slice(ant, level, q, p), t.k - 1):
-            for r in range(p + 1, n + 1):
-                for rspecs in enum_chunkings(sub_slice(ant, level, p + 1, r), a - t.k):
+        lregion = HyperConfig(items[q:p])
+        if q < p:
+            _add_items(left, (items[q],))
+        for lspecs in enum_chunkings(lregion, t.k - 1):
+            counts = dict(_unchunked(left, lregion, lspecs))
+            for r in range(p + 1, len(items) + 1):
+                rregion = HyperConfig(items[p + 1 : r])
+                if r > p + 1:
+                    _add_items(counts, (items[r - 1],))
+                for rspecs in enum_chunkings(rregion, a - t.k):
                     chunks = lspecs + _shift_specs(rspecs, p - q + 1)
-                    yield {"at": addr, "mstart": q, "mend": r, "chunks": chunks}
+                    fits = _cancels(_unchunked(counts, rregion, rspecs))
+                    yield {"at": addr, "mstart": q, "mend": r, "chunks": chunks}, fits
 
 
 # left rules: premises
@@ -432,8 +510,9 @@ def _instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
     return premises(ant, succ, addr, item, params)
 
 
-def enumerate_rule_instances(seq: HSequent, only_rule=None):
-    """Yield (rule, params, premises) for every instance concluding seq."""
+def _candidates(seq: HSequent, only_rule=None):
+    """Yield (rule, params, fits) for every candidate instance concluding
+    seq, in enumeration order; fits as the candidates functions give it."""
     ant, succ = seq.antecedent, seq.succedent
     principals = [(addr, it) for addr, it in iter_items(ant) if not isinstance(it, Separator)]
     for rule in RULES if only_rule is None else (only_rule,):
@@ -441,19 +520,30 @@ def enumerate_rule_instances(seq: HSequent, only_rule=None):
             continue
         side, connective, candidates, _ = RULES[rule]
         if side == "R":
-            found = candidates(ant, succ) if isinstance(succ, connective) else ()
+            if isinstance(succ, connective):
+                for params, fits in candidates(ant, succ):
+                    yield rule, params, fits
         else:
-            found = (
-                params
-                for addr, item in principals
-                if isinstance(item.type, connective)
-                for params in candidates(ant, addr, item)
-            )
-        for params in found:
-            try:  # the candidates are well-typed: skip instance_premises' check
-                premises = _instance_premises(seq, rule, params)
-            except (InstanceError, SortError, IndexError, KeyError):
-                continue
+            for addr, item in principals:
+                if isinstance(item.type, connective):
+                    for params, fits in candidates(ant, addr, item):
+                        yield rule, params, fits
+
+
+def _built_premises(seq: HSequent, rule: str, params: dict):
+    """The candidate's premises, or None when the rest of it does not fit;
+    the candidates are well-typed, so instance_premises' check is skipped."""
+    try:
+        return _instance_premises(seq, rule, params)
+    except (InstanceError, SortError, IndexError, KeyError):
+        return None
+
+
+def enumerate_rule_instances(seq: HSequent, only_rule=None):
+    """Yield (rule, params, premises) for every instance concluding seq."""
+    for rule, params, _ in _candidates(seq, only_rule):
+        premises = _built_premises(seq, rule, params)
+        if premises is not None:
             yield rule, tuple(sorted(params.items())), premises
 
 
@@ -487,37 +577,16 @@ def _seq_key(seq: HSequent):
     return (flatten(seq.antecedent), seq.succedent)
 
 
-def _add_atoms(t: Type, sign: int, counts: dict) -> None:
-    """Add each atom of t to counts with its polarity: results count sign,
-    arguments of the implications -sign, units nothing."""
-    while True:
-        if isinstance(t, Atom):
-            counts[t.name] = counts.get(t.name, 0) + sign
-            return
-        if isinstance(t, (Under, DDown)):
-            _add_atoms(t.left, -sign, counts)
-            t = t.right
-        elif isinstance(t, (Over, DUp)):
-            _add_atoms(t.right, -sign, counts)
-            t = t.left
-        elif isinstance(t, (Prod, DProd)):
-            _add_atoms(t.left, sign, counts)
-            t = t.right
-        else:
-            return
-
-
 def _balanced(key) -> bool:
     """The count invariant: without structural rules, every provable sequent
     has each atom's polarity-weighted count equal on both sides (van Benthem
     1991; Morrill, Valentin & Fadda 2011).  key is a _seq_key."""
     tokens, succ = key
-    counts = {}
+    counts = _add({}, atom_counts(succ), -1)
     for tok in tokens:
-        if isinstance(tok, Leaf0) or (isinstance(tok, SegTok) and tok.idx == 0):
-            _add_atoms(tok.type, 1, counts)
-    _add_atoms(succ, -1, counts)
-    return not any(counts.values())
+        if type(tok) is Leaf0 or (type(tok) is SegTok and tok.idx == 0):
+            _add(counts, atom_counts(tok.type))
+    return _cancels(counts)
 
 
 def prove(seq: HSequent):
@@ -531,29 +600,38 @@ def prove_all(seq: HSequent, limit: int = 16):
     depth-first order; each subgoal is searched once."""
     if limit < 1:
         raise ValueError("limit must be at least 1, not %r" % (limit,))
-    memo = {}
+    if not _balanced(_seq_key(seq)):
+        return []
+    return _search(seq, limit, {})
 
-    def go(s):
-        key = _seq_key(s)
-        if key in memo:
-            return memo[key]
-        if not _balanced(key):
-            return []
-        out = []
-        for rule, params, premises in enumerate_rule_instances(s):
-            lists = []
-            for p in premises:
-                lists.append(go(p))
-                if not lists[-1]:
-                    break
-            else:
-                for combo in product(*lists):
-                    out.append(HDerivation(rule, s, combo, params))
-                    if len(out) >= limit:
-                        break
-            if len(out) >= limit:
+
+def _search(s: HSequent, limit: int, memo: dict) -> list:
+    """prove_all below its root check.  Every subgoal is balanced: the root
+    is, each rule keeps the counts, and of a candidate's two premises both
+    balance or neither does, so the candidates whose minor premise does not
+    are skipped before anything is built.  A module-level function, so the
+    memo dies with the call and nothing the search built waits for the
+    cycle collector."""
+    key = _seq_key(s)
+    if key in memo:
+        return memo[key]
+    out = []
+    for rule, params, fits in _candidates(s):
+        premises = _built_premises(s, rule, params) if fits else None
+        if premises is None:
+            continue
+        lists = []
+        for p in premises:
+            lists.append(_search(p, limit, memo))
+            if not lists[-1]:
                 break
-        memo[key] = out
-        return out
-
-    return go(seq)
+        else:
+            params = tuple(sorted(params.items()))
+            for combo in product(*lists):
+                out.append(HDerivation(rule, s, combo, params))
+                if len(out) >= limit:
+                    break
+        if len(out) >= limit:
+            break
+    memo[key] = out
+    return out

@@ -6,9 +6,10 @@ wrapping).  Every connective has a sort law.  Each type node stores its sort
 when it is built, computed from its operands' stored sorts, so
 ``sort_of_type`` is O(1); the constructors reject operand combinations that
 would produce a negative sort or an out-of-range wrap index.  A type also
-stores its figure and its segment tokens, but only once they are first asked
-for, since most parsed subtypes never become items.  None of these stored
-values is a dataclass field, so equality, hashing and printing ignore them.
+stores its figure, its segment tokens, its polarity-weighted atom counts and
+(a binary one) its hash, but only once they are first asked for, since most
+parsed subtypes never become items.  None of these stored values is a
+dataclass field, so equality, hashing and printing ignore them.
 
 A hyperconfiguration is a sequence of items: sort-0 type leaves, separators
 (written ``[]``), and occurrences of types of sort >= 1, where an occurrence
@@ -115,11 +116,24 @@ class UnitJ:
         return "J"
 
 
+def _stored_hash(t) -> int:
+    """A binary type's hash, the value its dataclass would compute from its
+    fields, stored on first use: the search hashes every subgoal's
+    succedent, an operand of the one before."""
+    h = getattr(t, "_hash", None)
+    if h is None:
+        k = getattr(t, "k", None)
+        h = hash((t.left, t.right) if k is None else (k, t.left, t.right))
+        object.__setattr__(t, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class Prod:
     left: "Type"
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
 
     def __post_init__(self):
         object.__setattr__(self, "sort", sort_of_type(self.left) + sort_of_type(self.right))
@@ -135,6 +149,7 @@ class Under:
     left: "Type"
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
 
     def __post_init__(self):
         s = sort_of_type(self.right) - sort_of_type(self.left)
@@ -153,6 +168,7 @@ class Over:
     left: "Type"
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
 
     def __post_init__(self):
         s = sort_of_type(self.left) - sort_of_type(self.right)
@@ -182,6 +198,7 @@ class DProd:
     left: "Type"
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
 
     def __post_init__(self):
         a = _wrapped_sort("@", self.k, self.left)
@@ -199,6 +216,7 @@ class DDown:
     left: "Type"
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
 
     def __post_init__(self):
         a = _wrapped_sort("!", self.k, self.left)
@@ -219,6 +237,7 @@ class DUp:
     left: "Type"
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
 
     def __post_init__(self):
         s = sort_of_type(self.left) + 1 - sort_of_type(self.right)
@@ -355,6 +374,44 @@ def figure(t: Type) -> HyperConfig:
     Each type builds its figure once and stores it, so every call returns
     the same object."""
     return _stored(t, "_figure", _build_figure)
+
+
+# the sign each binary connective gives its (left, right) operand's atoms:
+# results count with the type's own sign, arguments of the implications
+# with the opposite one
+_OPERAND_SIGNS = {
+    Prod: (1, 1),
+    DProd: (1, 1),
+    Under: (-1, 1),
+    DDown: (-1, 1),
+    Over: (1, -1),
+    DUp: (1, -1),
+}
+
+
+def _build_counts(t: Type) -> dict:
+    counts = {}
+    stack = [(t, 1)]
+    while stack:
+        u, sign = stack.pop()
+        stored = getattr(u, "_counts", None)
+        if stored is not None:
+            for name, n in stored.items():
+                counts[name] = counts.get(name, 0) + sign * n
+        elif type(u) is Atom:
+            counts[u.name] = counts.get(u.name, 0) + sign
+        elif type(u) in _OPERAND_SIGNS:
+            left, right = _OPERAND_SIGNS[type(u)]
+            stack += ((u.left, left * sign), (u.right, right * sign))
+    return {name: n for name, n in counts.items() if n}
+
+
+def atom_counts(t: Type) -> dict:
+    """Each atom's polarity-weighted count in t, atoms that cancel left out:
+    results count +1, the arguments of the implications -1, units nothing.
+    Each type stores its counts on first use; the map refers to no type.
+    Callers must not change it."""
+    return _stored(t, "_counts", _build_counts)
 
 
 def _build_segments(t: Type) -> tuple:

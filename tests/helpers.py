@@ -9,7 +9,6 @@ from dcalc.hseq import (
     HDerivation,
     HSequent,
     InstanceError,
-    _balanced,
     _item_gaps,
     _seq_key,
     apply_chunks,
@@ -875,10 +874,50 @@ def reference_parse_msequent(text: str, sig: Signature) -> ReferenceMSequent:
 #
 # The two search closures that hseq's single search replaced (a first-proof
 # search that remembers failures, an all-proofs search that remembers every
-# subgoal and drops repeated derivations), and the recursive JSON-object
-# builder and LaTeX renderer that derivation_to_obj's and derivation_latex's
-# explicit-stack walks replaced, kept as the oracles those are checked
-# against.
+# subgoal and drops repeated derivations), the count check they prune with,
+# as it was before types stored their atom counts, and the recursive
+# JSON-object builder and LaTeX renderer that derivation_to_obj's and
+# derivation_latex's explicit-stack walks replaced, kept as the oracles
+# those are checked against.
+
+
+def _reference_add_atoms(t: Type, sign: int, counts: dict) -> None:
+    """Add each atom of t to counts with its polarity: results count sign,
+    arguments of the implications -sign, units nothing."""
+    while True:
+        if isinstance(t, Atom):
+            counts[t.name] = counts.get(t.name, 0) + sign
+            return
+        if isinstance(t, (Under, DDown)):
+            _reference_add_atoms(t.left, -sign, counts)
+            t = t.right
+        elif isinstance(t, (Over, DUp)):
+            _reference_add_atoms(t.right, -sign, counts)
+            t = t.left
+        elif isinstance(t, (Prod, DProd)):
+            _reference_add_atoms(t.left, sign, counts)
+            t = t.right
+        else:
+            return
+
+
+def reference_atom_counts(t: Type) -> dict:
+    counts = {}
+    _reference_add_atoms(t, 1, counts)
+    return {name: n for name, n in counts.items() if n}
+
+
+def reference_balanced(key) -> bool:
+    """The count invariant: without structural rules, every provable sequent
+    has each atom's polarity-weighted count equal on both sides (van Benthem
+    1991; Morrill, Valentin & Fadda 2011).  key is a _seq_key."""
+    tokens, succ = key
+    counts = {}
+    for tok in tokens:
+        if isinstance(tok, Leaf0) or (isinstance(tok, SegTok) and tok.idx == 0):
+            _reference_add_atoms(tok.type, 1, counts)
+    _reference_add_atoms(succ, -1, counts)
+    return not any(counts.values())
 
 
 def reference_prove(seq):
@@ -886,7 +925,7 @@ def reference_prove(seq):
 
     def go(s):
         key = _seq_key(s)
-        if key in failed or not _balanced(key):
+        if key in failed or not reference_balanced(key):
             return None
         for rule, params, premises in enumerate_rule_instances(s):
             subs = []
@@ -910,7 +949,7 @@ def reference_prove_all(seq, limit=16):
         key = _seq_key(s)
         if key in memo:
             return memo[key]
-        if not _balanced(key):
+        if not reference_balanced(key):
             return []
         out = []
         for rule, params, premises in enumerate_rule_instances(s):

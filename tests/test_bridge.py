@@ -241,8 +241,6 @@ def test_a_derivation_and_its_lifts_are_freed_together():
     # both lifts
     d = prove(hseq("(n . (n . n)) => ((n . n) . n)"))
     target = Cat(ConstI(), term_of_config(d.conclusion.antecedent))
-    # prove's search closure refers to itself and holds its memo, which
-    # holds d: only the collector frees that cycle
     gc.collect()
     gc.disable()
     try:

@@ -1,9 +1,11 @@
 """The hypersequent presentation: rule instances, checking, proof search."""
 
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -48,6 +50,7 @@ from dcalc.syntax import (
     ParseError,
     Separator,
     Signature,
+    atom_counts,
     config_at,
     iter_items,
 )
@@ -60,6 +63,8 @@ from helpers import (
     hderivation_depth,
     random_config,
     reference_apply_chunks,
+    reference_atom_counts,
+    reference_balanced,
     reference_prove,
     reference_prove_all,
 )
@@ -301,14 +306,16 @@ def _subgoals(monkeypatch):
     """The nodes of the generated derivations and every subgoal that the
     search visits from their end-sequents and from shuffled copies."""
     found = {}
+    candidates = hseq._candidates
 
-    def enumerate_and_record(s, only_rule=None):
+    def candidates_and_record(s, only_rule=None):
         found.setdefault(_seq_key(s), s)
-        return enumerate_rule_instances(s, only_rule)
+        return candidates(s, only_rule)
 
+    sequents = search_corpus()  # before the patch: the generator enumerates too
     with monkeypatch.context() as patch:
-        patch.setattr(hseq, "enumerate_rule_instances", enumerate_and_record)
-        for s in search_corpus():
+        patch.setattr(hseq, "_candidates", candidates_and_record)
+        for s in sequents:
             prove_all(s, limit=16)
     for d in generate_derivations(random.Random(17), GENERATED_ATOMS, 60):
         stack = [d]
@@ -337,13 +344,15 @@ WIDE = (
 def _candidates(s, rule):
     side, connective, candidates, _ = RULES[rule]
     if side == "R":
-        return candidates(s.antecedent, s.succedent) if isinstance(s.succedent, connective) else ()
-    return [
-        params
-        for addr, item in iter_items(s.antecedent)
-        if not isinstance(item, Separator) and isinstance(item.type, connective)
-        for params in candidates(s.antecedent, addr, item)
-    ]
+        found = candidates(s.antecedent, s.succedent) if isinstance(s.succedent, connective) else ()
+    else:
+        found = [
+            candidate
+            for addr, item in iter_items(s.antecedent)
+            if not isinstance(item, Separator) and isinstance(item.type, connective)
+            for candidate in candidates(s.antecedent, addr, item)
+        ]
+    return [params for params, _ in found]
 
 
 # each rule that REFERENCE_PREMISES replaces, but the axioms: (mutants of
@@ -573,6 +582,35 @@ def _nodes(d):
         yield node
 
 
+def _types(sequents):
+    """Every type of the sequents, subtypes included, each before its
+    operands."""
+    stack = []
+    for s in sequents:
+        stack.append(s.succedent)
+        stack += [item.type for _, item in iter_items(s.antecedent) if not isinstance(item, Separator)]
+    while stack:
+        t = stack.pop()
+        yield t
+        if hasattr(t, "left"):
+            stack += (t.right, t.left)
+
+
+def test_stored_atom_counts_equal_the_reference_counts():
+    # each type is asked before its operands, so its count walks down to
+    # the subtypes that the corpus's searches counted and adds what they store
+    ds = generate_derivations(random.Random(17), GENERATED_ATOMS, 60)
+    sequents = search_corpus() + [node.conclusion for d in ds for node in _nodes(d)]
+    classes = set()
+    for t in _types(sequents):
+        classes.add(type(t).__name__)
+        assert atom_counts(t) == reference_atom_counts(t), str(t)
+    assert classes == {"Atom", "UnitI", "UnitJ", "Prod", "Under", "Over", "DProd", "DDown", "DUp"}
+    verdicts = [_balanced(_seq_key(s)) for s in sequents]
+    assert verdicts == [reference_balanced(_seq_key(s)) for s in sequents]
+    assert True in verdicts and False in verdicts
+
+
 def test_every_derivation_node_is_balanced():
     ds = generate_derivations(random.Random(17), GENERATED_ATOMS, 60)
     ds.append(must_prove("n => (s / (n \\ s))"))
@@ -612,8 +650,22 @@ def search_corpus():
 
 def test_pruned_search_agrees_with_the_plain_search(monkeypatch):
     sequents = search_corpus()
-    pruned = [(prove(s), prove_all(s, limit=4)) for s in sequents]
+    skipped = []
+    candidates = hseq._candidates
+
+    def candidates_and_count(s, only_rule=None):
+        for rule, params, fits in candidates(s, only_rule):
+            skipped.append(not fits)
+            yield rule, params, fits
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hseq, "_candidates", candidates_and_count)
+        pruned = [(prove(s), prove_all(s, limit=4)) for s in sequents]
+    assert any(skipped) and not all(skipped)
+    # the plain search checks no counts: not at the root, and it builds and
+    # searches every candidate's premises
     monkeypatch.setattr(hseq, "_balanced", lambda key: True)
+    monkeypatch.setattr(hseq, "_cancels", lambda counts: True)
     plain = [(prove(s), prove_all(s, limit=4)) for s in sequents]
     assert pruned == plain
 
@@ -629,20 +681,64 @@ def test_search_agrees_with_the_reference_searches():
 def test_rule_instances_never_repeat(monkeypatch):
     # why the search keeps every derivation it builds: distinct instances
     # give distinct derivations, so no subgoal's list can hold one twice.
-    # The corpus visits 336 subgoals with 1,965 instances.
+    # The search tries the candidates that fit; the corpus visits 336
+    # subgoals and tries 2,288 candidates there, 1,519 of which build.
     visited = set()
+    candidates = hseq._candidates
 
-    def enumerate_once(s):
-        found = list(enumerate_rule_instances(s))
-        instances = [(rule, params) for rule, params, _ in found]
-        assert len(set(instances)) == len(instances), str(s)
+    def candidates_once(s, only_rule=None):
+        found = list(candidates(s, only_rule))
+        tried = [(rule, tuple(sorted(params.items()))) for rule, params, fits in found if fits]
+        assert len(set(tried)) == len(tried), str(s)
         visited.add(_seq_key(s))
         return found
 
-    monkeypatch.setattr(hseq, "enumerate_rule_instances", enumerate_once)
-    for s in search_corpus() + [seq(FAILING_FAMILY), seq(PROVABLE_FAMILY)]:
+    sequents = search_corpus() + [seq(FAILING_FAMILY), seq(PROVABLE_FAMILY)]
+    monkeypatch.setattr(hseq, "_candidates", candidates_once)
+    for s in sequents:
         prove_all(s, limit=16)
     assert len(visited) > 300
+
+
+def test_prove_all_leaves_nothing_for_the_cycle_collector():
+    # the search's memo lives in its calls' frames, so with the cycle
+    # collector off, dropping the result frees every node of it
+    s = seq("(n . (n . n)) => ((n . n) . n)")
+    gc.collect()
+    gc.disable()
+    try:
+        found = [prove(s)] + prove_all(s, limit=16)
+        refs = [weakref.ref(node) for d in found for node in _nodes(d)]
+        assert len(refs) >= 10
+        del found
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_under_l_enumerates_a_long_region():
+    # enum_chunkings keeps its own stack: its recursive generator raised
+    # RecursionError on this region
+    s = seq(", ".join(["a"] * 1200) + ", (a \\ s) => s")
+    assert len(list(enumerate_rule_instances(s, only_rule="UnderL"))) == 1201
+
+
+def _product_chain(n):
+    goal = "a"
+    for _ in range(n - 1):
+        goal = "(%s . a)" % goal
+    return seq(", ".join(["a"] * n) + " => " + goal)
+
+
+def test_product_chain_at_the_baseline_size():
+    # ProdR takes only the split whose left part balances, so each level
+    # builds one pair of premises, not n + 1
+    assert prove(_product_chain(40)) == reference_prove(_product_chain(40))
+    s = _product_chain(200)
+    start = time.perf_counter()
+    d = prove(s)
+    assert time.perf_counter() - start < 1
+    assert d is not None and check(d)
 
 
 def test_failing_search_at_the_baseline_size():
