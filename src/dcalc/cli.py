@@ -25,6 +25,7 @@ from .derivation import (
     first_violation,
     json_text,
     latex_escape,
+    violation_reason,
 )
 from .hseq import (
     HSequent,
@@ -138,13 +139,15 @@ def cmd_check(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
     if args.calculus == "hd":
-        bad = first_violation(derivation_from_obj(obj, sig), check_node)
+        d, node_ok = derivation_from_obj(obj, sig), check_node
     else:
-        bad = first_violation(m_derivation_from_obj(obj, sig), check_m_node)
+        d, node_ok = m_derivation_from_obj(obj, sig), check_m_node
+    bad = first_violation(d, node_ok)
     if bad is None:
         _emit_scalar(args, "valid", "ok")
         return 0
-    print("violation at [%s] %s" % (bad.rule, bad.conclusion), file=sys.stderr)
+    reason = violation_reason(bad, node_ok)
+    print("violation at [%s] %s: %s" % (bad.rule, bad.conclusion, reason), file=sys.stderr)
     return 1
 
 

@@ -88,6 +88,7 @@ class Derivation:
     conclusion: Sequent
     premises: tuple = ()
     params: tuple = ()
+    _checked = None  # the node_ok that passed this subtree; not a field
 
     def params_dict(self) -> dict:
         return dict(self.params)
@@ -99,21 +100,38 @@ class Derivation:
 
 def first_violation(d: Derivation, node_ok):
     """The first node, in post-order, whose own inference `node_ok` rejects;
-    None when every inference is valid.  Ill-formed parameters reject too."""
+    None when every inference is valid.  Ill-formed parameters reject too.
+    A node whose subtree passes stores `node_ok` as its verdict, the way it
+    stores its lift, and a later walk with the same `node_ok` skips it."""
     stack = [(d, False)]
     while stack:
         node, expanded = stack.pop()
         if not expanded:
-            stack.append((node, True))
-            stack.extend((p, False) for p in reversed(node.premises))
+            if node._checked is not node_ok:
+                stack.append((node, True))
+                stack.extend((p, False) for p in reversed(node.premises))
             continue
         try:
             if node_ok(node):
+                object.__setattr__(node, "_checked", node_ok)
                 continue
-        except (ValueError, IndexError, KeyError, TypeError):
+        except _REJECTED:
             pass
         return node
     return None
+
+
+_REJECTED = (ValueError, IndexError, KeyError, TypeError)
+
+
+def violation_reason(node: Derivation, node_ok) -> str:
+    """Why `node_ok` rejects node: the text of what it raised, or a fixed
+    phrase when it returned False."""
+    try:
+        node_ok(node)
+    except _REJECTED as exc:
+        return str(exc)
+    return "the premises do not follow by the rule"
 
 
 # ---------------------------------------------------------------------------

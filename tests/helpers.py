@@ -969,6 +969,25 @@ def reference_prove_all(seq, limit=16):
     return go(seq)
 
 
+def reference_first_violation(d, node_ok):
+    """The first node, in post-order, whose own inference `node_ok` rejects;
+    None when every inference is valid.  Ill-formed parameters reject too."""
+    stack = [(d, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premises))
+            continue
+        try:
+            if node_ok(node):
+                continue
+        except (ValueError, IndexError, KeyError, TypeError):
+            pass
+        return node
+    return None
+
+
 def reference_derivation_to_obj(d):
     return {
         "rule": d.rule,

@@ -146,7 +146,8 @@ def test_check_valid_and_corrupted(capsys, sig_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj_bad))
     code, out, err = run(capsys, "check", "hd", str(bad), "--sig", sig_file)
-    assert code == 1 and out == "" and err == "violation at [Id] s => n\n"
+    assert code == 1 and out == ""
+    assert err == "violation at [Id] s => n: the antecedent does not fit the axiom\n"
 
 
 def test_check_rejects_a_negative_address(capsys, sig_file, tmp_path):
@@ -161,7 +162,7 @@ def test_check_rejects_a_negative_address(capsys, sig_file, tmp_path):
     path.write_text(json.dumps(node))
     code, out, err = run(capsys, "check", "hd", str(path), "--sig", sig_file)
     assert code == 1 and out == ""
-    assert err == "violation at [IL] 0:e,I,1:e => (e@1I).(e@1I)\n"
+    assert err == "violation at [IL] 0:e,I,1:e => (e@1I).(e@1I): bad level address (-1, 0)\n"
 
 
 def test_check_malformed_files_exit_2(capsys, sig_file, tmp_path):

@@ -10,9 +10,9 @@ from collections import Counter
 
 import pytest
 
-from dcalc import hseq
+from dcalc import hseq, mseq
 from dcalc.bridge import lift
-from dcalc.derivation import first_violation
+from dcalc.derivation import Derivation, first_violation, violation_reason
 from dcalc.hseq import (
     RULES,
     HDerivation,
@@ -65,6 +65,7 @@ from helpers import (
     reference_apply_chunks,
     reference_atom_counts,
     reference_balanced,
+    reference_first_violation,
     reference_prove,
     reference_prove_all,
 )
@@ -163,6 +164,10 @@ def test_check_rejects_swapped_premises():
     assert len(d.premises) == 2
     bad = HDerivation(d.rule, d.conclusion, d.premises[::-1], d.params)
     assert not check(bad)
+    # check_node returns False here; a raise would give its own text
+    assert violation_reason(bad, check_node) == "the premises do not follow by the rule"
+    wrong = HDerivation("Id", d.conclusion, d.premises)
+    assert violation_reason(wrong, check_node) == "the antecedent does not fit the axiom"
 
 
 def test_check_accepts_cut():
@@ -711,6 +716,118 @@ def test_prove_all_leaves_nothing_for_the_cycle_collector():
         refs = [weakref.ref(node) for d in found for node in _nodes(d)]
         assert len(refs) >= 10
         del found
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def _checked_corpus():
+    """prove results of the search corpus and generated derivations, each
+    with its lift: (derivation, the single-node check of its calculus)."""
+    hd = [d for d in map(prove, search_corpus()) if d is not None]
+    hd += generate_derivations(random.Random(23), GENERATED_ATOMS, 40)
+    return [(d, check_node) for d in hd] + [(lift(d), check_m_node) for d in hd]
+
+
+def _with_node_replaced(d, old, new):
+    """d with every occurrence of the node old replaced by new; the
+    subtrees that do not contain old are kept, not copied."""
+    built = {}
+    for node in reversed(list(_nodes(d))):  # each node after its premises
+        if id(node) in built:
+            continue
+        premises = tuple(built.get(id(p), p) for p in node.premises)
+        if node is old:
+            built[id(node)] = new
+        elif any(a is not b for a, b in zip(premises, node.premises)):
+            built[id(node)] = Derivation(node.rule, node.conclusion, premises, node.params)
+    return built.get(id(d), d)
+
+
+def _agrees_with_the_reference(d, node_ok):
+    expected = reference_first_violation(d, node_ok)
+    assert first_violation(d, node_ok) is expected
+    assert first_violation(d, node_ok) is expected  # the second call reads stored verdicts
+    return expected
+
+
+def test_stored_verdicts_find_the_reference_violation():
+    # the plain walk is the oracle: on valid derivations, on mutants built
+    # over subtrees that already passed, and across the two checks
+    kinds = Counter()
+    for d, node_ok in _checked_corpus():
+        assert _agrees_with_the_reference(d, node_ok) is None
+        assert d._checked is node_ok
+        other = check_m_node if node_ok is check_node else check_node
+        # a verdict is stored per check: the other calculus's check still
+        # walks the tree, and rejects some node of it
+        assert _agrees_with_the_reference(d, other) is not None
+        assert _agrees_with_the_reference(d, node_ok) is None
+        seen = Counter(id(node) for node in _nodes(d))
+        # every distinct node but the Structural steps of a lift, which
+        # would make the test quadratic in the long rewrite chains
+        for node in {id(node): node for node in _nodes(d) if node.rule != "Structural"}.values():
+            # an extra premise, itself a checked subtree, rejects the node
+            # but keeps its conclusion, so its parents still pass
+            bad = Derivation(node.rule, node.conclusion, node.premises + (d,), node.params)
+            mutant = _with_node_replaced(d, node, bad)
+            assert _agrees_with_the_reference(mutant, node_ok) is bad
+            kinds["shared" if seen[id(node)] > 1 else "above checked" if node.premises else "leaf"] += 1
+    assert min(kinds["shared"], kinds["above checked"], kinds["leaf"]) > 0, kinds
+
+
+def test_check_visits_each_distinct_node_once(monkeypatch):
+    visits = []
+
+    def counting(check_one):
+        def node_ok(node):
+            visits.append(id(node))
+            return check_one(node)
+
+        return node_ok
+
+    shared = 0
+    for d in filter(None, map(prove, search_corpus())):
+        distinct = {id(node) for node in _nodes(d)}
+        if len(distinct) < len(list(_nodes(d))):
+            shared += 1
+        visits.clear()
+        assert first_violation(d, counting(check_node)) is None
+        assert sorted(visits) == sorted(distinct)
+    assert shared > 0
+    # check_m of a lift onto a target, after check_m of the plain lift,
+    # checks only the Structural steps from one end antecedent to the other
+    monkeypatch.setattr(mseq, "check_m_node", counting(check_m_node))
+    for d in generate_derivations(random.Random(23), GENERATED_ATOMS, 40):
+        md = lift(d)
+        onto = lift(d, target=Cat(ConstI(), md.conclusion.antecedent))
+        assert check_m(md)
+        chain = []
+        node = onto
+        while node is not md:
+            chain.append(node)
+            node = node.premises[0]
+        assert chain and {node.rule for node in chain} == {"Structural"}
+        visits.clear()
+        assert check_m(onto)
+        assert visits == [id(node) for node in reversed(chain)]
+
+
+def test_stored_verdicts_keep_nothing_alive():
+    # a verdict is a module function, never a node: with the cycle
+    # collector off, dropping a checked derivation and its checked lift
+    # frees every node of both
+    s = seq("(n . (n . n)) => ((n . n) . n)")
+    gc.collect()
+    gc.disable()
+    try:
+        d = prove(s)
+        md = lift(d)
+        assert check(d) and check_m(md)
+        assert (d._checked, md._checked) == (check_node, check_m_node)
+        assert d == prove(s) and "_checked" not in repr(d)
+        refs = [weakref.ref(node) for tree in (d, md) for node in _nodes(tree)]
+        del d, md
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
