@@ -47,16 +47,21 @@ class Sequent:
     @classmethod
     def parse(cls, text: str, sig):
         """Read `antecedent arrow type`; a sort mismatch is a ParseError."""
-        sc = _Scanner(text)
-        ant = cls._parse_antecedent(sc, sig)
-        sc.expect(cls._arrow_token)
-        succ = _parse_type_expr(sc, sig)
-        if not sc.at_end():
-            sc.error("trailing input after sequent")
-        try:
-            return cls(ant, succ)
-        except SortError as exc:
-            raise ParseError(str(exc)) from exc
+        return cls._read(text, sig, None)
+
+    @classmethod
+    def _read(cls, text: str, sig, spans):
+        """parse, where the texts of one read share `spans` (see _Scanner)."""
+        with _Scanner(text, spans, (cls._arrow_token, cls.arrow)) as sc:
+            ant = cls._parse_antecedent(sc, sig)
+            sc.expect(cls._arrow_token)
+            succ = sc.read(_parse_type_expr, sig)
+            if not sc.at_end():
+                sc.error("trailing input after sequent")
+            try:
+                return cls(ant, succ)
+            except SortError as exc:
+                raise ParseError(str(exc)) from exc
 
 
 def _axiom(want):
@@ -73,13 +78,38 @@ def _axiom(want):
 
 
 def checked_premises(premises, seq: Sequent, rule: str, params) -> tuple:
-    """premises(seq, rule, params), where a Boolean or float parameter and
-    every failure of the instance to fit raise InstanceError."""
-    params = {k: _param_value(v, InstanceError) for k, v in dict(params).items()}
+    """premises(seq, rule, params) of a logical rule, where a missing
+    parameter, one that is not an integer or a list of them, and every
+    failure of the instance to fit raise InstanceError."""
+    params = _Params({k: _int_param(k, v) for k, v in dict(params).items()})
     try:
         return premises(seq, rule, params)
     except (SortError, IndexError, KeyError, TypeError) as exc:
         raise InstanceError(str(exc)) from exc
+
+
+class _Params(dict):
+    """A node's rule parameters by name."""
+
+    def __missing__(self, name):
+        raise InstanceError("missing rule parameter %r" % (name,))
+
+
+_INT = frozenset((int,))
+
+
+def _int_param(name: str, v):
+    """The rule parameter `name`, an integer or nested lists of integers,
+    with its lists made tuples; anything else, a Boolean, float or string
+    among them, raises InstanceError, since True == 1 == 1.0 would pass as
+    an index."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (list, tuple)):
+        if _INT.issuperset(map(type, v)):  # plain ints, as in every address: all fine
+            return tuple(v)
+        return tuple(_int_param(name, x) for x in v)
+    raise InstanceError("rule parameter %r is not an integer or a list of them" % (name,))
 
 
 @dataclass(frozen=True)
@@ -91,7 +121,9 @@ class Derivation:
     _checked = None  # the node_ok that passed this subtree; not a field
 
     def params_dict(self) -> dict:
-        return dict(self.params)
+        """The parameters by name; asking for a missing one raises
+        InstanceError."""
+        return _Params(self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +176,16 @@ def _to_jsonable(v):
     return v
 
 
-_INT = frozenset((int,))
-
-
-def _param_value(v, error=ParseError):
-    """A rule parameter with its lists made tuples; a Boolean or float leaf
-    raises `error`, because True == 1 == 1.0 would pass as an index."""
+def _param_value(v):
+    """A rule parameter read from JSON, with its lists made tuples; a
+    Boolean or float leaf is a ParseError, because True == 1 == 1.0 would
+    pass as an index."""
     if isinstance(v, (list, tuple)):
         if _INT.issuperset(map(type, v)):  # plain ints, as in every address: all fine
             return tuple(v)
-        return tuple(_param_value(x, error) for x in v)
+        return tuple(_param_value(x) for x in v)
     if isinstance(v, (bool, float)):
-        raise error("rule parameter %s is not an integer or string" % json.dumps(v))
+        raise ParseError("rule parameter %s is not an integer or string" % json.dumps(v))
     return v
 
 
@@ -239,12 +269,19 @@ def json_text(obj) -> str:
     return "".join(parts)
 
 
-def from_obj(obj: dict, sig, parse_sequent) -> Derivation:
-    """Read a derivation, parsing each distinct sequent text once with
-    `parse_sequent(text, sig)`.  A node's sequent is read before its
-    premises, its rule and params after them; the walk keeps its own stack,
-    so a long Structural chain reads too."""
+def from_obj(obj: dict, sig, sequent) -> Derivation:
+    """Read a derivation whose conclusions are of the `sequent` class.
+
+    Each distinct sequent text is parsed once.  A table kept for this read
+    alone (`spans`, see syntax._Scanner) maps each antecedent entry text
+    (in hd, the span between two commas) and each succedent text parsed so
+    far to its value, so the parser skips a span it has read before and
+    equal texts share one object; errors are those of `sequent.parse` on
+    the text alone.  A node's sequent is read before its premises, its rule
+    and params after them; the walk keeps its own stack, so a long
+    Structural chain reads too."""
     parsed = {}
+    spans = {}
     done = []  # the nodes read so far whose parent is not finished yet
     stack = [(obj, None, 0)]  # (node, its sequent once expanded, premise count)
     while stack:
@@ -254,7 +291,7 @@ def from_obj(obj: dict, sig, parse_sequent) -> Derivation:
             text = _expect(node["sequent"], str, "sequent")
             seq = parsed.get(text)
             if seq is None:
-                seq = parsed[text] = parse_sequent(text, sig)
+                seq = parsed[text] = sequent._read(text, sig, spans)
             premises = _expect(node.get("premises", []), list, "premises")
             stack.append((node, seq, len(premises)))
             stack.extend((p, None, 0) for p in reversed(premises))

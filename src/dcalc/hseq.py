@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .derivation import Derivation, InstanceError, Sequent, _axiom, _param_value
+from .derivation import Derivation, InstanceError, Sequent, _axiom, _int_param
 from .derivation import checked_premises, first_violation, from_obj
 from .derivation import derivation_latex, derivation_text, derivation_to_obj  # noqa: F401 (re-exported)
 from .syntax import (
@@ -77,7 +77,7 @@ def parse_hsequent(text: str, sig: Signature) -> HSequent:
 
 
 def derivation_from_obj(obj: dict, sig: Signature) -> HDerivation:
-    return from_obj(obj, sig, parse_hsequent)
+    return from_obj(obj, sig, HSequent)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +489,8 @@ RULES = {
 
 def instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
     """Premise sequents of one rule instance; raises InstanceError if the
-    parameters do not fit the conclusion or a Boolean or float is among
-    them."""
+    parameters do not fit the conclusion, or one is missing or is not an
+    integer or a list of them."""
     return checked_premises(_instance_premises, seq, rule, params)
 
 
@@ -562,7 +562,7 @@ def check_node(d: HDerivation) -> bool:
         if len(d.premises) != 2:
             return False
         p1, p2 = d.premises[0].conclusion, d.premises[1].conclusion
-        addr = _param_value(d.params_dict()["at"], InstanceError)
+        addr = _int_param("at", d.params_dict()["at"])
         item = item_at(p2.antecedent, addr)
         if isinstance(item, Separator) or item.type != p1.succedent:
             return False

@@ -40,7 +40,7 @@ from .terms import (
     sort_of_term,
     subterm_at,
 )
-from .derivation import Derivation, InstanceError, Sequent, _axiom, _param_value
+from .derivation import Derivation, InstanceError, Sequent, _axiom, _int_param
 from .derivation import checked_premises, derivation_to_obj, first_violation, from_obj
 
 MDerivation = Derivation
@@ -60,7 +60,7 @@ def parse_msequent(text: str, sig: Signature) -> MSequent:
 
 
 def m_derivation_from_obj(obj: dict, sig: Signature) -> MDerivation:
-    return from_obj(obj, sig, parse_msequent)
+    return from_obj(obj, sig, MSequent)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def check_m_node(d: MDerivation) -> bool:
             return False
         p = d.premises[0].conclusion
         ps = d.params_dict()
-        app = RuleApp(ps["srule"], _param_value(ps["at"], InstanceError), tuple(ps["indices"]))
+        app = RuleApp(ps["srule"], _int_param("at", ps["at"]), tuple(ps["indices"]))
         return (
             is_step(p.antecedent, app, d.conclusion.antecedent)
             and p.succedent == d.conclusion.succedent
@@ -181,7 +181,7 @@ def check_m_node(d: MDerivation) -> bool:
         if len(d.premises) != 2:
             return False
         p1, p2 = d.premises[0].conclusion, d.premises[1].conclusion
-        at = _param_value(d.params_dict()["at"], InstanceError)
+        at = _int_param("at", d.params_dict()["at"])
         return (
             subterm_at(p2.antecedent, at) == Leaf(p1.succedent)
             and d.conclusion.antecedent == replace_at(p2.antecedent, at, p1.antecedent)

@@ -158,11 +158,11 @@ def term_size(t) -> int:
 
 
 def parse_term(text: str, sig: Signature):
-    sc = _Scanner(text)
-    t = _parse_term(sc, sig)
-    if not sc.at_end():
-        sc.error("trailing input after term")
-    return t
+    with _Scanner(text) as sc:
+        t = _parse_term(sc, sig)
+        if not sc.at_end():
+            sc.error("trailing input after term")
+        return t
 
 
 def _parse_term(sc: _Scanner, sig: Signature):

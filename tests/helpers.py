@@ -36,9 +36,7 @@ from dcalc.syntax import (
     Under,
     UnitI,
     UnitJ,
-    _parse_config_body,
     _parse_type_expr,
-    _Scanner,
     config_at,
     config_str,
     figure,
@@ -47,6 +45,7 @@ from dcalc.syntax import (
     generalized_wrap,
     item_at,
     iter_items,
+    parse_flat,
     replace_range,
     sep_index_at,
     sort_of_config,
@@ -801,12 +800,98 @@ REFERENCE_PREMISES = {
 
 
 # ---------------------------------------------------------------------------
+# the parent's scanner and hd sequent parser
+#
+# The scanner as it was before it read tokens on demand (it tokenized the
+# whole text when built, with the tokenizer that reference_tokenize below
+# agrees with), the configuration parser as it was before it looked entries
+# up in a read's table of spans, and Sequent.parse for hd sequents then,
+# copied verbatim but for their names.  The type and term parsers use only
+# what both scanners have.
+
+
+class _ParentScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, value=None):
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            raise ParseError(
+                "expected %s at position %d, found %r" % (value or kind, tok[2], tok[1] or "end")
+            )
+        return tok
+
+    def at_end(self):
+        return self.peek()[0] == "EOF"
+
+    def error(self, msg: str):
+        tok = self.peek()
+        raise ParseError("%s at position %d (near %r)" % (msg, tok[2], tok[1] or "end"))
+
+
+def _parent_parse_config_entry(sc, sig):
+    kind, value, _ = sc.peek()
+    if kind == "SEPTOK":
+        sc.next()
+        return SEP
+    if kind == "INT":
+        sc.next()
+        sc.expect("PUNCT", ":")
+        t = _parse_type_expr(sc, sig)
+        return SegTok(t, int(value))
+    t = _parse_type_expr(sc, sig)
+    if sort_of_type(t) != 0:
+        raise ParseError("bare item %s has sort %d; use segments" % (t, sort_of_type(t)))
+    return Leaf0(t)
+
+
+def _parent_parse_config_body(sc, sig) -> HyperConfig:
+    kind, value, _ = sc.peek()
+    if kind == "EOF":
+        return EMPTY
+    if kind == "NAME" and value == "Lambda":
+        sc.next()
+        return EMPTY
+    raw = [_parent_parse_config_entry(sc, sig)]
+    while sc.peek()[:2] == ("PUNCT", ","):
+        sc.next()
+        raw.append(_parent_parse_config_entry(sc, sig))
+    return parse_flat(raw)
+
+
+def parent_parse_hsequent(text: str, sig: Signature) -> HSequent:
+    sc = _ParentScanner(text)
+    ant = _parent_parse_config_body(sc, sig)
+    sc.expect("DARROW")
+    succ = _parse_type_expr(sc, sig)
+    if not sc.at_end():
+        sc.error("trailing input after sequent")
+    try:
+        return HSequent(ant, succ)
+    except SortError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
 # reference sequents
 #
 # The two sequent classes and their parsers as they were before
 # derivation.Sequent stated the sort check, the text form and the parsing
 # steps once for both calculi, copied verbatim but for the "Reference" and
-# "reference_" prefixes of their names.
+# "reference_" prefixes of their names, and for the parent's scanner and
+# configuration parser above in place of the live ones.
 
 
 @dataclass(frozen=True)
@@ -827,8 +912,8 @@ class ReferenceHSequent:
 
 
 def reference_parse_hsequent(text: str, sig: Signature) -> ReferenceHSequent:
-    sc = _Scanner(text)
-    cfg = _parse_config_body(sc, sig)
+    sc = _ParentScanner(text)
+    cfg = _parent_parse_config_body(sc, sig)
     sc.expect("DARROW")
     t = _parse_type_expr(sc, sig)
     if not sc.at_end():
@@ -857,7 +942,7 @@ class ReferenceMSequent:
 
 
 def reference_parse_msequent(text: str, sig: Signature) -> ReferenceMSequent:
-    sc = _Scanner(text)
+    sc = _ParentScanner(text)
     t = _parse_term(sc, sig)
     sc.expect("ARROW")
     ty = _parse_type_expr(sc, sig)

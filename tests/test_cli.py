@@ -165,6 +165,40 @@ def test_check_rejects_a_negative_address(capsys, sig_file, tmp_path):
     assert err == "violation at [IL] 0:e,I,1:e => (e@1I).(e@1I): bad level address (-1, 0)\n"
 
 
+def test_check_names_a_missing_or_ill_typed_parameter(capsys, sig_file, tmp_path):
+    # the reasons were the bare KeyError text 'at' and the TypeError text
+    # of str + int
+    obj = derivation_to_obj(prove(parse_hsequent("n, (n \\ s) => s", parse_sig(sig_file))))
+    assert (obj["rule"], obj["params"]) == ("UnderL", {"at": [1], "chunks": [], "mstart": 0})
+    path = tmp_path / "node.json"
+    for params, reason in (
+        ({}, "missing rule parameter 'at'"),
+        ({"at": [1], "chunks": []}, "missing rule parameter 'mstart'"),
+        ({"at": "x", "chunks": [], "mstart": 0}, "rule parameter 'at' is not an integer or a list of them"),
+        ({"at": [1], "chunks": [["x", 0, 0]], "mstart": 0},
+         "rule parameter 'chunks' is not an integer or a list of them"),
+    ):
+        path.write_text(json.dumps(dict(obj, params=params)))
+        code, out, err = run(capsys, "check", "hd", str(path), "--sig", sig_file)
+        assert (code, out, err) == (1, "", "violation at [UnderL] n,n\\s => s: %s\n" % reason)
+    # Cut in both calculi, and an md logical rule; an md Structural step's
+    # rule name stays a string (the golden md derivation checks)
+    a, a_obj = parse_hsequent("a => a", parse_sig(sig_file)), {"rule": "Id", "params": {}, "premises": []}
+    cut = {"rule": "Cut", "sequent": str(a), "params": {}, "premises": [dict(a_obj, sequent=str(a))] * 2}
+    m_id = dict(a_obj, sequent="a -> a")
+    m_cut = dict(cut, sequent="a -> a", premises=[m_id, m_id])
+    m_under = {"rule": "UnderL", "sequent": "(a + (a \\ a)) -> a", "params": {"at": "0"},
+               "premises": [m_id, m_id]}
+    for calculus, node, reason in (
+        ("hd", cut, "missing rule parameter 'at'"),
+        ("md", m_cut, "missing rule parameter 'at'"),
+        ("md", m_under, "rule parameter 'at' is not an integer or a list of them"),
+    ):
+        path.write_text(json.dumps(node))
+        code, out, err = run(capsys, "check", calculus, str(path), "--sig", sig_file)
+        assert (code, out) == (1, "") and err.endswith(": %s\n" % reason), err
+
+
 def test_check_malformed_files_exit_2(capsys, sig_file, tmp_path):
     id_a = {"rule": "Id", "sequent": "a -> a", "params": {}, "premises": []}
     cases = (

@@ -1,18 +1,23 @@
 """The hypersequent presentation: rule instances, checking, proof search."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import os
 import random
 import time
 import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcalc import hseq, mseq
+from dcalc import cli, hseq, mseq
 from dcalc.bridge import lift
-from dcalc.derivation import Derivation, first_violation, violation_reason
+from dcalc.derivation import Derivation, first_violation, params_from_obj, violation_reason
 from dcalc.hseq import (
     RULES,
     HDerivation,
@@ -56,11 +61,13 @@ from dcalc.syntax import (
 )
 from dcalc.terms import Cat, ConstI, RuleApp, WrapT, replace_at, subterm_at
 
+import golden_defs
 from helpers import (
     REFERENCE_PREMISES,
     _down_l,
     generate_derivations,
     hderivation_depth,
+    parent_parse_hsequent,
     random_config,
     reference_apply_chunks,
     reference_atom_counts,
@@ -72,6 +79,7 @@ from helpers import (
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
 GENERATED_ATOMS = (("p", 0), ("q", 0), ("r", 1), ("s", 2))
+TOY_LEX = os.path.join(golden_defs.GOLDEN_DIR, "toy.lex")
 
 
 def seq(text):
@@ -560,6 +568,134 @@ def test_sequent_str_round_trip():
     for text in ("a => a", "n, (n \\ s) => s", "0:e,a,1:e => (e @1 a)"):
         s = seq(text)
         assert parse_hsequent(str(s), SIG) == s
+
+
+# ---------------------------------------------------------------------------
+# one read parses each distinct entry and succedent text once
+
+
+AMBIGUOUS_LEXICON = "%% signature\nn 0\n%% lexicon\nx\tn\nx\t(n / n)\nx\t(n \\ n)\n"
+
+
+def _json_derivations(tmp_path):
+    """(JSON object, signature) pairs: dcalc parse on the toy lexicon and on
+    x^k with x read as n, n/n and n\\n, prove on a few sequents, and the
+    forward-generated derivations of criterion 7."""
+    out = []
+    amb = tmp_path / "amb.lex"
+    amb.write_text(AMBIGUOUS_LEXICON)
+    for lexicon, sentence, goal in (
+        (TOY_LEX, "john sees mary", "s"),
+        (TOY_LEX, "john walks", "s"),
+        (str(amb), "x x x", "n"),
+        (str(amb), "x x x x", "n"),
+    ):
+        sig, _ = cli.load_lexicon(lexicon)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            cli.main(["parse", lexicon, sentence, goal, "--out", "json"])
+        out += [(obj, sig) for obj in json.loads(text.getvalue())["derivations"]]
+    for text in ("0:e,a,1:e => (e @1 a)", "n, (n \\ s) / n, n => s", "0:b,a,1:b,[],2:b => (b @1 a)"):
+        out.append((derivation_to_obj(must_prove(text)), SIG))
+    ds = generate_derivations(random.Random(707), GENERATED_ATOMS, 200)
+    gen_sig = Signature(dict(GENERATED_ATOMS))
+    return out + [(derivation_to_obj(d), gen_sig) for d in ds]
+
+
+def _parent_read(obj, sig):
+    premises = tuple(_parent_read(p, sig) for p in obj["premises"])
+    seq = parent_parse_hsequent(obj["sequent"], sig)
+    return Derivation(obj["rule"], seq, premises, params_from_obj(obj["params"]))
+
+
+def _entries_and_types(d):
+    """Each Leaf0 item of an antecedent, and each type at the top of an
+    item or a succedent, over every node of d."""
+    leaves, types = [], []
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.premises)
+        types.append(node.conclusion.succedent)
+        for _, item in iter_items(node.conclusion.antecedent):
+            if not isinstance(item, Separator):
+                types.append(item.type)
+                if isinstance(item, Leaf0):
+                    leaves.append(item)
+    return leaves, types
+
+
+def test_a_read_agrees_with_the_parent_parser_and_shares_equal_entries(tmp_path):
+    cases = _json_derivations(tmp_path)
+    assert len(cases) > 220
+    amb = [d for d, sig in cases if "n/n" in d["sequent"] or "n\\n" in d["sequent"]]
+    assert len(amb) >= 10
+    for obj, sig in cases:
+        d = derivation_from_obj(obj, sig)
+        assert d == _parent_read(obj, sig)
+        assert check(d)
+        for group in _entries_and_types(d):  # equal ones are one object
+            first = {}
+            assert all(first.setdefault(x, x) is x for x in group)
+
+
+def test_two_reads_share_no_object(tmp_path):
+    for obj, sig in _json_derivations(tmp_path)[::7]:
+        one, two = derivation_from_obj(obj, sig), derivation_from_obj(obj, sig)
+        assert one == two
+        ids = {id(x) for group in _entries_and_types(one) for x in group}
+        assert not ids & {id(x) for group in _entries_and_types(two) for x in group}
+
+
+# Valid sequents that put every entry the test below writes, and its
+# succedents, into a read's table before the node under test is read.
+FILLERS = (
+    "n => n", "s => s", "n\\s => n\\s", "(n\\s)/n => (n\\s)/n", "I => I",
+    "0:e,[],1:e => e", "0:e,n,1:e => s", "[],[] => b", "Lambda => I",
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    entries=st.lists(st.sampled_from(("n", "s", "n\\s", "(n\\s)/n", "I", "[]")), min_size=1, max_size=5),
+    wrap=st.booleans(),
+    sep=st.sampled_from((",", ", ", " ,", ",\t")),
+    arrow=st.sampled_from((" => ", "=>", "\t=>  ")),
+    corruption=st.sampled_from(
+        ("none", "doubled comma", "no arrow", "md arrow", "trailing token", "Lambda later")
+    ),
+    bad=st.sampled_from(("", "", "$", "\n")),
+    where=st.integers(0, 60),
+)
+def test_a_read_fails_as_the_sequent_parser_does(entries, wrap, sep, arrow, corruption, bad, where):
+    # a sequent of the right sort, whitespace varied, then at most one fault
+    # and perhaps a character that starts no token
+    items = ["0:e"] + entries + ["1:e"] if wrap else list(entries)
+    succ = {0: "s", 1: "e", 2: "b"}.get(entries.count("[]"), "s")
+    if corruption == "Lambda later":
+        items.insert(1 + where % len(items), "Lambda")
+    arrow = {"no arrow": " ", "md arrow": " -> "}.get(corruption, arrow)
+    text = sep.join(items) + arrow + succ + (" n" if corruption == "trailing token" else "")
+    if corruption == "doubled comma":
+        text = text.replace(sep, sep + ",", 1)
+    text = text[: where % len(text)] + bad + text[where % len(text) :]
+    node = {"rule": "Id", "sequent": text, "params": {}, "premises": []}
+    fillers = [{"rule": "Id", "sequent": f, "params": {}, "premises": []} for f in FILLERS]
+    obj = dict(fillers[0], premises=fillers[1:] + [node])
+
+    def outcome(read):
+        try:
+            return "ok", read()
+        except ParseError as exc:
+            return "error", str(exc)
+
+    alone = outcome(lambda: parse_hsequent(text, SIG))
+    assert alone == outcome(lambda: parent_parse_hsequent(text, SIG))
+    read = outcome(lambda: derivation_from_obj(obj, SIG))
+    if alone[0] == "ok":
+        assert read[0] == "ok" and read[1].premises[-1].conclusion == alone[1]
+    else:
+        assert read == alone, text
 
 
 # ---------------------------------------------------------------------------
