@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .syntax import ParseError, SortError, Type, _parse_type_expr, _Scanner, sort_of_type
+from .syntax import ParseError, SortError, Type, _parse_type_expr, _Scanner, parse_type, sort_of_type
 
 
 class InstanceError(ValueError):
@@ -29,8 +29,8 @@ class InstanceError(ValueError):
 @dataclass(frozen=True)
 class Sequent:
     """An antecedent and a succedent type of the same sort.  A subclass sets
-    `arrow` and its scanner token `_arrow_token`, and `_sort` and
-    `_parse_antecedent` for its kind of antecedent."""
+    `arrow` and its scanner token `_arrow_token`, and `_sort`,
+    `_parse_antecedent` and `_read_antecedent` for its kind of antecedent."""
 
     antecedent: object
     succedent: Type
@@ -47,21 +47,38 @@ class Sequent:
     @classmethod
     def parse(cls, text: str, sig):
         """Read `antecedent arrow type`; a sort mismatch is a ParseError."""
-        return cls._read(text, sig, None)
+        sc = _Scanner(text)
+        ant = cls._parse_antecedent(sc, sig)
+        sc.expect(cls._arrow_token)
+        succ = _parse_type_expr(sc, sig)
+        if not sc.at_end():
+            sc.error("trailing input after sequent")
+        try:
+            return cls(ant, succ)
+        except SortError as exc:
+            raise ParseError(str(exc)) from exc
 
     @classmethod
-    def _read(cls, text: str, sig, spans):
-        """parse, where the texts of one read share `spans` (see _Scanner)."""
-        with _Scanner(text, spans, (cls._arrow_token, cls.arrow)) as sc:
-            ant = cls._parse_antecedent(sc, sig)
-            sc.expect(cls._arrow_token)
-            succ = sc.read(_parse_type_expr, sig)
-            if not sc.at_end():
-                sc.error("trailing input after sequent")
+    def _read(cls, text: str, sig, table: dict):
+        """parse, where the sequents of one read share `table`: the text is
+        split at its first arrow, and the antecedent by `_read_antecedent`.
+        Each part is parsed alone when its text, less the blanks around it,
+        is first met, and the table keeps each type once by value.  Only the
+        comma token holds a `,`, and only the arrows `=`, `-` or `>`, so a
+        text whose parts each parse alone parses whole to the same value;
+        any other text goes to `parse`, which raises what it gives alone."""
+        ant, arrow, succ = text.partition(cls.arrow)
+        if arrow:
             try:
-                return cls(ant, succ)
-            except SortError as exc:
-                raise ParseError(str(exc)) from exc
+                key = arrow + succ.strip(" \t")  # no antecedent part holds the arrow
+                t = table.get(key)
+                if t is None:
+                    t = parse_type(succ, sig)
+                    t = table[key] = table.setdefault(t, t)
+                return cls(cls._read_antecedent(ant, sig, table), t)
+            except (ValueError, RecursionError):
+                pass
+        return cls.parse(text, sig)
 
 
 def _axiom(want):
@@ -79,8 +96,8 @@ def _axiom(want):
 
 def checked_premises(premises, seq: Sequent, rule: str, params) -> tuple:
     """premises(seq, rule, params) of a logical rule, where a missing
-    parameter, one that is not an integer or a list of them, and every
-    failure of the instance to fit raise InstanceError."""
+    parameter, one not of its shape (see _int_param), and every failure of
+    the instance to fit raise InstanceError."""
     params = _Params({k: _int_param(k, v) for k, v in dict(params).items()})
     try:
         return premises(seq, rule, params)
@@ -96,20 +113,35 @@ class _Params(dict):
 
 
 _INT = frozenset((int,))
+_LIST = [int]  # an address, a term path or a level
+_EXCISION = (_LIST, int, int)  # level, start, end
+
+# each logical rule parameter's shape and its name in an error: int, [s] a
+# list of values of shape s, (s, t, ...) a list of one value of each shape
+_SHAPES = dict.fromkeys(("k", "split", "mstart", "mend"), (int, "an integer"))
+_SHAPES.update(at=(_LIST, "a list of integers"), excise=(_EXCISION, "a list [level, start, end]"),
+               chunks=([_EXCISION], "a list of lists [level, start, end]"))
 
 
 def _int_param(name: str, v):
-    """The rule parameter `name`, an integer or nested lists of integers,
-    with its lists made tuples; anything else, a Boolean, float or string
-    among them, raises InstanceError, since True == 1 == 1.0 would pass as
-    an index."""
-    if type(v) is int:
-        return v
-    if isinstance(v, (list, tuple)):
-        if _INT.issuperset(map(type, v)):  # plain ints, as in every address: all fine
-            return tuple(v)
-        return tuple(_int_param(name, x) for x in v)
-    raise InstanceError("rule parameter %r is not an integer or a list of them" % (name,))
+    """The rule parameter `name` with its lists made tuples; a name not in
+    _SHAPES or a value not of its shape raises InstanceError naming it."""
+    shape, text = _SHAPES.get(name, (None, "a parameter of the logical rules"))
+    value = _shaped(v, shape)
+    if value is None:
+        raise InstanceError("rule parameter %r is not %s" % (name, text))
+    return value
+
+
+def _shaped(v, shape):
+    """v with its lists made tuples when it has the shape, else None."""
+    if type(shape) not in (list, tuple) or not isinstance(v, (list, tuple)):
+        return v if shape is int and type(v) is int else None  # not True or 1.0, though == 1
+    if shape is _LIST:  # as in every address: plain ints
+        return tuple(v) if _INT.issuperset(map(type, v)) else None
+    shapes = shape * len(v) if type(shape) is list else shape
+    items = tuple(map(_shaped, v, shapes))
+    return items if len(v) == len(shapes) and None not in items else None
 
 
 @dataclass(frozen=True)
@@ -272,16 +304,14 @@ def json_text(obj) -> str:
 def from_obj(obj: dict, sig, sequent) -> Derivation:
     """Read a derivation whose conclusions are of the `sequent` class.
 
-    Each distinct sequent text is parsed once.  A table kept for this read
-    alone (`spans`, see syntax._Scanner) maps each antecedent entry text
-    (in hd, the span between two commas) and each succedent text parsed so
-    far to its value, so the parser skips a span it has read before and
-    equal texts share one object; errors are those of `sequent.parse` on
-    the text alone.  A node's sequent is read before its premises, its rule
-    and params after them; the walk keeps its own stack, so a long
-    Structural chain reads too."""
+    Each distinct sequent text is parsed once, by `sequent._read` with a
+    table kept for this read alone, so each distinct antecedent part and
+    succedent text is parsed once too and equal types share one object;
+    errors are those of `sequent.parse` on the text alone.  A node's
+    sequent is read before its premises, its rule and params after them;
+    the walk keeps its own stack, so a long Structural chain reads too."""
     parsed = {}
-    spans = {}
+    table = {}
     done = []  # the nodes read so far whose parent is not finished yet
     stack = [(obj, None, 0)]  # (node, its sequent once expanded, premise count)
     while stack:
@@ -291,7 +321,7 @@ def from_obj(obj: dict, sig, sequent) -> Derivation:
             text = _expect(node["sequent"], str, "sequent")
             seq = parsed.get(text)
             if seq is None:
-                seq = parsed[text] = sequent._read(text, sig, spans)
+                seq = parsed[text] = sequent._read(text, sig, table)
             premises = _expect(node.get("premises", []), list, "premises")
             stack.append((node, seq, len(premises)))
             stack.extend((p, None, 0) for p in reversed(premises))

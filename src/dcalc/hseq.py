@@ -20,6 +20,7 @@ what an unpruned search finds.  There is one search, ``prove_all``;
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 from .derivation import Derivation, InstanceError, Sequent, _axiom, _int_param
@@ -44,6 +45,8 @@ from .syntax import (
     UnitI,
     UnitJ,
     _parse_config_body,
+    _parse_config_entry,
+    _parse_whole,
     atom_counts,
     config_at,
     figure,
@@ -52,6 +55,7 @@ from .syntax import (
     generalized_wrap,
     item_at,
     iter_items,
+    parse_flat,
     replace_range,
     sep_index_at,
     sort_of_config,
@@ -64,12 +68,32 @@ from .syntax import (
 HDerivation = Derivation
 
 
+def _read_config(text: str, sig: Signature, table: dict) -> HyperConfig:
+    """An antecedent in a read (see Sequent._read): Lambda, or its entries
+    between commas, each parsed alone the first time, around the table's
+    object for its type."""
+    if text.strip(" \t") == "Lambda":
+        return EMPTY
+    entries = []
+    for part in text.split(","):
+        key = part.strip(" \t")
+        entry = table.get(key)
+        if entry is None:
+            entry = _parse_whole(_parse_config_entry, key, sig, "entry")
+            if entry is not SEP and table.setdefault(entry.type, entry.type) is not entry.type:
+                entry = replace(entry, type=table[entry.type])
+            table[key] = entry
+        entries.append(entry)
+    return parse_flat(entries)
+
+
 class HSequent(Sequent):
     """A hyperconfiguration => a type."""
 
     arrow, _arrow_token = "=>", "DARROW"
     _sort = staticmethod(sort_of_config)
     _parse_antecedent = staticmethod(_parse_config_body)
+    _read_antecedent = staticmethod(_read_config)
 
 
 def parse_hsequent(text: str, sig: Signature) -> HSequent:
@@ -489,8 +513,8 @@ RULES = {
 
 def instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
     """Premise sequents of one rule instance; raises InstanceError if the
-    parameters do not fit the conclusion, or one is missing or is not an
-    integer or a list of them."""
+    parameters do not fit the conclusion, or one is missing or not of its
+    shape."""
     return checked_premises(_instance_premises, seq, rule, params)
 
 

@@ -36,6 +36,7 @@ from .terms import (
     _parse_term,
     apply_rule,
     is_step,
+    parse_term,
     replace_at,
     sort_of_term,
     subterm_at,
@@ -53,6 +54,10 @@ class MSequent(Sequent):
     arrow, _arrow_token = "->", "ARROW"
     _sort = staticmethod(sort_of_term)
     _parse_antecedent = staticmethod(_parse_term)
+
+    @staticmethod
+    def _read_antecedent(text: str, sig: Signature, table: dict):
+        return parse_term(text, sig)
 
 
 def parse_msequent(text: str, sig: Signature) -> MSequent:

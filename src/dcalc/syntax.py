@@ -662,113 +662,34 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str):
-    """Every token of text, ending with ("EOF", "", len(text))."""
-    sc = _Scanner(text)
-    while sc.next()[0] != "EOF":
-        pass
-    return sc.tokens
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError("unexpected character %r at %d" % (text[pos], pos))
+        if m.lastgroup != "WS":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
 class _Scanner:
-    """The tokens of text, scanned when the parser first peeks at them.
+    """The tokens of a whole text, all scanned when it is built."""
 
-    A parse that raises reports the first character that starts no token
-    instead, wherever it is, as if the whole text had been scanned first;
-    so each parse of a whole text runs inside ``with _Scanner(text)``.
-
-    A reader of many texts that repeat their parts, such as the sequents of
-    one derivation, gives their scanners one dict, `spans`, and each text's
-    `arrow`, the (kind, text) of the token that ends its list of entries;
-    ``read`` then takes a span that the same parser read before from the
-    dict, without scanning it."""
-
-    def __init__(self, text: str, spans: Optional[dict] = None, arrow: Optional[tuple] = None):
-        self.text = text
-        self.tokens = []  # the tokens scanned so far
-        self.pos = 0  # the index in tokens of the next token to take
-        self.end = 0  # where the next token's scan starts
-        self.spans = spans  # {parser: {span text: its value}}
-        if spans is not None:
-            stop = text.find(arrow[1]) if arrow else -1
-            # the token that ends the list of entries: the arrow, else EOF
-            self.stop = (arrow[0], arrow[1], stop) if stop >= 0 else ("EOF", "", len(text))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (ValueError, RecursionError)):
-            _tokenize(self.text)  # raises at a character that starts no token
-
-    def _scan(self):
-        """Scan the next token or, without spans, when no span is skipped,
-        every token left."""
-        text, pos, tokens = self.text, self.end, self.tokens
-        while True:
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if pos < len(text):
-                    raise ParseError("unexpected character %r at %d" % (text[pos], pos))
-                tokens.append(("EOF", "", pos))
-                self.end = pos
-                return
-            if m.lastgroup != "WS":
-                tokens.append((m.lastgroup, m.group(), pos))
-                if self.spans is not None:
-                    self.end = m.end()
-                    return
-            pos = m.end()
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
 
     def peek(self):
-        if self.pos == len(self.tokens):
-            self._scan()
         return self.tokens[self.pos]
 
     def next(self):
-        if self.pos == len(self.tokens):
-            self._scan()
         tok = self.tokens[self.pos]
         if tok[0] != "EOF":
             self.pos += 1
         return tok
-
-    def read(self, parse, sig, sep: Optional[str] = None):
-        """parse(self, sig), where parse reads one entry of a list that the
-        punctuation token `sep` separates, or with sep None one unit that
-        ends the text.
-
-        With spans, the entry's span runs from here to the token after it:
-        the first sep before the stop, else the stop (EOF without sep).  Its
-        text, less the blanks around it, is looked up first, and recorded
-        when parse reads exactly the span.  A span scans to the same tokens
-        and parses to the same value in every text where one of these
-        tokens follows it, since none of them continues a token before it;
-        so a span found is skipped, and the token after it is known."""
-        spans = self.spans
-        if spans is None:
-            return parse(self, sig)
-        text, tokens, pos = self.text, self.tokens, self.pos
-        start = self.end if pos == len(tokens) else tokens[pos][2]
-        if sep is None:
-            after = ("EOF", "", len(text))
-        else:
-            end = text.find(sep, start, self.stop[2])
-            after = self.stop if end < 0 else ("PUNCT", sep, end)
-        end = after[2]
-        key = text[start:end].strip(" \t")
-        table = spans.get(parse)
-        if table is None:
-            table = spans[parse] = {}
-        value = table.get(key)
-        if value is not None:
-            del tokens[pos:]
-            tokens.append(after)
-            self.end = end + len(after[1])
-            return value
-        value = parse(self, sig)
-        if self.peek()[2] == end:
-            table[key] = value
-        return value
 
     def expect(self, kind: str, value: Optional[str] = None):
         tok = self.next()
@@ -844,12 +765,17 @@ def _parse_type_expr(sc: _Scanner, sig: Signature) -> Type:
         raise ParseError(str(exc)) from exc
 
 
+def _parse_whole(parse, text: str, sig: Signature, what: str):
+    """parse(scanner, sig) over text, which it must read to the end."""
+    sc = _Scanner(text)
+    value = parse(sc, sig)
+    if not sc.at_end():
+        sc.error("trailing input after " + what)
+    return value
+
+
 def parse_type(text: str, sig: Signature) -> Type:
-    with _Scanner(text) as sc:
-        t = _parse_type_expr(sc, sig)
-        if not sc.at_end():
-            sc.error("trailing input after type")
-        return t
+    return _parse_whole(_parse_type_expr, text, sig, "type")
 
 
 # ---------------------------------------------------------------------------
@@ -864,9 +790,9 @@ def _parse_config_entry(sc: _Scanner, sig: Signature):
     if kind == "INT":
         sc.next()
         sc.expect("PUNCT", ":")
-        t = sc.read(_parse_type_expr, sig, ",")
+        t = _parse_type_expr(sc, sig)
         return SegTok(t, int(value))
-    t = sc.read(_parse_type_expr, sig, ",")
+    t = _parse_type_expr(sc, sig)
     if sort_of_type(t) != 0:
         raise ParseError("bare item %s has sort %d; use segments" % (t, sort_of_type(t)))
     return Leaf0(t)
@@ -879,16 +805,12 @@ def _parse_config_body(sc: _Scanner, sig: Signature) -> HyperConfig:
     if kind == "NAME" and value == "Lambda":
         sc.next()
         return EMPTY
-    raw = [sc.read(_parse_config_entry, sig, ",")]
+    raw = [_parse_config_entry(sc, sig)]
     while sc.peek()[:2] == ("PUNCT", ","):
         sc.next()
-        raw.append(sc.read(_parse_config_entry, sig, ","))
+        raw.append(_parse_config_entry(sc, sig))
     return parse_flat(raw)
 
 
 def parse_config(text: str, sig: Signature) -> HyperConfig:
-    with _Scanner(text) as sc:
-        cfg = _parse_config_body(sc, sig)
-        if not sc.at_end():
-            sc.error("trailing input after configuration")
-        return cfg
+    return _parse_whole(_parse_config_body, text, sig, "configuration")

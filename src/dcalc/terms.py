@@ -48,6 +48,7 @@ from .syntax import (
     Signature,
     Type,
     _parse_type_expr,
+    _parse_whole,
     _Scanner,
     figure,
     flatten,
@@ -158,11 +159,7 @@ def term_size(t) -> int:
 
 
 def parse_term(text: str, sig: Signature):
-    with _Scanner(text) as sc:
-        t = _parse_term(sc, sig)
-        if not sc.at_end():
-            sc.error("trailing input after term")
-        return t
+    return _parse_whole(_parse_term, text, sig, "term")
 
 
 def _parse_term(sc: _Scanner, sig: Signature):

@@ -174,9 +174,9 @@ def test_check_names_a_missing_or_ill_typed_parameter(capsys, sig_file, tmp_path
     for params, reason in (
         ({}, "missing rule parameter 'at'"),
         ({"at": [1], "chunks": []}, "missing rule parameter 'mstart'"),
-        ({"at": "x", "chunks": [], "mstart": 0}, "rule parameter 'at' is not an integer or a list of them"),
+        ({"at": "x", "chunks": [], "mstart": 0}, "rule parameter 'at' is not a list of integers"),
         ({"at": [1], "chunks": [["x", 0, 0]], "mstart": 0},
-         "rule parameter 'chunks' is not an integer or a list of them"),
+         "rule parameter 'chunks' is not a list of lists [level, start, end]"),
     ):
         path.write_text(json.dumps(dict(obj, params=params)))
         code, out, err = run(capsys, "check", "hd", str(path), "--sig", sig_file)
@@ -192,7 +192,28 @@ def test_check_names_a_missing_or_ill_typed_parameter(capsys, sig_file, tmp_path
     for calculus, node, reason in (
         ("hd", cut, "missing rule parameter 'at'"),
         ("md", m_cut, "missing rule parameter 'at'"),
-        ("md", m_under, "rule parameter 'at' is not an integer or a list of them"),
+        ("md", m_under, "rule parameter 'at' is not a list of integers"),
+    ):
+        path.write_text(json.dumps(node))
+        code, out, err = run(capsys, "check", calculus, str(path), "--sig", sig_file)
+        assert (code, out) == (1, "") and err.endswith(": %s\n" % reason), err
+
+
+def test_check_names_a_parameter_of_the_wrong_shape(capsys, sig_file, tmp_path):
+    # integers in the wrong places reached list arithmetic, and the reasons
+    # were internal TypeError texts such as 'int' object is not iterable
+    obj = derivation_to_obj(prove(parse_hsequent("n, (n \\ s) => s", parse_sig(sig_file))))
+    step = {"rule": "Structural", "sequent": "(a + II) -> a",
+            "params": {"at": 1, "indices": {}, "srule": "UnitI-R-add"},
+            "premises": [{"rule": "Id", "sequent": "a -> a", "params": {}, "premises": []}]}
+    path = tmp_path / "node.json"
+    for calculus, node, reason in (
+        ("hd", dict(obj, params=dict(obj["params"], at=1)), "rule parameter 'at' is not a list of integers"),
+        ("hd", dict(obj, params=dict(obj["params"], at=[[1]])), "rule parameter 'at' is not a list of integers"),
+        ("hd", dict(obj, params=dict(obj["params"], chunks=[1])),
+         "rule parameter 'chunks' is not a list of lists [level, start, end]"),
+        ("hd", dict(obj, params=dict(obj["params"], mstart=[0])), "rule parameter 'mstart' is not an integer"),
+        ("md", step, "rule parameter 'at' is not a list of integers"),
     ):
         path.write_text(json.dumps(node))
         code, out, err = run(capsys, "check", calculus, str(path), "--sig", sig_file)

@@ -698,6 +698,34 @@ def test_a_read_fails_as_the_sequent_parser_does(entries, wrap, sep, arrow, corr
         assert read == alone, text
 
 
+@pytest.mark.parametrize("text", (
+    " => I", "Lambda => I", " Lambda\t=>I", "Lambda, n => n", "n, Lambda => n", "n, => n", ", n => n",
+    "(n, s) => s", "n => n => n", "n => n =>", "n -> n", "n, n\\s -> s => s", "n =>> n",
+    "n\n, n\\s => s", "n, n\\s => s\n", "n, n\\s => \ns",
+))
+def test_a_read_at_the_split_points_fails_as_the_sequent_parser_does(text):
+    # the texts where a split at the arrow and the commas could go wrong:
+    # an empty or Lambda part, a comma or arrow inside a part, and a newline,
+    # which the blanks stripped around a part do not include
+    fillers = [{"rule": "Id", "sequent": f, "params": {}, "premises": []} for f in FILLERS]
+    node = {"rule": "Id", "sequent": text, "params": {}, "premises": []}
+    obj = dict(fillers[0], premises=fillers[1:] + [node])
+
+    def outcome(read):
+        try:
+            return "ok", read()
+        except ParseError as exc:
+            return "error", str(exc)
+
+    alone = outcome(lambda: parse_hsequent(text, SIG))
+    assert alone == outcome(lambda: parent_parse_hsequent(text, SIG))
+    read = outcome(lambda: derivation_from_obj(obj, SIG))
+    if alone[0] == "ok":
+        assert read[0] == "ok" and read[1].premises[-1].conclusion == alone[1]
+    else:
+        assert read == alone
+
+
 # ---------------------------------------------------------------------------
 # forward-generated derivations all check
 

@@ -22,7 +22,12 @@ from dcalc.mseq import (
 from dcalc.syntax import Atom, ParseError, Signature, Under
 from dcalc.terms import Cat, ConstI, ConstJ, Leaf, RuleApp, WrapT
 
-from helpers import generate_derivations, reference_derivation_latex, reference_derivation_to_obj
+from helpers import (
+    generate_derivations,
+    reference_derivation_latex,
+    reference_derivation_to_obj,
+    reference_parse_msequent,
+)
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
 
@@ -268,6 +273,51 @@ def test_from_obj_reads_a_long_structural_chain():
     assert check_m(d)
     # dict == recurses too; the text compares the whole tree
     assert json_text(m_derivation_to_obj(d)) == json_text(obj)
+
+
+# Valid sequents that put the succedents of the test below into a read's
+# table before the node under test is read.
+M_FILLERS = ("n -> n", "s -> s", "(n + (n\\s)) -> s", "II -> I", "(e +1 n) -> s", "((n\\s)/n) -> (n\\s)/n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    term=st.recursive(
+        st.sampled_from(("n", "s", "n\\s", "(n\\s)/n", "II", "(e +1 n)", "( e+1 II )")),
+        lambda sub: st.tuples(sub, st.sampled_from(("+", " + ", "\t+ ")), sub).map("(%s%s%s)".__mod__),
+        max_leaves=4,
+    ),
+    arrow=st.sampled_from((" -> ", "->", "\t->  ")),
+    corruption=st.sampled_from(("none", "no arrow", "hd arrow", "trailing token", "second arrow", "comma")),
+    bad=st.sampled_from(("", "", "$", "\n", "-", ">")),
+    where=st.integers(0, 60),
+)
+def test_a_read_fails_as_the_m_sequent_parser_does(term, arrow, corruption, bad, where):
+    # an md sequent of sort 0, then at most one fault and perhaps a
+    # character that starts no token, or half an arrow
+    arrow = {"no arrow": " ", "hd arrow": " => "}.get(corruption, arrow)
+    text = term + arrow + "s" + {"trailing token": " n", "second arrow": " -> s"}.get(corruption, "")
+    if corruption == "comma":
+        text = text[: where % len(text)] + "," + text[where % len(text) :]
+    text = text[: where * 7 % len(text)] + bad + text[where * 7 % len(text) :]
+    fillers = [{"rule": "Id", "sequent": f, "params": {}, "premises": []} for f in M_FILLERS]
+    node = {"rule": "Id", "sequent": text, "params": {}, "premises": []}
+    obj = dict(fillers[0], premises=fillers[1:] + [node])
+
+    def outcome(read):
+        try:
+            return "ok", read()
+        except ParseError as exc:
+            return "error", str(exc)
+
+    alone = outcome(lambda: parse_msequent(text, SIG))
+    reference = outcome(lambda: reference_parse_msequent(text, SIG))
+    assert alone[0] == reference[0] and (alone[0] == "ok" or alone == reference)
+    read = outcome(lambda: m_derivation_from_obj(obj, SIG))
+    if alone[0] == "ok":
+        assert read[0] == "ok" and read[1].premises[-1].conclusion == alone[1]
+    else:
+        assert read == alone, text
 
 
 def test_from_obj_reads_a_node_sequent_first_and_rule_last():
