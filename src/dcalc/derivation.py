@@ -266,18 +266,47 @@ def derivation_to_obj(d: Derivation) -> dict:
 
 
 _LITERAL = object()  # tags a stack entry whose second field is text to write
+_SPAN = object()  # tags a stack entry whose second field is (key, start) of a node's text
 
 
 def json_text(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for a JSON
-    value with string keys; the walk keeps its own stack, so a long
+    value with string keys in which a Derivation stands for its
+    derivation_to_obj dict.  Derivations are written from their nodes: each
+    node's sequent is escaped once, and a subtree met again at an indent it
+    was written at repeats its parts (nodes are keyed by id, safe as `obj`
+    holds them all for the call).  The walk keeps its own stack, so a long
     Structural chain writes too."""
     parts = []
-    stack = [(obj, "")]  # (value, indent of its line) or (_LITERAL, text)
+    sequents = {}  # id(node): its escaped sequent text
+    spans = {}  # (id(node), indent width): where its text is in parts
+    stack = [(obj, "")]  # (value, indent of its line), (_LITERAL, text) or (_SPAN, (key, start))
     while stack:
         value, pad = stack.pop()
         if value is _LITERAL:
             parts.append(pad)
+            continue
+        if value is _SPAN:
+            key, start = pad
+            spans[key] = start, len(parts)
+            continue
+        if isinstance(value, Derivation):
+            key = id(value), len(pad)
+            span = spans.get(key)
+            if span is not None:
+                parts += parts[span[0]:span[1]]  # references, not characters
+                continue
+            seq = sequents.get(key[0])
+            if seq is None:
+                seq = sequents[key[0]] = encode_basestring_ascii(str(value.conclusion))
+            inner = pad + "  "
+            stack.append((_SPAN, (key, len(parts))))
+            stack.append((_LITERAL, ",\n%s\"rule\": %s,\n%s\"sequent\": %s\n%s}"
+                          % (inner, encode_basestring_ascii(value.rule), inner, seq, pad)))
+            stack.append((value.premises, inner))
+            stack.append((_LITERAL, ",\n%s\"premises\": " % inner))
+            stack.append((params_to_obj(value.params), inner))
+            parts.append("{\n%s\"params\": " % inner)
             continue
         if isinstance(value, dict):
             brackets = "{}"
@@ -286,7 +315,10 @@ def json_text(obj) -> str:
             brackets = "[]"
             entries = [("", v) for v in value]
         else:
-            parts.append(encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value))
+            if isinstance(value, str):
+                parts.append(encode_basestring_ascii(value))
+            else:  # an int as json.dumps writes it, which a bool is not
+                parts.append(str(value) if type(value) is int else json.dumps(value))
             continue
         if not entries:
             parts.append(brackets)

@@ -11,7 +11,7 @@ import weakref
 import pytest
 from dcalc import bridge
 from dcalc.bridge import BridgeError, correspondence_check, lift, lower
-from dcalc.derivation import Derivation
+from dcalc.derivation import Derivation, json_text
 from dcalc.hseq import (
     RULES,
     HDerivation,
@@ -288,16 +288,18 @@ def _cut(left, right, at):
     return HDerivation("Cut", HSequent(ant, d2.conclusion.succedent), (d1, d2), (("at", at),))
 
 
+# cut formulas of sorts 0, 1 and 2; the last cuts into the second of two
+# equal items, so lower passes over the first address
+CUTS = (
+    ("n, (n \\ s) => s", "s => s", (0,)),
+    ("0:e,[],1:e => e", "0:e,n,1:e => e @1 n", (0,)),
+    ("0:b,[],1:b,[],2:b => b", "0:b,[],1:b,[],2:b => b", (0,)),
+    ("n, (n \\ s) => s", "s, s => (s . s)", (1,)),
+)
+
+
 def test_lift_and_lower_cut():
-    # cut formulas of sorts 0, 1 and 2; the last cuts into the second of two
-    # equal items, so lower passes over the first address
-    cuts = (
-        _cut("n, (n \\ s) => s", "s => s", (0,)),
-        _cut("0:e,[],1:e => e", "0:e,n,1:e => e @1 n", (0,)),
-        _cut("0:b,[],1:b,[],2:b => b", "0:b,[],1:b,[],2:b => b", (0,)),
-        _cut("n, (n \\ s) => s", "s, s => (s . s)", (1,)),
-    )
-    for cut in cuts:
+    for cut in (_cut(*args) for args in CUTS):
         assert check(cut)
         md = lift(cut)
         node = md
@@ -310,6 +312,17 @@ def test_lift_and_lower_cut():
         assert check(back)
         assert back == cut
         assert json.dumps(derivation_to_obj(back)) == json.dumps(derivation_to_obj(cut))
+
+
+def test_json_text_writes_the_golden_and_cut_derivations():
+    hs, mm = golden_defs.build_hsder(), golden_defs.build_mmder()
+    with open(os.path.join(GOLDEN, "hsder.json")) as fh:
+        assert fh.read() == json_text(hs) + "\n"
+    with open(os.path.join(GOLDEN, "mmder.json")) as fh:
+        assert fh.read() == json_text(mm) + "\n"
+    cuts = [_cut(*args) for args in CUTS]
+    for d in cuts + [lift(cut) for cut in cuts]:
+        assert json_text(d) == json.dumps(derivation_to_obj(d), indent=2, sort_keys=True)
 
 
 def test_correspondence_check_negative():

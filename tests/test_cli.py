@@ -453,6 +453,24 @@ def test_a_closed_stdout_exits_2(tmp_path):
     proc.stderr.close()
 
 
+def test_json_output_is_the_dict_path_text(capsys, sig_file, tmp_path, monkeypatch):
+    # the oracle writes derivation_to_obj's dicts with json.dumps; the bytes
+    # must agree, also where the readings of "x x x x" share subderivations
+    lexicon = tmp_path / "ambiguous.lex"
+    lexicon.write_text(AMBIGUOUS_LEX)
+    calls = (
+        ["parse", str(lexicon), "x x x x", "n", "--out", "json"],
+        ["prove", "md", "((n + ((n \\ s) / n)) + n) -> s", "--sig", sig_file, "--out", "json"],
+    )
+    results = [run(capsys, *argv) for argv in calls]
+    assert json.loads(results[0][1])["readings"] == 40
+    monkeypatch.setattr(
+        cli, "json_text", lambda v: json.dumps(v, default=derivation_to_obj, indent=2, sort_keys=True)
+    )
+    for argv, result in zip(calls, results):
+        assert result[0] == 0 and run(capsys, *argv) == result, argv
+
+
 def test_parse_limit(capsys):
     code, out, _ = run(capsys, "parse", TOY_LEX, "john walks", "s", "--limit", "1")
     assert code == 0 and "1 reading(s)" in out

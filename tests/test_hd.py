@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dcalc import cli, hseq, mseq
 from dcalc.bridge import lift
-from dcalc.derivation import Derivation, first_violation, params_from_obj, violation_reason
+from dcalc.derivation import Derivation, first_violation, json_text, params_from_obj, violation_reason
 from dcalc.hseq import (
     RULES,
     HDerivation,
@@ -1036,3 +1036,17 @@ def test_prove_all_at_the_baseline_size():
     assert time.perf_counter() - start < 5
     assert len(found) == 16
     assert all(check(d) for d in found)
+
+
+def test_json_text_of_the_provable_family_equals_dumps():
+    # prove_all's memo shares subderivations within and across readings, so
+    # the writer meets shared nodes at equal and at different indents
+    everything = []
+    for k in range(5):
+        found = prove_all(seq(", ".join(["n", SV] * k + [Q, TV, Q]) + " => s"), limit=16)
+        assert found
+        for d in found:
+            assert json_text(d) == json.dumps(derivation_to_obj(d), indent=2, sort_keys=True)
+        everything += found
+    objs = [derivation_to_obj(d) for d in everything]
+    assert json_text(everything) == json.dumps(objs, indent=2, sort_keys=True)

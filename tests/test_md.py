@@ -261,7 +261,10 @@ def test_latex_agrees_with_the_reference_renderer():
 
 
 def test_json_text_writes_a_long_structural_chain():
-    text = json_text(m_derivation_to_obj(long_structural_chain()))
+    # from the nodes, as the dict path writes it (json.dumps recurses per level)
+    d = long_structural_chain()
+    text = json_text(d)
+    assert text == json_text(m_derivation_to_obj(d))
     assert text.count('"rule": "Structural"') == 2400
     assert text.count('"rule": "Id"') == 1
 
@@ -345,6 +348,33 @@ def test_json_text_of_a_short_chain_equals_dumps():
         d = structural_step(d, RuleApp("UnitI-L-drop" if n % 2 else "UnitI-L-add", ()))
     obj = m_derivation_to_obj(d)
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_text_of_prove_m_derivations_equals_dumps():
+    # Structural steps whose indices are JSON objects, empty or not
+    written = ""
+    for text in (
+        "(b +2 JJ) -> b",
+        "(e +1 (II + a)) -> (e @1 a)",
+        "((b +2 d) +1 e) -> ((b @2 d) @1 e)",
+        "((II + n) + (n \\ s)) -> s",
+    ):
+        d = prove_m(mseq(text))
+        written += json_text(d)
+        assert written.endswith(json.dumps(m_derivation_to_obj(d), indent=2, sort_keys=True))
+    assert '"indices": {}' in written and '"indices": {\n' in written
+
+
+def test_json_text_writes_a_shared_node_at_each_of_its_indents():
+    # one node object at depths 1 and 2, and twice at depth 2: a text kept by
+    # node alone would put the deeper copy at the shallower indent
+    leaf = MDerivation("Id", mseq("a -> a"))
+    mid = MDerivation("Structural", mseq("(II + a) -> a"), (leaf,), (("indices", (("i", 1),)),))
+    twice = MDerivation("ProdR", mseq("((II + a) + (II + a)) -> (a . a)"), (mid, mid))
+    root = MDerivation("ProdR", mseq("(a + ((II + a) + (II + a))) -> (a . (a . a))"), (leaf, twice))
+    for value in (root, [root, twice, leaf, root], {"x": [leaf], "y": root}):
+        want = json.dumps(value, default=m_derivation_to_obj, indent=2, sort_keys=True)
+        assert json_text(value) == want
 
 
 def test_json_objects_agree_with_the_reference_builder():
