@@ -5,7 +5,8 @@ antecedent denotes the same configuration, inserting explicit Structural
 rewrite steps wherever the term shape has to be adjusted; every lifted
 subproof ends at the canonical term of its configuration, which is what
 makes the induction go through.  ``lower`` erases the rewrite steps and maps
-each logical rule back to a configuration rule instance.
+each logical rule back to a configuration rule instance.  ``prove_m``
+searches for a term sequent's proof by proving its sharp image and lifting.
 
 The Structural chains are built from the rewrite traces of ``normalize``,
 ``invert_trace`` and ``extract``: each step of a trace was applied, or, in
@@ -34,19 +35,18 @@ from .hseq import (
     HSequent,
     check_node,
     enumerate_rule_instances,
+    prove,
 )
-from .mseq import RULES as M_RULES, MDerivation, MSequent, m_instance_premises
+from .mseq import AXIOMS, RULES as M_RULES, MDerivation, MSequent, _structural, m_instance_premises
 
 # unused here, but the benchmark's traced run wraps bridge.structural_step
 # (perfbench/ops.py TRACED_IMPORTS) and stops when the name is missing
 from .mseq import structural_step  # noqa: F401
 from .terms import (
     Cat,
-    ConstI,
-    ConstJ,
-    Leaf,
     WrapT,
     _leaf_path,
+    _marked_image,
     extract,
     invert_trace,
     normalize,
@@ -77,13 +77,9 @@ def _append_trace(md: MDerivation, trace) -> MDerivation:
     """md extended by one Structural step per trace step, each ending at the
     term the trace stored for it (the trace applied or checked the step)."""
     assert trace.start == md.conclusion.antecedent
-    succ = md.conclusion.succedent
-    out = md
     for step in trace.steps:
-        app = step.app
-        params = (("at", app.at), ("indices", app.params), ("srule", app.rule))
-        out = MDerivation("Structural", MSequent(step.result, succ), (out,), params)
-    return out
+        md = _structural(md, step.app, step.result)
+    return md
 
 
 def _finish(md: MDerivation) -> MDerivation:
@@ -95,6 +91,12 @@ def _reshape_to(md: MDerivation, w) -> MDerivation:
     """Rewrite the (canonical) end antecedent into the sharp-equal term w."""
     trace = invert_trace(normalize(w))
     return _append_trace(md, trace)
+
+
+def prove_m(seq: MSequent):
+    """Search via the configuration calculus and lift the result."""
+    found = prove(HSequent(sharp(seq.antecedent), seq.succedent))
+    return None if found is None else lift(found, target=seq.antecedent)
 
 
 def lift(d: HDerivation, target=None) -> MDerivation:
@@ -122,13 +124,8 @@ def _lift_node(d: HDerivation) -> MDerivation:
     rule = d.rule
     params = d.params_dict()
 
-    if rule == "Id":
-        md = MDerivation("Id", MSequent(Leaf(succ), succ), (), ())
-        return _finish(md)
-    if rule == "IR":
-        return _finish(MDerivation("IR", MSequent(ConstI(), succ), (), ()))
-    if rule == "JR":
-        return _finish(MDerivation("JR", MSequent(ConstJ(), succ), (), ()))
+    if rule in AXIOMS:
+        return _finish(MDerivation(rule, MSequent(AXIOMS[rule](succ), succ), (), ()))
 
     if rule in ("UnderR", "OverR", "DownR", "IL", "JL", "ProdL", "DProdL"):
         child = _lift(d.premises[0])
@@ -201,14 +198,16 @@ def lower(md: MDerivation) -> HDerivation:
         md = md.premises[0]
     seq = md.conclusion
     target = HSequent(sharp(seq.antecedent), seq.succedent)
-    if md.rule in ("Id", "IR", "JR"):
+    if md.rule in AXIOMS:
         return HDerivation(md.rule, target, (), ())
     lowered = tuple(lower(p) for p in md.premises)
     if md.rule == "Cut":
-        for addr, _ in iter_items(lowered[1].conclusion.antecedent):
-            cut = HDerivation("Cut", target, lowered, (("at", addr),))
-            if check_node(cut):
-                return cut
+        # the cut item: where the leaf at the Cut's path lands in the image
+        marker, image = _marked_image(md.premises[1].conclusion.antecedent, md.params_dict()["at"])
+        addr = next(a for a, item in iter_items(image) if getattr(item, "type", None) == marker)
+        cut = HDerivation("Cut", target, lowered, (("at", addr),))
+        if check_node(cut):
+            return cut
         raise BridgeError("no matching cut position")
     want = tuple(l.conclusion for l in lowered)
     for rule, params, premises in enumerate_rule_instances(target, only_rule=md.rule):

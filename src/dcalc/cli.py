@@ -37,7 +37,8 @@ from .hseq import (
     prove,
     prove_all,
 )
-from .mseq import check_m_node, m_derivation_from_obj, parse_msequent, prove_m
+from .bridge import prove_m
+from .mseq import check_m_node, m_derivation_from_obj, parse_msequent
 from .syntax import (
     HyperConfig,
     ParseError,

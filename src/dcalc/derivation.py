@@ -95,9 +95,9 @@ def _axiom(want):
 
 
 def checked_premises(premises, seq: Sequent, rule: str, params) -> tuple:
-    """premises(seq, rule, params) of a logical rule, where a missing
-    parameter, one not of its shape (see _int_param), and every failure of
-    the instance to fit raise InstanceError."""
+    """premises(seq, rule, params) of a logical rule, params a dict or a
+    node's (name, value) pairs, where a missing parameter, one not of its
+    shape (see _int_param), and every failure to fit raise InstanceError."""
     params = _Params({k: _int_param(k, v) for k, v in dict(params).items()})
     try:
         return premises(seq, rule, params)

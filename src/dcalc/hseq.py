@@ -593,7 +593,7 @@ def check_node(d: HDerivation) -> bool:
         plugged = generalized_wrap(p1.antecedent, _item_gaps(item))
         want = splice_item(p2.antecedent, addr, plugged.items)
         return d.conclusion.antecedent == want and d.conclusion.succedent == p2.succedent
-    want = instance_premises(d.conclusion, d.rule, d.params_dict())
+    want = instance_premises(d.conclusion, d.rule, d.params)
     return tuple(p.conclusion for p in d.premises) == want
 
 

@@ -9,8 +9,6 @@ redex, reduct and minor premise.  Checking and ``bridge.lift`` both read it.
 Sequents (``MSequent``, a ``derivation.Sequent`` written with ``->``) and
 derivations are the shared ones of ``derivation``; only the rule table and
 the single-node check (``check_m_node``) belong to this calculus.
-``prove_m`` searches by translating the sharp image to the configuration
-calculus and lifting the proof found there.
 """
 
 from __future__ import annotations
@@ -99,12 +97,14 @@ def _dprod_r(ant, succ):
     return _halves(ant, succ)
 
 
-# rule: (side, connective, shape); Id's connective is `object` because it
-# applies to a succedent of any type
+# AXIOMS gives each axiom's antecedent from its succedent; a RULES row is
+# rule: (side, connective, shape), where Id's connective is `object`
+# because it applies to a succedent of any type
+AXIOMS = {"Id": Leaf, "IR": lambda succ: ConstI(), "JR": lambda succ: ConstJ()}
 RULES = {
-    "Id": ("R", object, _axiom(Leaf)),
-    "IR": ("R", UnitI, _axiom(lambda succ: ConstI())),
-    "JR": ("R", UnitJ, _axiom(lambda succ: ConstJ())),
+    "Id": ("R", object, _axiom(AXIOMS["Id"])),
+    "IR": ("R", UnitI, _axiom(AXIOMS["IR"])),
+    "JR": ("R", UnitJ, _axiom(AXIOMS["JR"])),
     "UnderR": ("R", Under, lambda a, s: (MSequent(Cat(Leaf(s.left), a), s.right),)),
     "OverR": ("R", Over, lambda a, s: (MSequent(Cat(a, Leaf(s.right)), s.left),)),
     "DownR": ("R", DDown, lambda a, s: (MSequent(WrapT(s.k, Leaf(s.left), a), s.right),)),
@@ -153,12 +153,13 @@ def _m_instance_premises(seq: MSequent, rule: str, params: dict) -> tuple:
 
 def structural_step(premise: MDerivation, app: RuleApp) -> MDerivation:
     """Extend a derivation with one antecedent rewrite step."""
-    seq = premise.conclusion
-    new_ant = apply_rule(seq.antecedent, app)
+    return _structural(premise, app, apply_rule(premise.conclusion.antecedent, app))
+
+
+def _structural(premise: MDerivation, app: RuleApp, ant) -> MDerivation:
+    """structural_step, given the rewritten antecedent (bridge's traces hold it)."""
     params = (("at", app.at), ("indices", app.params), ("srule", app.rule))
-    return MDerivation(
-        "Structural", MSequent(new_ant, seq.succedent), (premise,), params
-    )
+    return MDerivation("Structural", MSequent(ant, premise.conclusion.succedent), (premise,), params)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +193,6 @@ def check_m_node(d: MDerivation) -> bool:
             and d.conclusion.antecedent == replace_at(p2.antecedent, at, p1.antecedent)
             and d.conclusion.succedent == p2.succedent
         )
-    want = m_instance_premises(d.conclusion, d.rule, d.params_dict())
+    want = m_instance_premises(d.conclusion, d.rule, d.params)
     return tuple(p.conclusion for p in d.premises) == want
-
-
-def prove_m(seq: MSequent):
-    """Search via the configuration calculus and lift the result."""
-    from .bridge import lift
-    from .hseq import HSequent, prove
-    from .terms import sharp
-
-    found = prove(HSequent(sharp(seq.antecedent), seq.succedent))
-    if found is None:
-        return None
-    return lift(found, target=seq.antecedent)
 

@@ -9,7 +9,9 @@ would produce a negative sort or an out-of-range wrap index.  A type also
 stores its figure, its segment tokens, its polarity-weighted atom counts and
 (a binary one) its hash, but only once they are first asked for, since most
 parsed subtypes never become items.  None of these stored values is a
-dataclass field, so equality, hashing and printing ignore them.
+dataclass field, so equality, hashing and printing ignore them.  One table,
+``_CONNECTIVES``, gives each binary connective's symbol and the sign it
+gives its operands' atoms; the type parser, ``str`` and the counts read it.
 
 A hyperconfiguration is a sequence of items: sort-0 type leaves, separators
 (written ``[]``), and occurrences of types of sort >= 1, where an occurrence
@@ -128,18 +130,29 @@ def _stored_hash(t) -> int:
     return h
 
 
+def _binary_str(t) -> str:
+    """Its connective's symbol, with a wrap's index, between its operands,
+    each in parentheses unless it is an atom or a unit."""
+    op = _CONNECTIVES[type(t)][0] + str(getattr(t, "k", ""))
+    ls = str(t.left)
+    rs = str(t.right)
+    if not isinstance(t.left, (Atom, UnitI, UnitJ)):
+        ls = "(" + ls + ")"
+    if not isinstance(t.right, (Atom, UnitI, UnitJ)):
+        rs = "(" + rs + ")"
+    return ls + op + rs
+
+
 @dataclass(frozen=True)
 class Prod:
     left: "Type"
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
+    __str__ = _binary_str
 
     def __post_init__(self):
         object.__setattr__(self, "sort", sort_of_type(self.left) + sort_of_type(self.right))
-
-    def __str__(self):
-        return _binop_str(self.left, ".", self.right)
 
 
 @dataclass(frozen=True)
@@ -150,15 +163,13 @@ class Under:
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
+    __str__ = _binary_str
 
     def __post_init__(self):
         s = sort_of_type(self.right) - sort_of_type(self.left)
         if s < 0:
             raise SortError("negative sort in %s\\%s" % (self.left, self.right))
         object.__setattr__(self, "sort", s)
-
-    def __str__(self):
-        return _binop_str(self.left, "\\", self.right)
 
 
 @dataclass(frozen=True)
@@ -169,15 +180,13 @@ class Over:
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
+    __str__ = _binary_str
 
     def __post_init__(self):
         s = sort_of_type(self.left) - sort_of_type(self.right)
         if s < 0:
             raise SortError("negative sort in %s/%s" % (self.left, self.right))
         object.__setattr__(self, "sort", s)
-
-    def __str__(self):
-        return _binop_str(self.left, "/", self.right)
 
 
 def _wrapped_sort(op: str, k: int, left: "Type") -> int:
@@ -199,13 +208,11 @@ class DProd:
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
+    __str__ = _binary_str
 
     def __post_init__(self):
         a = _wrapped_sort("@", self.k, self.left)
         object.__setattr__(self, "sort", a + sort_of_type(self.right) - 1)
-
-    def __str__(self):
-        return _binop_str(self.left, "@%d" % self.k, self.right)
 
 
 @dataclass(frozen=True)
@@ -217,6 +224,7 @@ class DDown:
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
+    __str__ = _binary_str
 
     def __post_init__(self):
         a = _wrapped_sort("!", self.k, self.left)
@@ -224,9 +232,6 @@ class DDown:
         if s < 0:
             raise SortError("negative sort in %s" % (self,))
         object.__setattr__(self, "sort", s)
-
-    def __str__(self):
-        return _binop_str(self.left, "!%d" % self.k, self.right)
 
 
 @dataclass(frozen=True)
@@ -238,6 +243,7 @@ class DUp:
     right: "Type"
     sort: int = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
+    __str__ = _binary_str
 
     def __post_init__(self):
         s = sort_of_type(self.left) + 1 - sort_of_type(self.right)
@@ -247,12 +253,22 @@ class DUp:
             raise SortError("wrap index %d out of range 1..%d" % (self.k, s))
         object.__setattr__(self, "sort", s)
 
-    def __str__(self):
-        return _binop_str(self.left, "^%d" % self.k, self.right)
-
 
 Type = Union[Atom, UnitI, UnitJ, Prod, Under, Over, DProd, DDown, DUp]
 _TYPE_CLASSES = frozenset(Type.__args__)
+
+# each binary connective's symbol in the text form, and the sign it gives
+# its (left, right) operand's atoms: results count with the type's own
+# sign, arguments of the implications with the opposite one
+_CONNECTIVES = {
+    Prod: (".", 1, 1),
+    Under: ("\\", -1, 1),
+    Over: ("/", 1, -1),
+    DProd: ("@", 1, 1),
+    DDown: ("!", -1, 1),
+    DUp: ("^", 1, -1),
+}
+_BY_SYMBOL = {row[0]: cls for cls, row in _CONNECTIVES.items()}
 
 
 def sort_of_type(t: Type) -> int:
@@ -261,16 +277,6 @@ def sort_of_type(t: Type) -> int:
     if type(t) in _TYPE_CLASSES:
         return t.sort
     raise TypeError("not a type: %r" % (t,))
-
-
-def _binop_str(left: Type, op: str, right: Type) -> str:
-    ls = str(left)
-    rs = str(right)
-    if not isinstance(left, (Atom, UnitI, UnitJ)):
-        ls = "(" + ls + ")"
-    if not isinstance(right, (Atom, UnitI, UnitJ)):
-        rs = "(" + rs + ")"
-    return ls + op + rs
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +382,6 @@ def figure(t: Type) -> HyperConfig:
     return _stored(t, "_figure", _build_figure)
 
 
-# the sign each binary connective gives its (left, right) operand's atoms:
-# results count with the type's own sign, arguments of the implications
-# with the opposite one
-_OPERAND_SIGNS = {
-    Prod: (1, 1),
-    DProd: (1, 1),
-    Under: (-1, 1),
-    DDown: (-1, 1),
-    Over: (1, -1),
-    DUp: (1, -1),
-}
-
-
 def _build_counts(t: Type) -> dict:
     counts = {}
     stack = [(t, 1)]
@@ -400,8 +393,8 @@ def _build_counts(t: Type) -> dict:
                 counts[name] = counts.get(name, 0) + sign * n
         elif type(u) is Atom:
             counts[u.name] = counts.get(u.name, 0) + sign
-        elif type(u) in _OPERAND_SIGNS:
-            left, right = _OPERAND_SIGNS[type(u)]
+        elif type(u) in _CONNECTIVES:
+            _, left, right = _CONNECTIVES[type(u)]
             stack += ((u.left, left * sign), (u.right, right * sign))
     return {name: n for name, n in counts.items() if n}
 
@@ -732,9 +725,7 @@ def _parse_type_operand(sc: _Scanner, sig: Signature) -> Type:
 
 def _peek_binop(sc: _Scanner):
     kind, value, _ = sc.peek()
-    if kind == "PUNCT" and value in ("\\", "/", "."):
-        return value
-    if kind == "KOP":
+    if kind == "KOP" or (kind == "PUNCT" and value in _BY_SYMBOL):
         return value
     return None
 
@@ -748,19 +739,9 @@ def _parse_type_expr(sc: _Scanner, sig: Signature) -> Type:
     right = _parse_type_operand(sc, sig)
     if _peek_binop(sc) is not None:
         sc.error("operator chains must be parenthesized")
-    try:
-        if op == "\\":
-            return Under(left, right)
-        if op == "/":
-            return Over(left, right)
-        if op == ".":
-            return Prod(left, right)
-        k = int(op[1:])
-        if op[0] == "@":
-            return DProd(k, left, right)
-        if op[0] == "!":
-            return DDown(k, left, right)
-        return DUp(k, left, right)
+    try:  # a KOP token is a wrap symbol and its index
+        args = (left, right) if len(op) == 1 else (int(op[1:]), left, right)
+        return _BY_SYMBOL[op[0]](*args)
     except SortError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -798,10 +798,9 @@ def _pad_leaf_gaps(tr: Tracer, path: tuple):
 # extraction
 
 
-def _extract_info(t, at: tuple):
-    """(slot i, place) when the leaf at `at` is visible, read off the flat
-    image with a marker atom for the leaf: i is 1 plus the separators before
-    the marker, place the number of items (Leaf0, SEP, SegTok 0) before it."""
+def _marked_image(t, at: tuple):
+    """(marker, image): the sharp image of t with the type leaf at `at`
+    replaced by a marker atom of its sort, which no parsed atom equals."""
     try:
         sub = subterm_at(t, at)
     except IndexError:  # the path descends below a leaf
@@ -809,8 +808,16 @@ def _extract_info(t, at: tuple):
     if not isinstance(sub, Leaf):
         raise ExtractionError("path %r does not address a type leaf" % (at,))
     marker = Atom("\x00extract", sub.sort)
+    return marker, sharp(replace_at(t, at, Leaf(marker)))
+
+
+def _extract_info(t, at: tuple):
+    """(slot i, place) when the leaf at `at` is visible, read off the flat
+    marked image: i is 1 plus the separators before the marker, place the
+    number of items (Leaf0, SEP, SegTok 0) before it."""
+    marker, image = _marked_image(t, at)
     shape = flatten(figure(marker))
-    toks = flatten(sharp(replace_at(t, at, Leaf(marker))))
+    toks = flatten(image)
     pos = toks.index(shape[0])
     if toks[pos : pos + len(shape)] != shape:  # a gap holds more than its separator
         return None

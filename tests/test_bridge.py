@@ -33,6 +33,7 @@ from dcalc.mseq import (
 )
 from dcalc.syntax import (
     EMPTY,
+    Separator,
     Signature,
     SortError,
     config_str,
@@ -72,6 +73,7 @@ from helpers import (
 
 GOLDEN = golden_defs.GOLDEN_DIR
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n")
+CUT_ATOMS = (("a", 0), ("c", 0), ("e", 1), ("b", 2))
 
 
 def hseq(text, sig=SIG):
@@ -279,27 +281,34 @@ def test_lower_golden():
     assert back.conclusion.succedent == mm.conclusion.succedent
 
 
-def _cut(left, right, at):
-    """The Cut of a proof of `left` into a proof of `right` at item `at`."""
-    d1, d2 = prove(hseq(left)), prove(hseq(right))
+def _cut(d1, d2, at):
+    """The Cut of the derivation d1 into item `at` of d2's antecedent."""
     item = item_at(d2.conclusion.antecedent, at)
     plugged = generalized_wrap(d1.conclusion.antecedent, getattr(item, "gaps", ()))
     ant = splice_item(d2.conclusion.antecedent, at, plugged.items)
     return HDerivation("Cut", HSequent(ant, d2.conclusion.succedent), (d1, d2), (("at", at),))
 
 
-# cut formulas of sorts 0, 1 and 2; the last cuts into the second of two
-# equal items, so lower passes over the first address
+# cut formulas of sorts 0, 1 and 2; the fourth cuts into the second of two
+# equal items, so lower passes over the first address, and the last two
+# cut into either of two equal items with the same conclusion, so only the
+# md Cut's leaf path tells them apart
 CUTS = (
     ("n, (n \\ s) => s", "s => s", (0,)),
     ("0:e,[],1:e => e", "0:e,n,1:e => e @1 n", (0,)),
     ("0:b,[],1:b,[],2:b => b", "0:b,[],1:b,[],2:b => b", (0,)),
     ("n, (n \\ s) => s", "s, s => (s . s)", (1,)),
+    ("a => a", "a, a => (a . a)", (0,)),
+    ("a => a", "a, a => (a . a)", (1,)),
 )
 
 
+def _text_cuts():
+    return [_cut(prove(hseq(left)), prove(hseq(right)), at) for left, right, at in CUTS]
+
+
 def test_lift_and_lower_cut():
-    for cut in (_cut(*args) for args in CUTS):
+    for cut in _text_cuts():
         assert check(cut)
         md = lift(cut)
         node = md
@@ -314,13 +323,37 @@ def test_lift_and_lower_cut():
         assert json.dumps(derivation_to_obj(back)) == json.dumps(derivation_to_obj(cut))
 
 
+def test_cuts_of_generated_derivations_close_and_lower_exactly():
+    # every Cut of one generated derivation into an item of another whose
+    # type is its succedent, with at most 3 left derivations per item and 14
+    # flat tokens after the cut; hD is cut-free, so search must prove each
+    # conclusion, and the round trip through md must give the cut back
+    ds = generate_derivations(random.Random(5), CUT_ATOMS, 300, max_depth=4, max_flat=8)
+    cuts = []
+    for d2 in ds:
+        for at, item in iter_items(d2.conclusion.antecedent):
+            if isinstance(item, Separator):
+                continue
+            for d1 in [d for d in ds if d.conclusion.succedent == item.type][:3]:
+                cut = _cut(d1, d2, at)
+                if len(flatten(cut.conclusion.antecedent)) <= 14:
+                    cuts.append(cut)
+    assert len(cuts) == 1334
+    for cut in cuts:
+        assert check(cut)
+        assert prove(cut.conclusion) is not None
+        md = lift(cut)
+        assert check_m(md) and correspondence_check(cut, md)
+        assert lower(md) == cut
+
+
 def test_json_text_writes_the_golden_and_cut_derivations():
     hs, mm = golden_defs.build_hsder(), golden_defs.build_mmder()
     with open(os.path.join(GOLDEN, "hsder.json")) as fh:
         assert fh.read() == json_text(hs) + "\n"
     with open(os.path.join(GOLDEN, "mmder.json")) as fh:
         assert fh.read() == json_text(mm) + "\n"
-    cuts = [_cut(*args) for args in CUTS]
+    cuts = _text_cuts()
     for d in cuts + [lift(cut) for cut in cuts]:
         assert json_text(d) == json.dumps(derivation_to_obj(d), indent=2, sort_keys=True)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcalc.bridge import lift, lower
+from dcalc.bridge import lift, lower, prove_m
 from dcalc.derivation import derivation_latex, derivation_text, json_text
 from dcalc.hseq import HDerivation, check
 from dcalc.mseq import (
@@ -16,7 +16,6 @@ from dcalc.mseq import (
     m_derivation_from_obj,
     m_derivation_to_obj,
     parse_msequent,
-    prove_m,
     structural_step,
 )
 from dcalc.syntax import Atom, ParseError, Signature, Under
