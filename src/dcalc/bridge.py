@@ -192,10 +192,16 @@ def _lift_node(d: HDerivation) -> MDerivation:
 # lowering
 
 
+_PREMISE_COUNTS = {"Structural": 1, "Cut": 2, **dict.fromkeys(AXIOMS, 0)}
+
+
 def lower(md: MDerivation) -> HDerivation:
-    """Translate a term derivation back, erasing the rewrite steps."""
-    while md.rule == "Structural":
+    """Translate a term derivation back, erasing the rewrite steps.  A node
+    whose premise count its rule does not allow raises BridgeError."""
+    while md.rule == "Structural" and len(md.premises) == 1:
         md = md.premises[0]
+    if len(md.premises) != _PREMISE_COUNTS.get(md.rule, len(md.premises)):
+        raise BridgeError("%s takes %d premises" % (md.rule, _PREMISE_COUNTS[md.rule]))
     seq = md.conclusion
     target = HSequent(sharp(seq.antecedent), seq.succedent)
     if md.rule in AXIOMS:

@@ -325,6 +325,7 @@ Item = Union[Leaf0, Separator, Occurrence]
 @dataclass(frozen=True)
 class HyperConfig:
     items: tuple = ()
+    _flat = None  # flat tokens once sharp stores them; not a field
 
     def __str__(self):
         return config_str(self)
@@ -378,7 +379,7 @@ def _build_figure(t: Type) -> HyperConfig:
 def figure(t: Type) -> HyperConfig:
     """The figure of a type: the canonical single-occurrence configuration.
     Each type builds its figure once and stores it, so every call returns
-    the same object."""
+    the same object; sharp stores the figure's flat tokens on it."""
     return _stored(t, "_figure", _build_figure)
 
 
@@ -423,7 +424,10 @@ def figure_items(t: Type, gaps: tuple) -> tuple:
 def flatten(cfg: HyperConfig) -> tuple:
     """Flat token sequence: Leaf0 and Separator items plus SegTok markers.
     The segment tokens are the ones each type stores, so two flattenings
-    share their SegTok objects."""
+    share their SegTok objects.  sharp's results and its leaves' figures
+    carry their flat tokens; flatten walks any other, storing nothing."""
+    if cfg._flat is not None:
+        return cfg._flat
     out = []
     items = iter(cfg.items)
     above = []  # the suspended iterators of the enclosing levels
@@ -492,30 +496,34 @@ def config_str(cfg: HyperConfig) -> str:
 # wrapping
 
 
-def wrap_items(items: tuple, k: int, filler_items: tuple) -> tuple:
-    """Items of wrap_at(HyperConfig(items), k, HyperConfig(filler_items)).
-
-    Walks the items in flat order up to the k-th separator, then rebuilds
-    only the occurrences on the path to it; every other item is shared with
-    the input.  Raises SortError when there is no k-th separator.
+def _wrap_items(items: tuple, k: int, filler_items: tuple):
+    """Items of wrap_at(HyperConfig(items), k, HyperConfig(filler_items)) and
+    the k-th separator's flat offset: the walk counts each Leaf0 or separator
+    item and each segment token it enters or closes up to that separator,
+    then rebuilds only the occurrences on the path to it, sharing every other
+    item with the input.  Raises SortError when there is no k-th separator.
     """
     above = []  # (items, index, gap) of each occurrence the walk is inside
     i = 0
     seen = 0
+    p = 0
     while True:
         if i < len(items):
             item = items[i]
             if type(item) is Separator:
                 seen += 1
                 if seen == k:
-                    return _rebuild(above, items[:i] + filler_items + items[i + 1 :])
+                    return _rebuild(above, items[:i] + filler_items + items[i + 1 :]), p
             elif type(item) is Occurrence:
                 above.append((items, i, 0))
                 items, i = item.gaps[0].items, 0
+                p += 1
                 continue
             i += 1
+            p += 1
         elif above:
             items, i, g = above.pop()
+            p += 1
             gaps = items[i].gaps
             if g + 1 < len(gaps):
                 above.append((items, i, g + 1))
@@ -532,7 +540,7 @@ def wrap_at(cfg: HyperConfig, k: int, filler: HyperConfig) -> HyperConfig:
     Only the occurrences on the path to that separator are rebuilt; all
     other items of cfg are shared with the result.
     """
-    return HyperConfig(wrap_items(cfg.items, k, filler.items))
+    return HyperConfig(_wrap_items(cfg.items, k, filler.items)[0])
 
 
 def generalized_wrap(cfg: HyperConfig, fillers) -> HyperConfig:

@@ -8,15 +8,15 @@ index against its left operand's stored sort), so ``sort_of_term`` is O(1).
 The ``sharp`` map sends every term to the hyperconfiguration it denotes; the
 twenty rewrite rules (unit laws, associativities, split-wrap and mixed
 permutation) all preserve sharp, and two terms are equivalent exactly when
-their sharp images coincide.  sharp stores its image on each Cat or WrapT
-operand that holds at most two thirds of its parent's flat tokens (not as a
-dataclass field), O(n log n) tokens per term, so the image of a one-step
-rewrite rebuilds little more than the path to its redex.  The cases of
-``_apply`` are the one statement of the twenty rules: each pattern is a
-redex and its body builds the reduct.  A rewrite step walks down its path
-once and rebuilds the spine above the reduct; ``is_step`` checks a step
-whose result is already known in place, comparing that result with the
-spine and the reduct instead of building it, and ``invert_trace`` and
+their sharp images coincide.  sharp stores its image, items and flat tokens,
+on each Cat or WrapT operand holding at most two thirds of its parent's flat
+tokens (not as a dataclass field), O(n log n) tokens per term, so the image
+of a one-step rewrite rebuilds little more than the path to its redex.  The
+cases of ``_apply`` are the one statement of the twenty rules: each pattern
+is a redex and its body builds the reduct.  A rewrite step walks down its
+path once and rebuilds the spine above the reduct; ``is_step`` checks a step
+whose result is already known in place, comparing that result with the spine
+and the reduct instead of building it, and ``invert_trace`` and
 ``RewriteTrace.validate`` check every step that way.
 
 ``normalize`` produces an explicit step-by-step trace from a term to the
@@ -50,12 +50,13 @@ from .syntax import (
     _parse_type_expr,
     _parse_whole,
     _Scanner,
+    _stored,
+    _wrap_items,
     figure,
     flatten,
     item_at,
     iter_items,
     sort_of_type,
-    wrap_items,
 )
 
 
@@ -108,7 +109,7 @@ class Cat:
     left: "StructTerm"
     right: "StructTerm"
     sort: int = field(init=False, repr=False, compare=False)
-    _image = None  # (items, flat length) once sharp stores it; not a field
+    _image = None  # (items, flat tokens) once sharp stores it; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "sort", sort_of_term(self.left) + sort_of_term(self.right))
@@ -123,7 +124,7 @@ class WrapT:
     left: "StructTerm"
     right: "StructTerm"
     sort: int = field(init=False, repr=False, compare=False)
-    _image = None  # (items, flat length) once sharp stores it; not a field
+    _image = None  # (items, flat tokens) once sharp stores it; not a field
 
     def __post_init__(self):
         s = sort_of_term(self.left)
@@ -524,63 +525,63 @@ _JOIN = object()  # on sharp's stack: the term under it has both operand images 
 def sharp(t) -> HyperConfig:
     """The hyperconfiguration a structural term denotes.
 
-    One post-order pass with an explicit stack, passing item tuples between
-    nodes: a Cat concatenates its operands' items, and a WrapT rebuilds only
-    the path to the filled separator of its left image (``wrap_items``) and
-    shares every other item.  A leaf's image is the items of the figure its
-    type stores, so every leaf of one type shares them.
+    One post-order pass with an explicit stack of images, each a pair of
+    item and flat-token tuples.  A Cat concatenates its operands' items and
+    their flat tokens.  A WrapT rebuilds only the path to the filled
+    separator of its left image and shares every other item; the walk
+    (``_wrap_items``) counts that separator's flat offset p, and the flat
+    tokens are the left ones with the right ones in place of token p.  A
+    leaf's image is the figure its type stores, on which sharp stores its
+    flat tokens, so every leaf of one type shares them.  The configuration
+    returned carries its flat tokens, so ``flatten`` of it walks nothing.
 
-    A second stack holds each image's flat length, ``len(flatten(...))``:
-    2a+1 for a leaf of sort a, one for JJ, none for II, the operands' sum
-    for a Cat and one less for a WrapT.  When a node is joined, each
-    operand that is a Cat or WrapT with at most two thirds of the node's
-    flat tokens stores ``(items, flat length)`` on itself, and later passes
-    take it as finished: once sharp(t) has run, the image of a one-step
-    rewrite of t walks little more than the rebuilt path to its redex.  So
-    every token lies under O(log n) stored images, O(n log n) tokens per
-    term; the root and the operands on a heavy path, such as a long spine's,
-    store nothing.  A stored image holds items, never a term, so reference
-    counting frees it with its node.
+    When a node is joined, each operand that is a Cat or WrapT with at most
+    two thirds of the node's flat tokens stores its image on itself, and
+    later passes take it as finished: once sharp(t) has run, the image of a
+    one-step rewrite of t walks little more than the rebuilt path to its
+    redex.  So every token lies under O(log n) stored images, O(n log n)
+    tokens per term; the root and the operands on a heavy path, such as a
+    long spine's, store nothing.  A stored image holds items and tokens,
+    never a term, so reference counting frees it with its node.
     """
-    images = []  # item tuples of the subterms finished so far
-    lengths = []  # their flat lengths
+    images = []  # (items, flat tokens) of the subterms finished so far
     todo = [t]
     while todo:
         node = todo.pop()
         cls = type(node)
         if node is _JOIN:
             node = todo.pop()
-            right, right_n = images.pop(), lengths.pop()
-            left, left_n = images.pop(), lengths.pop()
+            right = images.pop()
+            left = images.pop()
             if type(node) is Cat:
-                n = left_n + right_n
-                images.append(left + right)
+                flat = left[1] + right[1]
+                images.append((left[0] + right[0], flat))
             else:
-                n = left_n + right_n - 1
-                images.append(wrap_items(left, node.i, right))
-            lengths.append(n)
-            if 3 * left_n <= 2 * n and (type(node.left) is Cat or type(node.left) is WrapT):
-                object.__setattr__(node.left, "_image", (left, left_n))
-            if 3 * right_n <= 2 * n and (type(node.right) is Cat or type(node.right) is WrapT):
-                object.__setattr__(node.right, "_image", (right, right_n))
+                items, p = _wrap_items(left[0], node.i, right[0])
+                flat = left[1][:p] + right[1] + left[1][p + 1 :]
+                images.append((items, flat))
+            n = len(flat)
+            if 3 * len(left[1]) <= 2 * n and (type(node.left) is Cat or type(node.left) is WrapT):
+                object.__setattr__(node.left, "_image", left)
+            if 3 * len(right[1]) <= 2 * n and (type(node.right) is Cat or type(node.right) is WrapT):
+                object.__setattr__(node.right, "_image", right)
         elif cls is Cat or cls is WrapT:
             if node._image is None:
                 todo += (node, _JOIN, node.right, node.left)
             else:
-                images.append(node._image[0])
-                lengths.append(node._image[1])
+                images.append(node._image)
         elif cls is Leaf:
-            images.append(figure(node.type).items)
-            lengths.append(2 * node.sort + 1)
+            image = figure(node.type)
+            images.append((image.items, _stored(image, "_flat", flatten)))
         elif cls is ConstJ:
-            images.append((SEP,))
-            lengths.append(1)
+            images.append(((SEP,), (SEP,)))
         elif cls is ConstI:
-            images.append(())
-            lengths.append(0)
+            images.append(((), ()))
         else:
             raise TypeError("not a structural term: %r" % (node,))
-    return HyperConfig(images[0])
+    image = HyperConfig(images[0][0])
+    object.__setattr__(image, "_flat", images[0][1])
+    return image
 
 
 def equiv(t, s) -> bool:

@@ -53,7 +53,6 @@ from dcalc.syntax import (
     splice_item,
     sub_slice,
     wrap_at,
-    wrap_items,
 )
 from dcalc.terms import (
     INVERSE_RULE,
@@ -253,7 +252,7 @@ def parent_sharp(t):
             if type(node) is Cat:
                 images.append(left + right)
             else:
-                images.append(wrap_items(left, node.i, right))
+                images.append(wrap_at(HyperConfig(left), node.i, HyperConfig(right)).items)
         elif cls is Cat or cls is WrapT:
             todo += (node, _PARENT_JOIN, node.right, node.left)
         elif cls is Leaf:

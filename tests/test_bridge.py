@@ -347,6 +347,30 @@ def test_cuts_of_generated_derivations_close_and_lower_exactly():
         assert lower(md) == cut
 
 
+def test_lower_rejects_a_node_with_the_wrong_number_of_premises():
+    # Structural and Cut read their premises by position and an axiom has
+    # none: any other count raises BridgeError, at the root or below a node
+    md = lift(_text_cuts()[0])
+    structural, cut = md, md
+    while cut.rule == "Structural":
+        cut = cut.premises[0]
+    assert structural.rule == "Structural" and cut.rule == "Cut"
+    axiom = Derivation("Id", parse_msequent("n -> n", SIG), (), ())
+    bad = (
+        (structural, (), "Structural takes 1 premises"),
+        (structural, (axiom, axiom), "Structural takes 1 premises"),
+        (cut, cut.premises[:1], "Cut takes 2 premises"),
+        (cut, cut.premises * 2, "Cut takes 2 premises"),
+        (axiom, (axiom,), "Id takes 0 premises"),
+    )
+    for node, premises, message in bad:
+        node = Derivation(node.rule, node.conclusion, premises, node.params)
+        for d in (node, Derivation("Structural", node.conclusion, (node,), structural.params)):
+            with pytest.raises(BridgeError, match="^%s$" % message):
+                lower(d)
+    assert lower(axiom) == prove(hseq("n => n"))
+
+
 def test_json_text_writes_the_golden_and_cut_derivations():
     hs, mm = golden_defs.build_hsder(), golden_defs.build_mmder()
     with open(os.path.join(GOLDEN, "hsder.json")) as fh:

@@ -301,6 +301,16 @@ def test_stored_term_sort_is_not_part_of_equality_hash_or_repr():
     assert [f.name for f in dataclasses.fields(Cat) if f.compare or f.repr] == ["left", "right"]
 
 
+def test_stored_flat_tokens_are_not_part_of_equality_hash_or_repr():
+    x = sharp(WrapT(1, B, A))
+    y = HyperConfig(x.items)
+    assert x._flat == flatten(y) and y._flat is None
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    fig = figure(B.type)  # sharp stored its flat tokens on it
+    assert fig._flat == flatten(HyperConfig(fig.items)) and fig == HyperConfig(fig.items)
+    assert [f.name for f in dataclasses.fields(HyperConfig)] == ["items"]
+
+
 def test_a_long_wrap_chain_builds_in_linear_time():
     start = time.perf_counter()
     chain = B
@@ -360,9 +370,52 @@ def test_stored_images_change_no_value():
             for _, sub in iter_subterms(t):
                 if getattr(sub, "_image", None) is not None:
                     want = parent_sharp(sub)
-                    assert sub._image == (want.items, len(flatten(want))), sub
+                    assert sub._image == (want.items, flatten(want)), sub
                     stored += 1
     assert stored > 0
+
+
+def _assert_stored_flats_are_walks(t):
+    """sharp(t)'s flat tokens, and those of each image stored in t and of
+    each leaf's figure, are the plain walk's flatten of the same items."""
+    image = sharp(t)
+    assert image._flat == flatten(HyperConfig(image.items)), t
+    todo = [t]
+    for node in todo:
+        if type(node) is Leaf:
+            fig = figure(node.type)
+            assert fig._flat == flatten(HyperConfig(fig.items)), node
+        elif type(node) in (Cat, WrapT):
+            if node._image is not None:
+                items, flat = node._image
+                assert flat == flatten(HyperConfig(items)), node
+            todo += (node.left, node.right)
+
+
+def test_stored_flat_tokens_equal_the_plain_walk():
+    # criterion 2's canonical terms; random terms and all their one-step
+    # successors, whose sharp runs before the term's own sharp for one copy
+    # and after it for another; the 900-wrap chain and the 5,001-leaf spine
+    rng = random.Random(202)
+    for _ in range(1000):
+        _assert_stored_flats_are_walks(term_of_config(random_config(rng, ATOMS, budget=12, nesting=3)))
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    for seed in range(1000):
+        rngs = random.Random(seed), random.Random(seed)
+        before, after = (random_term(rng, atoms, rng.randint(1, 6)) for rng in rngs)
+        apps = enumerate_rule_apps(before)
+        for s in [apply_rule(before, app) for app in apps] + [before, after]:
+            _assert_stored_flats_are_walks(s)
+        for app in apps:
+            _assert_stored_flats_are_walks(apply_rule(after, app))
+    chain = B
+    for _ in range(900):
+        chain = WrapT(1, chain, E)
+    spine = A
+    for _ in range(5000):
+        spine = Cat(A, spine)
+    for t in (chain, spine):
+        _assert_stored_flats_are_walks(t)
 
 
 def _retained_bytes(work):
