@@ -23,6 +23,7 @@ of the derivation, so both are freed together.
 
 from __future__ import annotations
 
+from .derivation import InstanceError
 from .syntax import (
     Separator,
     _stored,
@@ -44,6 +45,7 @@ from .mseq import AXIOMS, RULES as M_RULES, MDerivation, MSequent, _structural, 
 from .mseq import structural_step  # noqa: F401
 from .terms import (
     Cat,
+    ExtractionError,
     WrapT,
     _leaf_path,
     _marked_image,
@@ -209,7 +211,11 @@ def lower(md: MDerivation) -> HDerivation:
     lowered = tuple(lower(p) for p in md.premises)
     if md.rule == "Cut":
         # the cut item: where the leaf at the Cut's path lands in the image
-        marker, image = _marked_image(md.premises[1].conclusion.antecedent, md.params_dict()["at"])
+        try:
+            at = md.params_dict()["at"]
+            marker, image = _marked_image(md.premises[1].conclusion.antecedent, at)
+        except (InstanceError, ExtractionError) as exc:
+            raise BridgeError("Cut: %s" % exc) from None
         addr = next(a for a, item in iter_items(image) if getattr(item, "type", None) == marker)
         cut = HDerivation("Cut", target, lowered, (("at", addr),))
         if check_node(cut):

@@ -325,10 +325,40 @@ Item = Union[Leaf0, Separator, Occurrence]
 @dataclass(frozen=True)
 class HyperConfig:
     items: tuple = ()
-    _flat = None  # flat tokens once sharp stores them; not a field
+    _flat = None  # flat tokens, stored on sharp's images and its leaves' figures; not a field
 
     def __str__(self):
         return config_str(self)
+
+
+class _FlatConfig(HyperConfig):
+    """A configuration that holds only its flat tokens, as sharp returns
+    it.  The first read of its items builds them from the tokens, stores
+    them and makes the object a plain HyperConfig; ==, hash and repr read
+    them first, so none of them tells the two apart.  HyperConfig itself
+    stays a plain dataclass, so reading its items costs what it did."""
+
+    def __init__(self, flat: tuple):
+        object.__setattr__(self, "_flat", flat)
+
+    def _plain(self) -> HyperConfig:
+        items = parse_flat(self._flat).items
+        object.__setattr__(self, "__class__", HyperConfig)
+        object.__setattr__(self, "items", items)
+        return self
+
+    @property
+    def items(self):
+        return self._plain().items
+
+    def __eq__(self, other):
+        return self._plain() == other
+
+    def __hash__(self):
+        return hash(self._plain())
+
+    def __repr__(self):
+        return repr(self._plain())
 
 
 EMPTY = HyperConfig(())
@@ -425,7 +455,9 @@ def flatten(cfg: HyperConfig) -> tuple:
     """Flat token sequence: Leaf0 and Separator items plus SegTok markers.
     The segment tokens are the ones each type stores, so two flattenings
     share their SegTok objects.  sharp's results and its leaves' figures
-    carry their flat tokens; flatten walks any other, storing nothing."""
+    carry their flat tokens, which flatten returns without building or
+    reading any item; flatten walks any other configuration, storing
+    nothing."""
     if cfg._flat is not None:
         return cfg._flat
     out = []
@@ -452,36 +484,37 @@ def flatten(cfg: HyperConfig) -> tuple:
 
 
 def parse_flat(tokens) -> HyperConfig:
-    """Rebuild the tree form from a flat token sequence (inverse of flatten)."""
-    items, _ = _reassemble(tuple(tokens), 0, None)  # without a stop, it reads every token
-    return HyperConfig(tuple(items))
-
-
-def _reassemble(tokens, pos, stop):
+    """Rebuild the tree form from a flat token sequence (inverse of flatten),
+    in one pass with an explicit stack of the occurrences still open, so no
+    nesting is too deep for it."""
     items = []
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if isinstance(tok, SegTok):
-            if stop is not None and tok.type == stop[0] and tok.idx == stop[1]:
-                return items, pos
+    above = []  # (type, gaps read so far, enclosing items) of each open occurrence
+    for tok in tokens:
+        if type(tok) is SegTok:
+            if above and tok.idx == len(above[-1][1]) + 1 and tok.type == above[-1][0]:
+                t, gaps, outer = above[-1]  # tok closes gap idx of the innermost one
+                gaps.append(HyperConfig(tuple(items)))
+                if len(gaps) < sort_of_type(t):
+                    items = []
+                else:
+                    above.pop()
+                    outer.append(Occurrence(t, tuple(gaps)))
+                    items = outer
+                continue
             if tok.idx != 0:
                 raise ParseError("segment %s out of order" % tok)
-            a = sort_of_type(tok.type)
-            gaps = []
-            pos += 1
-            for g in range(1, a + 1):
-                sub, pos = _reassemble(tokens, pos, (tok.type, g))  # stops at segment g
-                gaps.append(HyperConfig(tuple(sub)))
-                pos += 1
-            items.append(Occurrence(tok.type, tuple(gaps)))
-        elif isinstance(tok, (Leaf0, Separator)):
+            if sort_of_type(tok.type) == 0:
+                Occurrence(tok.type, ())  # raises SortError
+            above.append((tok.type, [], items))
+            items = []
+        elif type(tok) is Leaf0 or type(tok) is Separator:
             items.append(tok)
-            pos += 1
         else:
             raise ParseError("bad flat token %r" % (tok,))
-    if stop is not None:
-        raise ParseError("missing segment %d:%s" % (stop[1], stop[0]))
-    return items, pos
+    if above:
+        t, gaps, _ = above[-1]
+        raise ParseError("missing segment %d:%s" % (len(gaps) + 1, t))
+    return HyperConfig(tuple(items))
 
 
 def config_str(cfg: HyperConfig) -> str:
@@ -496,34 +529,31 @@ def config_str(cfg: HyperConfig) -> str:
 # wrapping
 
 
-def _wrap_items(items: tuple, k: int, filler_items: tuple):
-    """Items of wrap_at(HyperConfig(items), k, HyperConfig(filler_items)) and
-    the k-th separator's flat offset: the walk counts each Leaf0 or separator
-    item and each segment token it enters or closes up to that separator,
-    then rebuilds only the occurrences on the path to it, sharing every other
-    item with the input.  Raises SortError when there is no k-th separator.
+def wrap_at(cfg: HyperConfig, k: int, filler: HyperConfig) -> HyperConfig:
+    """Replace the k-th separator (1-based, flat order) with filler's items.
+
+    Walks the items in flat order up to that separator, then rebuilds only
+    the occurrences on the path to it; every other item of cfg is shared
+    with the result.  Raises SortError when there is no k-th separator.
     """
+    items = cfg.items
     above = []  # (items, index, gap) of each occurrence the walk is inside
     i = 0
     seen = 0
-    p = 0
     while True:
         if i < len(items):
             item = items[i]
             if type(item) is Separator:
                 seen += 1
                 if seen == k:
-                    return _rebuild(above, items[:i] + filler_items + items[i + 1 :]), p
+                    return HyperConfig(_rebuild(above, items[:i] + filler.items + items[i + 1 :]))
             elif type(item) is Occurrence:
                 above.append((items, i, 0))
                 items, i = item.gaps[0].items, 0
-                p += 1
                 continue
             i += 1
-            p += 1
         elif above:
             items, i, g = above.pop()
-            p += 1
             gaps = items[i].gaps
             if g + 1 < len(gaps):
                 above.append((items, i, g + 1))
@@ -532,15 +562,6 @@ def _wrap_items(items: tuple, k: int, filler_items: tuple):
                 i += 1
         else:
             raise SortError("wrap index %d out of range 1..%d" % (k, seen))
-
-
-def wrap_at(cfg: HyperConfig, k: int, filler: HyperConfig) -> HyperConfig:
-    """Replace the k-th separator (1-based, flat order) with filler's items.
-
-    Only the occurrences on the path to that separator are rebuilt; all
-    other items of cfg are shared with the result.
-    """
-    return HyperConfig(_wrap_items(cfg.items, k, filler.items)[0])
 
 
 def generalized_wrap(cfg: HyperConfig, fillers) -> HyperConfig:

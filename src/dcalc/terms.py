@@ -8,16 +8,19 @@ index against its left operand's stored sort), so ``sort_of_term`` is O(1).
 The ``sharp`` map sends every term to the hyperconfiguration it denotes; the
 twenty rewrite rules (unit laws, associativities, split-wrap and mixed
 permutation) all preserve sharp, and two terms are equivalent exactly when
-their sharp images coincide.  sharp stores its image, items and flat tokens,
-on each Cat or WrapT operand holding at most two thirds of its parent's flat
-tokens (not as a dataclass field), O(n log n) tokens per term, so the image
-of a one-step rewrite rebuilds little more than the path to its redex.  The
-cases of ``_apply`` are the one statement of the twenty rules: each pattern
-is a redex and its body builds the reduct.  A rewrite step walks down its
-path once and rebuilds the spine above the reduct; ``is_step`` checks a step
-whose result is already known in place, comparing that result with the spine
-and the reduct instead of building it, and ``invert_trace`` and
-``RewriteTrace.validate`` check every step that way.
+their sharp images coincide.  sharp joins flat tokens and the offsets of the
+separators among them, never items: the configuration it returns reads its
+items off its tokens when they are first asked for.  It stores its image,
+tokens and offsets, on each Cat or WrapT operand holding at most two thirds
+of its parent's flat tokens (not as a dataclass field), O(n log n) tokens
+per term, so the image of a one-step rewrite joins little more than the
+path to its redex.  The cases of ``_apply`` are the one statement of the
+twenty rules: each pattern is a redex and its body builds the reduct.  A
+rewrite step walks down its path once and rebuilds the spine above the
+reduct; ``is_step`` checks a step whose result is already known in place,
+comparing that result with the spine and the reduct instead of building it,
+and ``invert_trace`` and ``RewriteTrace.validate`` check every step that
+way.
 
 ``normalize`` produces an explicit step-by-step trace from a term to the
 canonical term of its sharp image (the cons-list built by term_of_config),
@@ -47,11 +50,11 @@ from .syntax import (
     SortError,
     Signature,
     Type,
+    _FlatConfig,
     _parse_type_expr,
     _parse_whole,
     _Scanner,
     _stored,
-    _wrap_items,
     figure,
     flatten,
     item_at,
@@ -109,7 +112,7 @@ class Cat:
     left: "StructTerm"
     right: "StructTerm"
     sort: int = field(init=False, repr=False, compare=False)
-    _image = None  # (items, flat tokens) once sharp stores it; not a field
+    _image = None  # (flat tokens, separator offsets) once sharp stores it; not a field
 
     def __post_init__(self):
         object.__setattr__(self, "sort", sort_of_term(self.left) + sort_of_term(self.right))
@@ -124,7 +127,7 @@ class WrapT:
     left: "StructTerm"
     right: "StructTerm"
     sort: int = field(init=False, repr=False, compare=False)
-    _image = None  # (items, flat tokens) once sharp stores it; not a field
+    _image = None  # (flat tokens, separator offsets) once sharp stores it; not a field
 
     def __post_init__(self):
         s = sort_of_term(self.left)
@@ -526,25 +529,27 @@ def sharp(t) -> HyperConfig:
     """The hyperconfiguration a structural term denotes.
 
     One post-order pass with an explicit stack of images, each a pair of
-    item and flat-token tuples.  A Cat concatenates its operands' items and
-    their flat tokens.  A WrapT rebuilds only the path to the filled
-    separator of its left image and shares every other item; the walk
-    (``_wrap_items``) counts that separator's flat offset p, and the flat
-    tokens are the left ones with the right ones in place of token p.  A
-    leaf's image is the figure its type stores, on which sharp stores its
-    flat tokens, so every leaf of one type shares them.  The configuration
-    returned carries its flat tokens, so ``flatten`` of it walks nothing.
+    the flat tokens and the offsets of the separators among them.  A Cat
+    concatenates its operands' tokens and shifts the right operand's
+    offsets past the left's tokens.  A WrapT (s +k u) reads the offset p of
+    s's k-th separator, puts u's tokens in place of token p and splices u's
+    offsets, shifted by p, into s's.  A leaf's tokens are the figure its
+    type stores, on which sharp stores them, so every leaf of one type
+    shares them; an occurrence of sort a has its separators at offsets 1,
+    3, ..., 2a-1.  No item is built: the configuration returned holds only
+    its flat tokens, so ``flatten`` of it costs nothing, and it reads its
+    items off them (``parse_flat``) when they are first asked for.
 
     When a node is joined, each operand that is a Cat or WrapT with at most
     two thirds of the node's flat tokens stores its image on itself, and
     later passes take it as finished: once sharp(t) has run, the image of a
-    one-step rewrite of t walks little more than the rebuilt path to its
+    one-step rewrite of t joins little more than the rebuilt path to its
     redex.  So every token lies under O(log n) stored images, O(n log n)
     tokens per term; the root and the operands on a heavy path, such as a
-    long spine's, store nothing.  A stored image holds items and tokens,
+    long spine's, store nothing.  A stored image holds tokens and offsets,
     never a term, so reference counting frees it with its node.
     """
-    images = []  # (items, flat tokens) of the subterms finished so far
+    images = []  # (flat tokens, separator offsets) of the subterms finished so far
     todo = [t]
     while todo:
         node = todo.pop()
@@ -553,17 +558,24 @@ def sharp(t) -> HyperConfig:
             node = todo.pop()
             right = images.pop()
             left = images.pop()
+            lflat, loffs = left
+            rflat, roffs = right
             if type(node) is Cat:
-                flat = left[1] + right[1]
-                images.append((left[0] + right[0], flat))
+                flat = lflat + rflat
+                d = len(lflat)
+                offsets = loffs + tuple([o + d for o in roffs])
             else:
-                items, p = _wrap_items(left[0], node.i, right[0])
-                flat = left[1][:p] + right[1] + left[1][p + 1 :]
-                images.append((items, flat))
+                k = node.i
+                p = loffs[k - 1]
+                flat = lflat[:p] + rflat + lflat[p + 1 :]
+                d = len(rflat) - 1
+                offsets = loffs[: k - 1] + tuple([o + p for o in roffs])
+                offsets += tuple([o + d for o in loffs[k:]])
+            images.append((flat, offsets))
             n = len(flat)
-            if 3 * len(left[1]) <= 2 * n and (type(node.left) is Cat or type(node.left) is WrapT):
+            if 3 * len(lflat) <= 2 * n and (type(node.left) is Cat or type(node.left) is WrapT):
                 object.__setattr__(node.left, "_image", left)
-            if 3 * len(right[1]) <= 2 * n and (type(node.right) is Cat or type(node.right) is WrapT):
+            if 3 * len(rflat) <= 2 * n and (type(node.right) is Cat or type(node.right) is WrapT):
                 object.__setattr__(node.right, "_image", right)
         elif cls is Cat or cls is WrapT:
             if node._image is None:
@@ -571,17 +583,15 @@ def sharp(t) -> HyperConfig:
             else:
                 images.append(node._image)
         elif cls is Leaf:
-            image = figure(node.type)
-            images.append((image.items, _stored(image, "_flat", flatten)))
+            flat = _stored(figure(node.type), "_flat", flatten)
+            images.append((flat, tuple(range(1, 2 * node.sort, 2))))
         elif cls is ConstJ:
-            images.append(((SEP,), (SEP,)))
+            images.append(((SEP,), (0,)))
         elif cls is ConstI:
             images.append(((), ()))
         else:
             raise TypeError("not a structural term: %r" % (node,))
-    image = HyperConfig(images[0][0])
-    object.__setattr__(image, "_flat", images[0][1])
-    return image
+    return _FlatConfig(images[0][0])
 
 
 def equiv(t, s) -> bool:

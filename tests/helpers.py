@@ -175,9 +175,9 @@ def enumerate_terms(leaves, max_leaves):
 # ---------------------------------------------------------------------------
 # reference sharp
 #
-# The plain recursive definitions that dcalc's iterative sharp, wrap_at and
-# flatten replaced, kept as the oracle they are checked against: this
-# wrap_at checks the index first and rebuilds the whole image.
+# The plain recursive definitions that dcalc's iterative sharp, wrap_at,
+# flatten and parse_flat replaced, kept as the oracle they are checked
+# against: this wrap_at checks the index first and rebuilds the whole image.
 
 
 def reference_flatten(cfg):
@@ -191,6 +191,40 @@ def reference_flatten(cfg):
         else:
             out.append(item)
     return tuple(out)
+
+
+def reference_parse_flat(tokens):
+    # the parse_flat that recursed once per level of gap nesting, copied
+    # verbatim; the explicit-stack one must raise what this one raises
+    items, _ = _reference_reassemble(tuple(tokens), 0, None)
+    return HyperConfig(tuple(items))
+
+
+def _reference_reassemble(tokens, pos, stop):
+    items = []
+    while pos < len(tokens):
+        tok = tokens[pos]
+        if isinstance(tok, SegTok):
+            if stop is not None and tok.type == stop[0] and tok.idx == stop[1]:
+                return items, pos
+            if tok.idx != 0:
+                raise ParseError("segment %s out of order" % tok)
+            a = sort_of_type(tok.type)
+            gaps = []
+            pos += 1
+            for g in range(1, a + 1):
+                sub, pos = _reference_reassemble(tokens, pos, (tok.type, g))  # stops at segment g
+                gaps.append(HyperConfig(tuple(sub)))
+                pos += 1
+            items.append(Occurrence(tok.type, tuple(gaps)))
+        elif isinstance(tok, (Leaf0, Separator)):
+            items.append(tok)
+            pos += 1
+        else:
+            raise ParseError("bad flat token %r" % (tok,))
+    if stop is not None:
+        raise ParseError("missing segment %d:%s" % (stop[1], stop[0]))
+    return items, pos
 
 
 def reference_wrap_at(cfg, k, filler):

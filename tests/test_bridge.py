@@ -371,6 +371,24 @@ def test_lower_rejects_a_node_with_the_wrong_number_of_premises():
     assert lower(axiom) == prove(hseq("n => n"))
 
 
+def test_lower_rejects_a_cut_without_a_leaf_path():
+    # the Cut's `at` names the type leaf of its second premise's antecedent
+    # that the cut formula fills: missing, or addressing no such leaf, it
+    # raises BridgeError
+    cut = lift(_text_cuts()[0])
+    while cut.rule == "Structural":
+        cut = cut.premises[0]
+    assert cut.params == (("at", (0,)),)
+    for params, message in (
+        ((), "Cut: missing rule parameter 'at'"),
+        ((("at", (5,)),), "Cut: path (5,) does not address a type leaf"),
+        ((("at", (0, 1)),), "Cut: path (0, 1) does not address a type leaf"),
+    ):
+        with pytest.raises(BridgeError) as got:
+            lower(Derivation("Cut", cut.conclusion, cut.premises, params))
+        assert str(got.value) == message
+
+
 def test_json_text_writes_the_golden_and_cut_derivations():
     hs, mm = golden_defs.build_hsder(), golden_defs.build_mmder()
     with open(os.path.join(GOLDEN, "hsder.json")) as fh:

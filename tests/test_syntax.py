@@ -21,6 +21,7 @@ from dcalc.syntax import (
     Over,
     ParseError,
     Prod,
+    SegTok,
     Signature,
     SortError,
     Under,
@@ -53,6 +54,7 @@ from helpers import (
     random_config,
     random_type,
     reference_flatten,
+    reference_parse_flat,
     reference_sharp,
     reference_sort_of_type,
     reference_tokenize,
@@ -303,6 +305,48 @@ def test_flatten_round_trip_random(seed):
     cfg = random_config(rng, ATOMS)
     assert parse_flat(flatten(cfg)) == cfg
     assert parse_config(config_str(cfg), SIG) == cfg
+
+
+def test_parse_flat_reads_and_fails_as_the_recursive_definition_does():
+    # flattenings of random configurations, some with a token dropped,
+    # inserted or replaced: the same configuration or the same error
+    rng = random.Random(106)
+    e, b = Atom("e", 1), Atom("b", 2)
+    strays = (SegTok(e, 0), SegTok(e, 1), SegTok(b, 1), SegTok(b, 2), SegTok(Atom("a", 0), 0))
+    strays += (e, None)
+    outcomes = set()
+    for _ in range(3000):
+        flat = list(flatten(random_config(rng, ATOMS, budget=8)))
+        at = rng.randint(0, len(flat))
+        change = rng.randrange(4)
+        if change == 1 and at < len(flat):
+            del flat[at]
+        elif change == 2:
+            flat.insert(at, rng.choice(strays))
+        elif change == 3 and at < len(flat):
+            flat[at] = rng.choice(strays)
+        try:
+            want = reference_parse_flat(flat)
+        except (ParseError, SortError) as exc:
+            with pytest.raises(type(exc)) as got:
+                parse_flat(flat)
+            assert str(got.value) == str(exc), flat
+            outcomes.add(" ".join(str(exc).split()[:2]))
+        else:
+            assert parse_flat(flat) == want, flat
+            outcomes.add("parsed")
+    assert outcomes == {
+        "parsed",
+        "segment 1:e",
+        "segment 1:b",
+        "segment 2:b",
+        "missing segment",
+        "bad flat",
+        "occurrence of",
+    }
+    # 5,000 nested occurrences, deeper than the recursion limit
+    deep = (SegTok(e, 0),) * 5000 + (SEP,) + (SegTok(e, 1),) * 5000
+    assert flatten(parse_flat(deep)) == deep
 
 
 def test_stored_figures_and_segment_tokens_change_no_value():

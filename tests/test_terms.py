@@ -19,6 +19,7 @@ from dcalc.syntax import (
     HyperConfig,
     Leaf0,
     Prod,
+    SEP,
     Signature,
     SortError,
     config_at,
@@ -251,6 +252,8 @@ def test_sharp_on_deeply_nested_terms():
     image = sharp(chain)
     assert len(flatten(image)) == 1805
     assert config_str(image).startswith("0:b,0:e,0:e,")
+    # its items, read off those tokens, flatten back to them
+    assert flatten(HyperConfig(image.items)) == flatten(image)
     # a right-nested concatenation of 5,001 leaves
     t = A
     for _ in range(5000):
@@ -311,18 +314,40 @@ def test_stored_flat_tokens_are_not_part_of_equality_hash_or_repr():
     assert [f.name for f in dataclasses.fields(HyperConfig)] == ["items"]
 
 
+def test_sharp_builds_items_only_when_they_are_read():
+    # random terms sharped as the rewrite benchmark's op sharps them: the
+    # term, then each one-step successor, of which only flatten is read
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    for seed in range(500):
+        rng = random.Random(seed)
+        t = random_term(rng, atoms, rng.randint(1, 6))
+        image = flatten(sharp(t))
+        successors = [sharp(apply_rule(t, app)) for app in enumerate_rule_apps(t)]
+        assert all(flatten(s) == image for s in successors), t
+        assert not any("items" in vars(s) for s in successors), t
+        want = parent_sharp(t)
+        got = sharp(t)
+        assert "items" not in vars(got) and not hasattr(got, "gaps")
+        assert got.items == want.items and "items" in vars(got), t
+        assert type(got) is HyperConfig and got._flat == flatten(want), t
+        # ==, hash and repr each read the items of a fresh image
+        assert sharp(t) == want and want == sharp(t), t
+        assert hash(sharp(t)) == hash(want) and repr(sharp(t)) == repr(want), t
+
+
 def test_a_long_wrap_chain_builds_in_linear_time():
     start = time.perf_counter()
     chain = B
-    for n in range(1, 5001):
+    for _ in range(5000):
         chain = WrapT(1, chain, E)
-        if n == 1000:
-            prefix = chain
     assert time.perf_counter() - start < 1.0
     assert sort_of_term(chain) == 2
-    # sharp rebuilds the whole nested path at every wrap of this chain, so its
-    # image takes time quadratic in the chain's length: check a prefix
-    assert len(flatten(sharp(prefix))) == 2005
+    # each wrap of the chain reads its separator's offset, so sharp walks no
+    # nested path; it still copies the tokens once per wrap
+    start = time.perf_counter()
+    image = sharp(chain)
+    assert time.perf_counter() - start < 1.0
+    assert len(flatten(image)) == 10005
 
 
 def test_stored_images_change_no_value():
@@ -369,17 +394,24 @@ def test_stored_images_change_no_value():
             assert repr(t) == repr(fresh) and str(t) == str(fresh)
             for _, sub in iter_subterms(t):
                 if getattr(sub, "_image", None) is not None:
-                    want = parent_sharp(sub)
-                    assert sub._image == (want.items, flatten(want)), sub
+                    assert sub._image == _walked_image(parent_sharp(sub)), sub
                     stored += 1
     assert stored > 0
 
 
+def _walked_image(cfg):
+    """(flat tokens, separator offsets) of cfg, which must carry no flat
+    tokens of its own: flatten walks its items."""
+    assert cfg._flat is None
+    flat = flatten(cfg)
+    return flat, tuple(n for n, tok in enumerate(flat) if tok == SEP)
+
+
 def _assert_stored_flats_are_walks(t):
-    """sharp(t)'s flat tokens, and those of each image stored in t and of
-    each leaf's figure, are the plain walk's flatten of the same items."""
-    image = sharp(t)
-    assert image._flat == flatten(HyperConfig(image.items)), t
+    """sharp(t)'s flat tokens, and the image stored on each node of t, are
+    the plain walk's of the parent copy of sharp; each leaf's figure
+    carries the plain walk's flatten of its items."""
+    assert sharp(t)._flat == flatten(parent_sharp(t)), t
     todo = [t]
     for node in todo:
         if type(node) is Leaf:
@@ -387,8 +419,7 @@ def _assert_stored_flats_are_walks(t):
             assert fig._flat == flatten(HyperConfig(fig.items)), node
         elif type(node) in (Cat, WrapT):
             if node._image is not None:
-                items, flat = node._image
-                assert flat == flatten(HyperConfig(items)), node
+                assert node._image == _walked_image(parent_sharp(node)), node
             todo += (node.left, node.right)
 
 
