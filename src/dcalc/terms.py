@@ -4,7 +4,9 @@ A structural term is built from type leaves, the constants II (empty string)
 and JJ (single separator), continuous concatenation ``(s + t)`` and wrapping
 ``(s +k t)`` which plugs t into the k-th separator position of s.  Like a
 type, each term node stores its sort when it is built (a wrap checks its
-index against its left operand's stored sort), so ``sort_of_term`` is O(1).
+index against its left operand's stored sort), so ``sort_of_term`` is O(1);
+Cat and WrapT set their fields and sort in one hand-written ``__init__``,
+and stay dataclasses for ==, hash and repr.
 The ``sharp`` map sends every term to the hyperconfiguration it denotes; the
 twenty rewrite rules (unit laws, associativities, split-wrap and mixed
 permutation) all preserve sharp, and two terms are equivalent exactly when
@@ -14,8 +16,11 @@ items off its tokens when they are first asked for.  It stores its image,
 tokens and offsets, on each Cat or WrapT operand holding at most two thirds
 of its parent's flat tokens (not as a dataclass field), O(n log n) tokens
 per term, so the image of a one-step rewrite joins little more than the
-path to its redex.  The cases of ``_apply`` are the one statement of the
-twenty rules: each pattern is a redex and its body builds the reduct.  A
+path to its redex; a type leaf's image is stored on its type, never on the
+leaf.  The cases of ``_apply`` are the one statement of the twenty rules:
+the rule's name picks its case, whose one pattern is the redex and whose
+body builds the reduct, so a rule that does not fit costs a few string
+compares.  A step's given indices must be the ones its redex fills.  A
 rewrite step walks down its path once and rebuilds the spine above the
 reduct; ``is_step`` checks a step whose result is already known in place,
 comparing that result with the spine and the reduct instead of building it,
@@ -107,21 +112,34 @@ class Leaf:
         return str(self.type)
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__  # sets a field of a frozen node as it is built
+
+
+def _not_a_term(t):
+    return TypeError("not a structural term: %r" % (t,))
+
+
+@dataclass(frozen=True, init=False)
 class Cat:
     left: "StructTerm"
     right: "StructTerm"
     sort: int = field(init=False, repr=False, compare=False)
     _image = None  # (flat tokens, separator offsets) once sharp stores it; not a field
 
-    def __post_init__(self):
-        object.__setattr__(self, "sort", sort_of_term(self.left) + sort_of_term(self.right))
+    def __init__(self, left, right):
+        if type(left) not in _TERM_CLASSES:
+            raise _not_a_term(left)
+        if type(right) not in _TERM_CLASSES:
+            raise _not_a_term(right)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _setattr(self, "sort", left.sort + right.sort)
 
     def __str__(self):
         return "(%s + %s)" % (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WrapT:
     i: int
     left: "StructTerm"
@@ -129,13 +147,20 @@ class WrapT:
     sort: int = field(init=False, repr=False, compare=False)
     _image = None  # (flat tokens, separator offsets) once sharp stores it; not a field
 
-    def __post_init__(self):
-        s = sort_of_term(self.left)
+    def __init__(self, i, left, right):
+        if type(left) not in _TERM_CLASSES:
+            raise _not_a_term(left)
+        s = left.sort
         if s < 1:
-            raise SortError("wrap on a sort-0 term %s" % (self.left,))
-        if not 1 <= self.i <= s:
-            raise SortError("wrap index %d out of range 1..%d" % (self.i, s))
-        object.__setattr__(self, "sort", s + sort_of_term(self.right) - 1)
+            raise SortError("wrap on a sort-0 term %s" % (left,))
+        if not 1 <= i <= s:
+            raise SortError("wrap index %d out of range 1..%d" % (i, s))
+        if type(right) not in _TERM_CLASSES:
+            raise _not_a_term(right)
+        _setattr(self, "i", i)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _setattr(self, "sort", s + right.sort - 1)
 
     def __str__(self):
         return "(%s +%d %s)" % (self.left, self.i, self.right)
@@ -149,7 +174,7 @@ def sort_of_term(t) -> int:
     """Sort of a structural term, stored in the node when it was built."""
     if type(t) in _TERM_CLASSES:
         return t.sort
-    raise TypeError("not a structural term: %r" % (t,))
+    raise _not_a_term(t)
 
 
 def term_size(t) -> int:
@@ -303,51 +328,81 @@ def classify(i: int, sort2: int, j: int) -> str:
 
 def _apply(s, rule: str, i: Optional[int] = None):
     """Apply one rule at the root of s: (reduct, filled indices), or None when
-    the rule does not fit.  Each case is the one statement of its rule.  `i`
-    is UnitJ-i-add's index, the one index no redex holds; later cases rebind
+    the rule does not fit.  Each case is the one statement of its rule: the
+    rule's name picks it, then its one pattern is the redex.  `i` is
+    UnitJ-i-add's index, the one index no redex holds; later cases rebind
     the name."""
-    match rule, s:
-        case "UnitI-L-add", _:
+    match rule:
+        case "UnitI-L-add":
             return Cat(ConstI(), s), {}
-        case "UnitI-L-drop", Cat(ConstI(), t):
-            return t, {}
-        case "UnitI-R-add", _:
+        case "UnitI-L-drop":
+            match s:
+                case Cat(ConstI(), t):
+                    return t, {}
+        case "UnitI-R-add":
             return Cat(s, ConstI()), {}
-        case "UnitI-R-drop", Cat(t, ConstI()):
-            return t, {}
-        case "UnitJ-L-add", _:
+        case "UnitI-R-drop":
+            match s:
+                case Cat(t, ConstI()):
+                    return t, {}
+        case "UnitJ-L-add":
             return WrapT(1, ConstJ(), s), {}
-        case "UnitJ-L-drop", WrapT(1, ConstJ(), t):
-            return t, {}
-        case "UnitJ-i-add", _ if i is not None and 1 <= i <= sort_of_term(s):
-            return WrapT(i, s, ConstJ()), {"i": i}
-        case "UnitJ-i-drop", WrapT(k, t, ConstJ()):
-            return t, {"i": k}
-        case "AsscC-fwd", Cat(Cat(t1, t2), t3):
-            return Cat(t1, Cat(t2, t3)), {}
-        case "AsscC-bwd", Cat(t1, Cat(t2, t3)):
-            return Cat(Cat(t1, t2), t3), {}
-        case "SW-left-fwd", Cat(t1, t2):
-            return WrapT(1, Cat(ConstJ(), t2), t1), {}
-        case "SW-left-bwd", WrapT(1, Cat(ConstJ(), t2), t1):
-            return Cat(t1, t2), {}
-        case "SW-right-fwd", Cat(t1, t2):
-            k = sort_of_term(t1) + 1
-            return WrapT(k, Cat(t1, ConstJ()), t2), {"i": k}
-        case "SW-right-bwd", WrapT(k, Cat(t1, ConstJ()), t2) if k == sort_of_term(t1) + 1:
-            return Cat(t1, t2), {"i": k}
-        case "AsscD1", WrapT(i, t1, WrapT(j, t2, t3)):
-            return WrapT(i + j - 1, WrapT(i, t1, t2), t3), {"i": i, "j": j}
-        case "AsscD2", WrapT(j, WrapT(i, t1, t2), t3) if classify(i, sort_of_term(t2), j) == "O":
-            return WrapT(i, t1, WrapT(j - i + 1, t2, t3)), {"i": i, "j": j}
-        case ("MixPerm1-fwd" | "MixPerm2-bwd"), WrapT(j, WrapT(i, t1, t2), t3) if (
-            classify(i, sort_of_term(t2), j) == "P1"
-        ):
-            return WrapT(i, WrapT(j - sort_of_term(t2) + 1, t1, t3), t2), {"i": i, "j": j}
-        case ("MixPerm1-bwd" | "MixPerm2-fwd"), WrapT(j, WrapT(i, t1, t2), t3) if (
-            classify(i, sort_of_term(t2), j) == "P2"
-        ):
-            return WrapT(i + sort_of_term(t3) - 1, WrapT(j, t1, t3), t2), {"i": i, "j": j}
+        case "UnitJ-L-drop":
+            match s:
+                case WrapT(1, ConstJ(), t):
+                    return t, {}
+        case "UnitJ-i-add":
+            if i is not None and 1 <= i <= sort_of_term(s):
+                return WrapT(i, s, ConstJ()), {"i": i}
+        case "UnitJ-i-drop":
+            match s:
+                case WrapT(k, t, ConstJ()):
+                    return t, {"i": k}
+        case "AsscC-fwd":
+            match s:
+                case Cat(Cat(t1, t2), t3):
+                    return Cat(t1, Cat(t2, t3)), {}
+        case "AsscC-bwd":
+            match s:
+                case Cat(t1, Cat(t2, t3)):
+                    return Cat(Cat(t1, t2), t3), {}
+        case "SW-left-fwd":
+            match s:
+                case Cat(t1, t2):
+                    return WrapT(1, Cat(ConstJ(), t2), t1), {}
+        case "SW-left-bwd":
+            match s:
+                case WrapT(1, Cat(ConstJ(), t2), t1):
+                    return Cat(t1, t2), {}
+        case "SW-right-fwd":
+            match s:
+                case Cat(t1, t2):
+                    k = sort_of_term(t1) + 1
+                    return WrapT(k, Cat(t1, ConstJ()), t2), {"i": k}
+        case "SW-right-bwd":
+            match s:
+                case WrapT(k, Cat(t1, ConstJ()), t2) if k == sort_of_term(t1) + 1:
+                    return Cat(t1, t2), {"i": k}
+        case "AsscD1":
+            match s:
+                case WrapT(i, t1, WrapT(j, t2, t3)):
+                    return WrapT(i + j - 1, WrapT(i, t1, t2), t3), {"i": i, "j": j}
+        case "AsscD2":
+            match s:
+                case WrapT(j, WrapT(i, t1, t2), t3) if classify(i, sort_of_term(t2), j) == "O":
+                    return WrapT(i, t1, WrapT(j - i + 1, t2, t3)), {"i": i, "j": j}
+        case "MixPerm1-fwd" | "MixPerm2-bwd":
+            match s:
+                case WrapT(j, WrapT(i, t1, t2), t3) if (
+                    classify(i, sort_of_term(t2), j) == "P1"
+                ):
+                    return WrapT(i, WrapT(j - sort_of_term(t2) + 1, t1, t3), t2), {"i": i, "j": j}
+        case "MixPerm1-bwd" | "MixPerm2-fwd":
+            match s:
+                case WrapT(j, WrapT(i, t1, t2), t3) if (
+                    classify(i, sort_of_term(t2), j) == "P2"
+                ):
+                    return WrapT(i + sort_of_term(t3) - 1, WrapT(j, t1, t3), t2), {"i": i, "j": j}
     return None
 
 
@@ -404,7 +459,9 @@ def _int_params(rule: str, at: tuple, given: dict) -> dict:
 
 def _check_indices(rule: str, at: tuple, given: dict, filled: dict):
     for key, val in given.items():
-        if key in filled and filled[key] != val:
+        if key not in filled:
+            raise RuleError("%s at %r: the step takes no parameter %s" % (rule, at, key))
+        if filled[key] != val:
             raise RuleError(
                 "%s at %r: parameter %s=%d does not match the redex (%d)"
                 % (rule, at, key, val, filled[key])
@@ -434,9 +491,9 @@ def enumerate_rule_apps(t) -> list:
     for path, sub in iter_subterms(t):
         for rule in RULE_NAMES:
             if rule == "UnitJ-i-add":
-                out += (rule_app(rule, path, i=i) for i in range(1, sort_of_term(sub) + 1))
+                out += (RuleApp(rule, path, (("i", i),)) for i in range(1, sub.sort + 1))
             elif _apply(sub, rule) is not None:
-                out.append(rule_app(rule, path))
+                out.append(RuleApp(rule, path))
     return out
 
 
@@ -523,6 +580,14 @@ def invert_trace(trace: RewriteTrace) -> RewriteTrace:
 
 
 _JOIN = object()  # on sharp's stack: the term under it has both operand images ready
+_II_IMAGE = ((), ())
+_JJ_IMAGE = ((SEP,), (0,))
+
+
+def _leaf_image(ty: Type):
+    """The image of a leaf of type ty: the flat tokens of its figure, which
+    stores them too, and separators at offsets 1, 3, ..., 2a-1."""
+    return _stored(figure(ty), "_flat", flatten), tuple(range(1, 2 * sort_of_type(ty), 2))
 
 
 def sharp(t) -> HyperConfig:
@@ -533,12 +598,13 @@ def sharp(t) -> HyperConfig:
     concatenates its operands' tokens and shifts the right operand's
     offsets past the left's tokens.  A WrapT (s +k u) reads the offset p of
     s's k-th separator, puts u's tokens in place of token p and splices u's
-    offsets, shifted by p, into s's.  A leaf's tokens are the figure its
-    type stores, on which sharp stores them, so every leaf of one type
-    shares them; an occurrence of sort a has its separators at offsets 1,
-    3, ..., 2a-1.  No item is built: the configuration returned holds only
-    its flat tokens, so ``flatten`` of it costs nothing, and it reads its
-    items off them (``parse_flat``) when they are first asked for.
+    offsets, shifted by p, into s's.  A leaf's image is stored on its
+    type, so every leaf of one type shares it: the flat tokens of the
+    type's figure, and for sort a separators at offsets 1, 3, ..., 2a-1.
+    II and JJ share one image each.  No item is built: the configuration
+    returned holds only its flat tokens, so ``flatten`` of it costs
+    nothing, and it reads its items off them (``parse_flat``) when they
+    are first asked for.
 
     When a node is joined, each operand that is a Cat or WrapT with at most
     two thirds of the node's flat tokens stores its image on itself, and
@@ -574,21 +640,20 @@ def sharp(t) -> HyperConfig:
             images.append((flat, offsets))
             n = len(flat)
             if 3 * len(lflat) <= 2 * n and (type(node.left) is Cat or type(node.left) is WrapT):
-                object.__setattr__(node.left, "_image", left)
+                _setattr(node.left, "_image", left)
             if 3 * len(rflat) <= 2 * n and (type(node.right) is Cat or type(node.right) is WrapT):
-                object.__setattr__(node.right, "_image", right)
+                _setattr(node.right, "_image", right)
         elif cls is Cat or cls is WrapT:
             if node._image is None:
                 todo += (node, _JOIN, node.right, node.left)
             else:
                 images.append(node._image)
         elif cls is Leaf:
-            flat = _stored(figure(node.type), "_flat", flatten)
-            images.append((flat, tuple(range(1, 2 * node.sort, 2))))
+            images.append(_stored(node.type, "_image", _leaf_image))
         elif cls is ConstJ:
-            images.append(((SEP,), (0,)))
+            images.append(_JJ_IMAGE)
         elif cls is ConstI:
-            images.append(((), ()))
+            images.append(_II_IMAGE)
         else:
             raise TypeError("not a structural term: %r" % (node,))
     return _FlatConfig(images[0][0])

@@ -1,8 +1,9 @@
 """Random generators and the forward derivation builder used by the tests."""
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from typing import Optional
 
 from dcalc.derivation import latex_escape, params_to_obj
 from dcalc.hseq import (
@@ -67,6 +68,7 @@ from dcalc.terms import (
     _pad_leaf_gaps,
     _parse_term,
     apply_rule,
+    classify,
     is_canonical,
     iter_subterms,
     rule_app,
@@ -368,6 +370,115 @@ def reference_sort_of_term(t):
     if cls is ConstJ:
         return 1
     raise TypeError("not a structural term: %r" % (t,))
+
+
+# ---------------------------------------------------------------------------
+# parent term nodes and rule dispatch
+#
+# Cat and WrapT as the plain dataclasses they were before their hand-written
+# __init__, each checking its sorts in __post_init__ (their __qualname__ is
+# the class they stand for, so that repr reads alike), and the _apply that
+# matched (rule, subterm) pairs in one tuple match, copied verbatim.
+
+
+def _parent_sort(t):
+    if type(t) in (ParentCat, ParentWrapT):
+        return t.sort
+    return sort_of_term(t)
+
+
+@dataclass(frozen=True)
+class ParentCat:
+    left: "StructTerm"
+    right: "StructTerm"
+    sort: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sort", _parent_sort(self.left) + _parent_sort(self.right))
+
+    def __str__(self):
+        return "(%s + %s)" % (self.left, self.right)
+
+
+@dataclass(frozen=True)
+class ParentWrapT:
+    i: int
+    left: "StructTerm"
+    right: "StructTerm"
+    sort: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s = _parent_sort(self.left)
+        if s < 1:
+            raise SortError("wrap on a sort-0 term %s" % (self.left,))
+        if not 1 <= self.i <= s:
+            raise SortError("wrap index %d out of range 1..%d" % (self.i, s))
+        object.__setattr__(self, "sort", s + _parent_sort(self.right) - 1)
+
+    def __str__(self):
+        return "(%s +%d %s)" % (self.left, self.i, self.right)
+
+
+ParentCat.__qualname__, ParentWrapT.__qualname__ = "Cat", "WrapT"
+
+
+def parent_nodes(t):
+    """t rebuilt from ParentCat and ParentWrapT nodes, sharing its leaves."""
+    if type(t) is Cat:
+        return ParentCat(parent_nodes(t.left), parent_nodes(t.right))
+    if type(t) is WrapT:
+        return ParentWrapT(t.i, parent_nodes(t.left), parent_nodes(t.right))
+    return t
+
+
+def parent_apply(s, rule: str, i: Optional[int] = None):
+    """Apply one rule at the root of s: (reduct, filled indices), or None when
+    the rule does not fit.  Each case is the one statement of its rule.  `i`
+    is UnitJ-i-add's index, the one index no redex holds; later cases rebind
+    the name."""
+    match rule, s:
+        case "UnitI-L-add", _:
+            return Cat(ConstI(), s), {}
+        case "UnitI-L-drop", Cat(ConstI(), t):
+            return t, {}
+        case "UnitI-R-add", _:
+            return Cat(s, ConstI()), {}
+        case "UnitI-R-drop", Cat(t, ConstI()):
+            return t, {}
+        case "UnitJ-L-add", _:
+            return WrapT(1, ConstJ(), s), {}
+        case "UnitJ-L-drop", WrapT(1, ConstJ(), t):
+            return t, {}
+        case "UnitJ-i-add", _ if i is not None and 1 <= i <= sort_of_term(s):
+            return WrapT(i, s, ConstJ()), {"i": i}
+        case "UnitJ-i-drop", WrapT(k, t, ConstJ()):
+            return t, {"i": k}
+        case "AsscC-fwd", Cat(Cat(t1, t2), t3):
+            return Cat(t1, Cat(t2, t3)), {}
+        case "AsscC-bwd", Cat(t1, Cat(t2, t3)):
+            return Cat(Cat(t1, t2), t3), {}
+        case "SW-left-fwd", Cat(t1, t2):
+            return WrapT(1, Cat(ConstJ(), t2), t1), {}
+        case "SW-left-bwd", WrapT(1, Cat(ConstJ(), t2), t1):
+            return Cat(t1, t2), {}
+        case "SW-right-fwd", Cat(t1, t2):
+            k = sort_of_term(t1) + 1
+            return WrapT(k, Cat(t1, ConstJ()), t2), {"i": k}
+        case "SW-right-bwd", WrapT(k, Cat(t1, ConstJ()), t2) if k == sort_of_term(t1) + 1:
+            return Cat(t1, t2), {"i": k}
+        case "AsscD1", WrapT(i, t1, WrapT(j, t2, t3)):
+            return WrapT(i + j - 1, WrapT(i, t1, t2), t3), {"i": i, "j": j}
+        case "AsscD2", WrapT(j, WrapT(i, t1, t2), t3) if classify(i, sort_of_term(t2), j) == "O":
+            return WrapT(i, t1, WrapT(j - i + 1, t2, t3)), {"i": i, "j": j}
+        case ("MixPerm1-fwd" | "MixPerm2-bwd"), WrapT(j, WrapT(i, t1, t2), t3) if (
+            classify(i, sort_of_term(t2), j) == "P1"
+        ):
+            return WrapT(i, WrapT(j - sort_of_term(t2) + 1, t1, t3), t2), {"i": i, "j": j}
+        case ("MixPerm1-bwd" | "MixPerm2-fwd"), WrapT(j, WrapT(i, t1, t2), t3) if (
+            classify(i, sort_of_term(t2), j) == "P2"
+        ):
+            return WrapT(i + sort_of_term(t3) - 1, WrapT(j, t1, t3), t2), {"i": i, "j": j}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,30 @@ def test_check_names_a_parameter_of_the_wrong_shape(capsys, sig_file, tmp_path):
         assert (code, out) == (1, "") and err.endswith(": %s\n" % reason), err
 
 
+def test_check_md_names_an_index_its_step_does_not_take(capsys, sig_file, tmp_path):
+    # an AsscC-bwd step fills no index: i and zz were ignored, and check
+    # printed ok
+    code, out, _ = run(capsys, "prove", "md", "((a + a) + a) -> ((a . a) . a)",
+                       "--sig", sig_file, "--out", "json")
+    assert code == 0
+    obj = json.loads(out)
+    path = tmp_path / "md.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "check", "md", str(path), "--sig", sig_file) == (0, "ok\n", "")
+    node = obj
+    while node["params"].get("srule") != "AsscC-bwd":
+        node = node["premises"][0]
+    assert node["params"]["indices"] == {}
+    node["params"]["indices"] = {"i": 9, "zz": 3}
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", "md", str(path), "--sig", sig_file)
+    assert (code, out) == (1, "")
+    assert err == (
+        "violation at [Structural] %s: AsscC-bwd at (): the step takes no parameter i\n"
+        % node["sequent"]
+    )
+
+
 def test_check_malformed_files_exit_2(capsys, sig_file, tmp_path):
     id_a = {"rule": "Id", "sequent": "a -> a", "params": {}, "premises": []}
     cases = (

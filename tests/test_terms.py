@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import time
 import tracemalloc
 import weakref
@@ -47,6 +48,7 @@ from dcalc.terms import (
     TraceStep,
     Tracer,
     WrapT,
+    _apply,
     apply_rule,
     bounded_equiv_oracle,
     enumerate_rule_apps,
@@ -73,8 +75,12 @@ from dcalc.terms import (
 )
 
 from helpers import (
+    ParentCat,
+    ParentWrapT,
     enumerate_terms,
+    parent_apply,
     parent_invert_trace,
+    parent_nodes,
     parent_normalize,
     parent_sharp,
     random_config,
@@ -302,6 +308,61 @@ def test_stored_term_sort_is_not_part_of_equality_hash_or_repr():
         "WrapT(i=1, left=Leaf(type=Atom(name='b', sort=2)), right=Leaf(type=Atom(name='a', sort=0)))"
     )
     assert [f.name for f in dataclasses.fields(Cat) if f.compare or f.repr] == ["left", "right"]
+
+
+def test_term_nodes_keep_the_plain_dataclass_contract():
+    # Cat and WrapT build through a hand-written __init__: their fields,
+    # match arguments, ==, hash, repr, dataclasses.replace and the errors
+    # they raise are those of the plain dataclasses they were (ParentCat
+    # and ParentWrapT, which checked their sorts in __post_init__)
+    def shape(cls):
+        return [(f.name, f.init, f.repr, f.compare, f.hash) for f in dataclasses.fields(cls)]
+
+    for cls, parent in ((Cat, ParentCat), (WrapT, ParentWrapT)):
+        assert shape(cls) == shape(parent)
+        assert cls.__match_args__ == parent.__match_args__
+    rng = random.Random(31)
+    terms = RULE_EXAMPLES + tuple(random_term(rng, ATOMS, 4) for _ in range(300))
+    nodes = [t for t in terms if type(t) in (Cat, WrapT)]
+    for t in nodes:
+        old = parent_nodes(t)
+        assert repr(t) == repr(old) and hash(t) == hash(old) and t.sort == old.sort
+        assert t == type(t)(*(getattr(t, f) for f in t.__match_args__))
+        for field in ("left", "right"):
+            new = getattr(t, "left" if field == "right" else "right")
+            try:
+                got = dataclasses.replace(t, **{field: new})
+            except SortError as exc:
+                with pytest.raises(SortError, match="^%s$" % re.escape(str(exc))):
+                    dataclasses.replace(old, **{field: parent_nodes(new)})
+            else:
+                want = dataclasses.replace(old, **{field: parent_nodes(new)})
+                assert repr(got) == repr(want) and got.sort == want.sort
+        with pytest.raises(ValueError) as got:
+            dataclasses.replace(t, sort=1)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(got.value))):
+            dataclasses.replace(old, sort=1)
+    for s, t in zip(nodes, nodes[1:] + nodes[:1]):
+        assert (s == t) == (parent_nodes(s) == parent_nodes(t))
+    assert len({*nodes}) == len({*map(parent_nodes, nodes)})
+    # the same exception type and text for a bad index or left operand and
+    # for a non-term on either side, checked in the same order
+    for build, args in (
+        (WrapT, (0, B, A)),
+        (WrapT, (3, B, A)),
+        (WrapT, (1, A, E)),
+        (WrapT, (0, A, "x")),
+        (WrapT, (1, "x", A)),
+        (WrapT, (1, B, "x")),
+        (WrapT, (1, sharp(B), None)),
+        (Cat, ("x", None)),
+        (Cat, (A, Atom("a", 0))),
+    ):
+        parent = ParentWrapT if build is WrapT else ParentCat
+        with pytest.raises((SortError, TypeError)) as got:
+            build(*args)
+        with pytest.raises(got.type, match="^%s$" % re.escape(str(got.value))):
+            parent(*args)
 
 
 def test_stored_flat_tokens_are_not_part_of_equality_hash_or_repr():
@@ -617,6 +678,33 @@ def test_apply_rule_at_path_and_param_mismatch():
         apply_rule(B, RuleApp("UnitJ-i-add", (), (("i", 9),)))
 
 
+def test_a_step_rejects_a_parameter_its_rule_does_not_take():
+    # a step's given indices are the ones its redex fills (UnitJ-i-add
+    # fills i); the first other key is named by apply_rule, is_step and
+    # trace_from_obj, even when the step fits and its other indices match
+    t = parse_term("((a + a) + a)", SIG)
+    w = WrapT(1, B, WrapT(1, E, A))
+    for start, fitting, extra, key in (
+        (t, RuleApp("AsscC-fwd"), (("i", 5), ("zz", 1)), "i"),
+        (t, RuleApp("AsscC-fwd"), (("zz", 1),), "zz"),
+        (B, RuleApp("UnitJ-i-add", (), (("i", 2),)), (("j", 1),), "j"),
+        (w, RuleApp("AsscD1", (), (("i", 1), ("j", 1))), (("k", 1),), "k"),
+    ):
+        app = RuleApp(fitting.rule, fitting.at, fitting.params + extra)
+        u = apply_rule(start, fitting)
+        assert is_step(start, fitting, u)
+        error = "^%s at \\(\\): the step takes no parameter %s$" % (app.rule, key)
+        with pytest.raises(RuleError, match=error):
+            apply_rule(start, app)
+        with pytest.raises(RuleError, match=error):
+            is_step(start, app, u)
+        obj = trace_to_obj(RewriteTrace(start, (TraceStep(fitting, u),)))
+        assert trace_from_obj(obj, SIG) == RewriteTrace(start, (TraceStep(fitting, u),))
+        obj["steps"][0]["params"] = dict(app.params)
+        with pytest.raises(RuleError, match=error):
+            trace_from_obj(obj, SIG)
+
+
 def test_apply_rule_rejects_non_integer_indices():
     for t, app in (
         (B, RuleApp("UnitJ-i-add", (), (("i", "2"),))),
@@ -641,6 +729,35 @@ RULE_EXAMPLES = (
     WrapT(1, WrapT(1, B, E), A),
     WrapT(1, Cat(ConstJ(), A), C),
 )
+
+
+def test_rule_first_dispatch_agrees_with_the_tuple_match():
+    # _apply picks its rule by name before it matches; parent_apply matched
+    # (rule, subterm) pairs.  Both give the same reduct and filled indices,
+    # or None in both: every rule with i from None and 0 to one past the
+    # sort at every distinct subterm of 1,000 random terms, and at every
+    # term of criterion 3's universe (closed under subterms) every rule
+    # with i None, and UnitJ-i-add, the one rule that reads i, with each i
+    # (all i at every universe term would take 8 s)
+    rng = random.Random(41)
+    randoms = set()
+    for _ in range(1000):
+        randoms.update(sub for _, sub in iter_subterms(random_term(rng, ATOMS, 5)))
+    universe = enumerate_terms((A, E, B, ConstI(), ConstJ()), 4)
+    cases = [
+        (sub, rule, i)
+        for sub in randoms
+        for i in (None, *range(sub.sort + 2))
+        for rule in RULE_NAMES
+    ]
+    cases += [(sub, rule, None) for sub in universe for rule in RULE_NAMES]
+    cases += [(sub, "UnitJ-i-add", i) for sub in universe for i in range(sub.sort + 2)]
+    fits = Counter()
+    for sub, rule, i in cases:
+        got = _apply(sub, rule, i)
+        assert got == parent_apply(sub, rule, i), (sub, rule, i)
+        fits[rule] += got is not None
+    assert set(fits) == set(RULE_NAMES) and all(fits.values()), fits
 
 
 def test_enumeration_equals_its_definition():
