@@ -20,12 +20,12 @@ path to its redex; a type leaf's image is stored on its type, never on the
 leaf.  The cases of ``_apply`` are the one statement of the twenty rules:
 the rule's name picks its case, whose one pattern is the redex and whose
 body builds the reduct, so a rule that does not fit costs a few string
-compares.  A step's given indices must be the ones its redex fills.  A
-rewrite step walks down its path once and rebuilds the spine above the
-reduct; ``is_step`` checks a step whose result is already known in place,
-comparing that result with the spine and the reduct instead of building it,
-and ``invert_trace`` and ``RewriteTrace.validate`` check every step that
-way.
+compares.  ``_checked_step`` is the one checker of a given step (int
+indices, a path to a subterm the rule fits, indices the redex fills); it
+rebuilds the spine above the reduct, or compares a known result with the
+spine and the reduct in place.  ``apply_rule``, ``is_step``, ``validate``,
+``invert_trace`` and ``trace_from_obj`` wrap it; ``Tracer.emit``, which
+records the indices its redex fills, is the one unchecked builder.
 
 ``normalize`` produces an explicit step-by-step trace from a term to the
 canonical term of its sharp image (the cons-list built by term_of_config),
@@ -309,10 +309,6 @@ class RuleApp:
         return "%s@%s%s" % (self.rule, loc, " [%s]" % ps if ps else "")
 
 
-def rule_app(rule: str, at: tuple = (), **params) -> RuleApp:
-    return RuleApp(rule, tuple(at), tuple(sorted(params.items())))
-
-
 def classify(i: int, sort2: int, j: int) -> str:
     """Position of the outer wrap j relative to the inner wrap (i, sort2).
 
@@ -419,45 +415,20 @@ def _reduct(sub, rule: str, at: tuple, i: Optional[int]):
     return done
 
 
-def _step(t, rule: str, at: tuple, i: Optional[int]):
-    """t with `rule` applied at the subterm `at`: (new term, filled indices),
-    from one walk down `at` and one rebuild of the spine above it."""
-    spine, sub = _descend(t, at)
-    new_sub, filled = _reduct(sub, rule, at, i)
-    return _rebuild(spine, new_sub), filled
-
-
-def _step_onto(t, rule: str, at: tuple, i: Optional[int], u):
-    """(filled indices, does the step give u?) for `rule` at `at` of t,
-    checked without building u: one walk down `at` (raising what _step
-    raises), then u compared with the spine, level by level, and with the
-    reduct at the bottom.  A sibling u shares with t, as the terms of one
-    trace do, compares by identity first."""
-    spine, sub = _descend(t, at)
-    reduct, filled = _reduct(sub, rule, at, i)
-    for node, d in spine:
-        cls = type(node)
-        if type(u) is not cls or (cls is WrapT and u.i != node.i):
-            return filled, False
-        if d == 0:
-            if u.right is not node.right and u.right != node.right:
-                return filled, False
-            u = u.left
-        else:
-            if u.left is not node.left and u.left != node.left:
-                return filled, False
-            u = u.right
-    return filled, reduct == u
-
-
-def _int_params(rule: str, at: tuple, given: dict) -> dict:
+def _checked_step(t, app: RuleApp, u=None):
+    """One rewrite step of t, checked: (new term, reduct, filled indices).
+    Each check raises RuleError, in this order: the given indices are plain
+    ints; one walk down `app.at` (IndexError on a bad path) reaches a
+    subterm the rule fits; the given indices are the ones the redex fills.
+    Then the spine is rebuilt above the reduct or, given `u`, u is compared
+    in place with the spine (siblings by identity first) and the reduct,
+    and the new term is u when the step gives it, else None."""
+    rule, at, given = app.rule, app.at, app.params_dict()
     for key, val in given.items():
         if type(val) is not int:  # true, 1.0 and "1" are not step indices
             raise RuleError("%s at %r: parameter %s=%r is not an integer" % (rule, at, key, val))
-    return given
-
-
-def _check_indices(rule: str, at: tuple, given: dict, filled: dict):
+    spine, sub = _descend(t, at)
+    reduct, filled = _reduct(sub, rule, at, given.get("i"))
     for key, val in given.items():
         if key not in filled:
             raise RuleError("%s at %r: the step takes no parameter %s" % (rule, at, key))
@@ -466,23 +437,36 @@ def _check_indices(rule: str, at: tuple, given: dict, filled: dict):
                 "%s at %r: parameter %s=%d does not match the redex (%d)"
                 % (rule, at, key, val, filled[key])
             )
+    if u is None:
+        return _rebuild(spine, reduct), reduct, filled
+    v = u
+    for node, d in spine:
+        cls = type(node)
+        if type(v) is not cls or (cls is WrapT and v.i != node.i):
+            break
+        if d == 0:
+            if v.right is not node.right and v.right != node.right:
+                break
+            v = v.left
+        elif v.left is not node.left and v.left != node.left:
+            break
+        else:
+            v = v.right
+    else:
+        if reduct == v:
+            return u, reduct, filled
+    return None, reduct, filled
 
 
 def apply_rule(t, app: RuleApp):
     """Apply one rewrite step to the whole term; validates shape and indices."""
-    given = _int_params(app.rule, app.at, app.params_dict())
-    new, filled = _step(t, app.rule, app.at, given.get("i"))
-    _check_indices(app.rule, app.at, given, filled)
-    return new
+    return _checked_step(t, app)[0]
 
 
 def is_step(t, app: RuleApp, u) -> bool:
     """apply_rule(t, app) == u, raising what apply_rule(t, app) raises, but
     checked in place: only the reduct at the bottom of `app.at` is built."""
-    given = _int_params(app.rule, app.at, app.params_dict())
-    filled, same = _step_onto(t, app.rule, app.at, given.get("i"), u)
-    _check_indices(app.rule, app.at, given, filled)
-    return same
+    return _checked_step(t, app, u)[0] is not None
 
 
 def enumerate_rule_apps(t) -> list:
@@ -521,7 +505,7 @@ class RewriteTrace:
         cur = self.start
         for step in self.steps:
             try:
-                if not is_step(cur, step.app, step.result):
+                if _checked_step(cur, step.app, step.result)[0] is None:
                     return False
             except (IndexError, RuleError):
                 return False
@@ -545,7 +529,9 @@ class Tracer:
         return subterm_at(self.term, path)
 
     def emit(self, rule: str, at: tuple = (), **params):
-        self.term, filled = _step(self.term, rule, at, params.get("i"))
+        spine, sub = _descend(self.term, at)
+        reduct, filled = _reduct(sub, rule, at, params.get("i"))
+        self.term = _rebuild(spine, reduct)
         app = RuleApp(rule, tuple(at), tuple(sorted(filled.items())))
         self.steps.append(TraceStep(app, self.term))
         if self.budget is not None and len(self.steps) > self.budget:
@@ -555,23 +541,32 @@ class Tracer:
         return RewriteTrace(self.start, tuple(self.steps))
 
 
+def _trace_step(k: int, t, app: RuleApp, u):
+    """(reduct, filled indices) of step k of a trace, t to u, checked; a
+    step that does not give u raises RuleError naming it."""
+    new, reduct, filled = _checked_step(t, app, u)
+    if new is None:
+        raise RuleError("trace step %d, %s, does not give its result" % (k, app))
+    return reduct, filled
+
+
 def invert_trace(trace: RewriteTrace) -> RewriteTrace:
     """The reverse trace: same paths, each rule replaced by its inverse.
 
-    The inverse of step k ends at the term the forward trace already holds
-    before it (step k-1's result, or the start), so each inverse step is
-    checked in place on that term and nothing is rebuilt; ``_apply`` fills
-    its indices.  A step that does not fit, or whose inverse misses that
-    term, raises RuleError."""
-    terms = (trace.start,) + tuple(step.result for step in trace.steps)
-    steps = []
-    for k in range(len(trace.steps), 0, -1):
-        app = trace.steps[k - 1].app
-        rule = INVERSE_RULE[app.rule]
-        filled, same = _step_onto(terms[k], rule, app.at, app.params_dict().get("i"), terms[k - 1])
-        if not same:
-            raise RuleError("%s does not undo step %d, %s" % (rule, k, app))
-        steps.append(TraceStep(RuleApp(rule, app.at, tuple(sorted(filled.items()))), terms[k - 1]))
+    Each forward step goes through the one step checker, so a step that
+    ``validate`` rejects raises RuleError (IndexError for a path off its
+    term).  The inverse of step k ends at the term the trace holds before
+    it, and its indices are the ones the inverse rule fills on the checked
+    reduct; a rule fills indices exactly when its inverse does."""
+    cur, steps = trace.start, []
+    for k, step in enumerate(trace.steps, 1):
+        reduct, filled = _trace_step(k, cur, step.app, step.result)
+        rule, params = INVERSE_RULE[step.app.rule], ()
+        if filled:
+            params = tuple(sorted(_apply(reduct, rule, filled.get("i"))[1].items()))
+        steps.append(TraceStep(RuleApp(rule, step.app.at, params), cur))
+        cur = step.result
+    steps.reverse()
     return RewriteTrace(trace.end(), tuple(steps))
 
 
@@ -1032,18 +1027,18 @@ def trace_to_obj(trace: RewriteTrace) -> dict:
 
 
 def trace_from_obj(obj: dict, sig: Signature) -> RewriteTrace:
-    """Read a trace back; each step is checked in place against its parsed
-    result, and its indices are the ones the redex fills."""
+    """Read a trace back, each step checked against its parsed result and
+    given the indices its redex fills; a path step that is not a plain int
+    raises RuleError naming the step."""
     cur = start = parse_term(obj["start"], sig)
     steps = []
-    for step in obj["steps"]:
-        rule, at = step["rule"], tuple(step["path"])
-        given = _int_params(rule, at, step.get("params", {}))
+    for k, step in enumerate(obj["steps"], 1):
+        at = tuple(step["path"])
+        if any(type(d) is not int for d in at):  # true and 1.0 are not path steps
+            raise RuleError("trace step %d: path %r is not a list of integers" % (k, step["path"]))
+        app = RuleApp(step["rule"], at, tuple(step.get("params", {}).items()))
         result = parse_term(step["result"], sig)
-        filled, same = _step_onto(cur, rule, at, given.get("i"), result)
-        _check_indices(rule, at, given, filled)
-        if not same:
-            raise RuleError("trace step result does not match")
-        steps.append(TraceStep(RuleApp(rule, at, tuple(sorted(filled.items()))), result))
+        filled = _trace_step(k, cur, app, result)[1]
+        steps.append(TraceStep(RuleApp(app.rule, at, tuple(sorted(filled.items()))), result))
         cur = result
     return RewriteTrace(start, tuple(steps))

@@ -62,6 +62,7 @@ from dcalc.terms import (
     ConstI,
     ConstJ,
     Leaf,
+    RuleApp,
     RuleError,
     Tracer,
     WrapT,
@@ -71,7 +72,6 @@ from dcalc.terms import (
     classify,
     is_canonical,
     iter_subterms,
-    rule_app,
     sharp,
     sort_of_term,
     term_of_config,
@@ -760,6 +760,11 @@ def reference_term_of_config_with_addr(cfg: HyperConfig, addr: tuple):
     if path is None:
         raise IndexError("item address %r not found" % (addr,))
     return term, path
+
+
+def rule_app(rule: str, at: tuple = (), **params) -> RuleApp:
+    """The RuleApp of `rule` at `at` with keyword indices, in sorted order."""
+    return RuleApp(rule, tuple(at), tuple(sorted(params.items())))
 
 
 def reference_rule_apps(t):

@@ -62,7 +62,6 @@ from dcalc.terms import (
     normalize,
     parse_term,
     replace_at,
-    rule_app,
     sharp,
     sort_of_term,
     subterm_at,
@@ -94,6 +93,7 @@ from helpers import (
     reference_term_of_config,
     reference_term_of_config_with_addr,
     reference_wrap_at,
+    rule_app,
 )
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\n")
@@ -802,6 +802,21 @@ def test_enumerated_apps_apply_and_invert():
     assert exercised == set(RULE_NAMES)
 
 
+def test_each_rule_and_its_inverse_fill_indices_together():
+    # invert_trace takes an inverse step's indices from _apply of the
+    # inverse rule on the forward reduct, and runs it only when the forward
+    # redex filled indices: the inverse gives back the redex, and fills
+    # indices exactly when the forward step did
+    rng = random.Random(5)
+    for t in RULE_EXAMPLES + tuple(random_term(rng, ATOMS, 4) for _ in range(60)):
+        for app in enumerate_rule_apps(t):
+            redex = subterm_at(t, app.at)
+            reduct, filled = _apply(redex, app.rule, app.params_dict().get("i"))
+            back, back_filled = _apply(reduct, INVERSE_RULE[app.rule], filled.get("i"))
+            assert back == redex, app
+            assert bool(back_filled) == bool(filled), app
+
+
 def _outcome(call):
     """call()'s value, or the type and text of the IndexError or RuleError it
     raises."""
@@ -1000,6 +1015,117 @@ def test_invert_trace_rejects_a_step_that_is_not_its_rewrite():
         assert not RewriteTrace(t, (bad,)).validate()
         with pytest.raises(RuleError):
             invert_trace(RewriteTrace(t, (bad,)))
+
+
+def test_invert_trace_rejects_the_steps_validate_rejects():
+    # each of these one-step traces has validate() False, yet the parent
+    # inverted it into a trace that validates: it read only i from the
+    # forward step and took the inverse's indices from the redex.  Now
+    # each raises what apply_rule raises on the step, or, where apply_rule
+    # gives another term (b +2 JJ), that the step does not give its result
+    t = parse_term("((a + a) + a)", SIG)
+    u = apply_rule(t, RuleApp("AsscC-fwd"))
+    bj = parse_term("(b +1 JJ)", SIG)
+    cases = [(t, RuleApp("AsscC-fwd", (), ps), u) for ps in ((("zz", 1),), (("i", 1.0),), (("i", 1),))]
+    cases.append((B, RuleApp("UnitJ-i-add"), bj))
+    for start, app, result in cases:
+        with pytest.raises(RuleError) as raised:
+            apply_rule(start, app)
+        trace = RewriteTrace(start, (TraceStep(app, result),))
+        assert not trace.validate()
+        with pytest.raises(RuleError, match="^%s$" % re.escape(str(raised.value))):
+            invert_trace(trace)
+    app = RuleApp("UnitJ-i-add", (), (("i", 2),))
+    assert apply_rule(B, app) == parse_term("(b +2 JJ)", SIG)
+    trace = RewriteTrace(B, (TraceStep(app, bj),))
+    assert not trace.validate()
+    with pytest.raises(RuleError, match=r"^trace step 1, UnitJ-i-add@root \[i=2\], does not give its result$"):
+        invert_trace(trace)
+
+
+def _mutated_steps(before, step):
+    """step with a stray key, with each index moved by -1 or +1, made True
+    or 1.0, or dropped, and with `before` as its result."""
+    app, ps = step.app, step.app.params
+    apps = [ps + (("zz", 1),)]
+    for n, (key, val) in enumerate(ps):
+        apps += [ps[:n] + ((key, new),) + ps[n + 1:] for new in (val - 1, val + 1, True, 1.0)]
+        apps.append(ps[:n] + ps[n + 1:])
+    out = [TraceStep(RuleApp(app.rule, app.at, params), step.result) for params in apps]
+    return out + [TraceStep(app, before)]
+
+
+def test_invert_trace_raises_exactly_when_validate_is_false():
+    # every step of the normalize and extract traces of 200 random terms,
+    # each mutation of it (_mutated_steps) as a one-step trace, and one
+    # mutation at a random step of each whole trace: invert_trace raises
+    # RuleError when validate() is False, and otherwise gives the inverse
+    # of the unmutated step (dropping an index its redex fills changes
+    # nothing)
+    rng = random.Random(31)
+    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
+    seen = Counter()
+    for _ in range(200):
+        t = random_term(rng, atoms, rng.randint(1, 5))
+        traces = [normalize(t)]
+        leaves = [p for p, sub in iter_subterms(t) if type(sub) is Leaf and extractable(t, p)]
+        if leaves:
+            traces.append(extract(t, rng.choice(leaves), rng)[2])
+        for trace in traces:
+            back = invert_trace(trace)
+            n = len(trace.steps)
+            befores = (trace.start,) + tuple(step.result for step in trace.steps)
+            for k, step in enumerate(trace.steps):
+                want = RewriteTrace(step.result, (back.steps[n - 1 - k],))
+                for bad in _mutated_steps(befores[k], step):
+                    one = RewriteTrace(befores[k], (bad,))
+                    if one.validate():
+                        assert invert_trace(one) == want, bad
+                        seen["kept"] += 1
+                    else:
+                        with pytest.raises(RuleError):
+                            invert_trace(one)
+                        seen["raised"] += 1
+            if n:
+                k = rng.randrange(n)
+                bad = rng.choice(_mutated_steps(befores[k], trace.steps[k]))
+                whole = RewriteTrace(trace.start, trace.steps[:k] + (bad,) + trace.steps[k + 1:])
+                if whole.validate():
+                    assert invert_trace(whole) == back
+                else:
+                    with pytest.raises(RuleError):
+                        invert_trace(whole)
+    assert seen["kept"] > 1000 and seen["raised"] > 10000, seen
+
+
+def test_trace_from_obj_and_invert_trace_name_a_step_that_misses_its_result():
+    # both find the same fault, a forward step that does not give its
+    # result, and say so in one text naming the step and its app
+    tr = Tracer(parse_term("((a + a) + a)", SIG))
+    tr.emit("AsscC-fwd")
+    tr.emit("UnitI-L-add", (1,))
+    trace = tr.trace()
+    wrong = RewriteTrace(trace.start, (trace.steps[0], TraceStep(trace.steps[1].app, trace.start)))
+    error = r"^trace step 2, UnitI-L-add@R, does not give its result$"
+    with pytest.raises(RuleError, match=error):
+        invert_trace(wrong)
+    with pytest.raises(RuleError, match=error):
+        trace_from_obj(trace_to_obj(wrong), SIG)
+
+
+def test_trace_from_obj_rejects_path_steps_that_are_not_ints():
+    # [0, true], [0.0, 1.0] and [false, 1] all == [0, 1], which _descend
+    # would follow; check_m rejects such a path, and so does trace_from_obj
+    tr = Tracer(parse_term("((a + (II + a)) + a)", SIG))
+    tr.emit("UnitI-R-add", (1,))
+    tr.emit("UnitI-L-drop", (0, 1))
+    tr.emit("AsscC-fwd")
+    obj = trace_to_obj(tr.trace())
+    assert trace_from_obj(obj, SIG) == tr.trace()
+    for bad in ([0, True], [0.0, 1.0], [False, 1]):
+        obj["steps"][1]["path"] = bad
+        with pytest.raises(RuleError, match=r"^trace step 2: path .* is not a list of integers$"):
+            trace_from_obj(obj, SIG)
 
 
 def test_trace_serialization_round_trip():
