@@ -339,11 +339,15 @@ def from_obj(obj: dict, sig, sequent) -> Derivation:
     Each distinct sequent text is parsed once, by `sequent._read` with a
     table kept for this read alone, so each distinct antecedent part and
     succedent text is parsed once too and equal types share one object;
-    errors are those of `sequent.parse` on the text alone.  A node's
-    sequent is read before its premises, its rule and params after them;
-    the walk keeps its own stack, so a long Structural chain reads too."""
+    errors are those of `sequent.parse` on the text alone.  Equal subtrees
+    come back as one node, so a walk that stores verdicts or lifts does
+    each once (nodes are keyed by the ids of their sequent and premises,
+    safe as `nodes` holds them all for the read).  A node's sequent is
+    read before its premises, its rule and params after them; the walk
+    keeps its own stack, so a long Structural chain reads too."""
     parsed = {}
     table = {}
+    nodes = {}
     done = []  # the nodes read so far whose parent is not finished yet
     stack = [(obj, None, 0)]  # (node, its sequent once expanded, premise count)
     while stack:
@@ -361,7 +365,13 @@ def from_obj(obj: dict, sig, sequent) -> Derivation:
         premises = tuple(done[len(done) - n:])
         del done[len(done) - n:]
         rule = _expect(node["rule"], str, "rule")
-        done.append(Derivation(rule, seq, premises, params_from_obj(node.get("params", {}))))
+        params = params_from_obj(node.get("params", {}))
+        key = rule, id(seq), params, tuple(map(id, premises))
+        try:
+            d = nodes.get(key) or nodes.setdefault(key, Derivation(rule, seq, premises, params))
+        except TypeError:  # an unhashable JSON object among the params: the node stays its own
+            d = Derivation(rule, seq, premises, params)
+        done.append(d)
     return done[0]
 
 

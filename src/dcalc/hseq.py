@@ -14,8 +14,9 @@ polarity-weighted count equal on both sides (the count invariant,
 ``_balanced``), so the search checks the root's counts once and then
 filters rule candidates by counts: a candidate whose minor premise
 breaks the invariant is skipped before any premise is built.  It finds
-what an unpruned search finds.  There is one search, ``prove_all``;
-``prove`` is its first derivation (``limit=1``).
+what an unpruned search finds.  There is one search, ``prove_each``,
+which proves several sequents with one memo; ``prove_all`` is its
+one-sequent case and ``prove`` its first derivation (``limit=1``).
 """
 
 from __future__ import annotations
@@ -622,11 +623,17 @@ def prove(seq: HSequent):
 def prove_all(seq: HSequent, limit: int = 16):
     """All cut-free derivations of seq, up to `limit` per subgoal, in
     depth-first order; each subgoal is searched once."""
+    return prove_each((seq,), limit)[0]
+
+
+def prove_each(seqs, limit: int = 16) -> list:
+    """[prove_all(s, limit) for s in seqs], in one search whose memo the
+    sequents share: a subgoal met again, under any of them, is searched
+    once.  The memo dies with the call."""
     if limit < 1:
         raise ValueError("limit must be at least 1, not %r" % (limit,))
-    if not _balanced(_seq_key(seq)):
-        return []
-    return _search(seq, limit, {})
+    memo = {}
+    return [list(_search(s, limit, memo)) if _balanced(_seq_key(s)) else [] for s in seqs]
 
 
 def _search(s: HSequent, limit: int, memo: dict) -> list:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Optional
 
+from .derivation import _expect
 from .syntax import (
     Atom,
     HyperConfig,
@@ -1028,16 +1029,21 @@ def trace_to_obj(trace: RewriteTrace) -> dict:
 
 def trace_from_obj(obj: dict, sig: Signature) -> RewriteTrace:
     """Read a trace back, each step checked against its parsed result and
-    given the indices its redex fills; a path step that is not a plain int
-    raises RuleError naming the step."""
-    cur = start = parse_term(obj["start"], sig)
+    given the indices its redex fills.  A field not of its JSON shape
+    raises ParseError naming it, and a path step that is not a plain int
+    RuleError naming the step."""
+    _expect(obj, dict, "a trace")
+    cur = start = parse_term(_expect(obj.get("start"), str, "start"), sig)
     steps = []
-    for k, step in enumerate(obj["steps"], 1):
-        at = tuple(step["path"])
+    for k, step in enumerate(_expect(obj.get("steps"), list, "steps"), 1):
+        name = "trace step %d" % k
+        step = _expect(step, dict, name)
+        at = tuple(_expect(step.get("path"), list, name + ": path"))
         if any(type(d) is not int for d in at):  # true and 1.0 are not path steps
-            raise RuleError("trace step %d: path %r is not a list of integers" % (k, step["path"]))
-        app = RuleApp(step["rule"], at, tuple(step.get("params", {}).items()))
-        result = parse_term(step["result"], sig)
+            raise RuleError("%s: path %r is not a list of integers" % (name, step["path"]))
+        params = _expect(step.get("params", {}), dict, name + ": params")
+        app = RuleApp(_expect(step.get("rule"), str, name + ": rule"), at, tuple(params.items()))
+        result = parse_term(_expect(step.get("result"), str, name + ": result"), sig)
         filled = _trace_step(k, cur, app, result)[1]
         steps.append(TraceStep(RuleApp(app.rule, at, tuple(sorted(filled.items()))), result))
         cur = result

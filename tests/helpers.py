@@ -1,11 +1,12 @@
 """Random generators and the forward derivation builder used by the tests."""
 
+import json
 import re
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from dcalc.derivation import latex_escape, params_to_obj
+from dcalc.derivation import derivation_to_obj, latex_escape, params_to_obj
 from dcalc.hseq import (
     HDerivation,
     HSequent,
@@ -14,6 +15,7 @@ from dcalc.hseq import (
     _seq_key,
     apply_chunks,
     enumerate_rule_instances,
+    prove_all,
 )
 from dcalc.mseq import structural_step
 from dcalc.syntax import (
@@ -47,6 +49,7 @@ from dcalc.syntax import (
     item_at,
     iter_items,
     parse_flat,
+    parse_type,
     replace_range,
     sep_index_at,
     sort_of_config,
@@ -1201,6 +1204,38 @@ def reference_prove_all(seq, limit=16):
         return out
 
     return go(seq)
+
+
+# dcalc parse before the lexical assignments shared one search: each
+# lexicon line's type parsed alone, each assignment searched by prove_all
+# with a memo of its own, and the JSON written by json.dumps.
+
+
+def parent_parse_json(sig, lexicon, sentence: str, goal: str, limit: int = 16) -> str:
+    """What `dcalc parse --out json` printed for `lexicon`, a sequence of
+    (word, type text) pairs."""
+    entries = {}
+    for word, text in lexicon:
+        entries.setdefault(word, []).append(parse_type(text, sig))
+    succ = parse_type(goal, sig)
+    derivations = []
+    for assignment in product(*(entries[w] for w in sentence.split())):
+        ant = HyperConfig(tuple(item for t in assignment for item in figure(t).items))
+        derivations += prove_all(HSequent(ant, succ), limit=limit)
+    obj = {"readings": len(derivations), "derivations": [derivation_to_obj(d) for d in derivations]}
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def json_subtree_count(obj) -> int:
+    """How many distinct subtrees a derivation's JSON object has, told apart
+    by their JSON text."""
+    texts = set()
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        texts.add(json.dumps(node, sort_keys=True))
+        stack.extend(node["premises"])
+    return len(texts)
 
 
 def reference_first_violation(d, node_ok):

@@ -11,6 +11,7 @@ from dcalc.cli import main
 from dcalc.hseq import derivation_to_obj, parse_hsequent, prove
 
 import golden_defs
+from helpers import parent_parse_json
 
 SIG_TEXT = "a 0\nb 2\nc 0\nd 2\ne 1\nn 0\ns 0\n"
 TOY_LEX = os.path.join(golden_defs.GOLDEN_DIR, "toy.lex")
@@ -424,9 +425,27 @@ def test_lexicon_type_errors_give_the_file_line(capsys, tmp_path):
         ("z\t(n /", "expected a type at position 4 (near 'end')"),
         ("w\t(n @2 n)", "@2 on sort-0 left operand"),
     ):
-        lexicon.write_text("# a comment\n%% signature\nn 0\n%% lexicon\n" + entry + "\n")
-        code, out, err = run(capsys, "parse", str(lexicon), "x", "n")
-        assert (code, out, err) == (2, "", "error: line 5: %s\n" % error)
+        # a text is parsed once, so the same bad text on a second line is
+        # still reported at its first
+        for entries in (entry, entry + "\nv" + entry[1:]):
+            lexicon.write_text("# a comment\n%% signature\nn 0\n%% lexicon\n" + entries + "\n")
+            code, out, err = run(capsys, "parse", str(lexicon), "x", "n")
+            assert (code, out, err) == (2, "", "error: line 5: %s\n" % error)
+
+
+def test_load_lexicon_gives_equal_types_one_object(tmp_path):
+    lexicon = tmp_path / "shared.lex"
+    lexicon.write_text(
+        "%% signature\nn 0\ns 0\n%% lexicon\n"
+        "x\t(n \\ s)\ny\t(n \\ s)\nx\t( n\\s )\nz\tn\nx\tn\ny\t(n / n)\n"
+    )
+    _, entries = cli.load_lexicon(str(lexicon))
+    assert {w: [str(t) for t in ts] for w, ts in entries.items()} == {
+        "x": ["n\\s", "n\\s", "n"], "y": ["n\\s", "n/n"], "z": ["n"],
+    }
+    under, over = entries["y"]
+    assert entries["x"][0] is under and entries["x"][1] is under  # a second text, an equal type
+    assert entries["x"][2] is entries["z"][0] and over is not under
 
 
 AMBIGUOUS_LEX = "%% signature\nn 0\n%% lexicon\nx\tn\nx\t(n / n)\nx\t(n \\ n)\n"
@@ -493,6 +512,24 @@ def test_json_output_is_the_dict_path_text(capsys, sig_file, tmp_path, monkeypat
     )
     for argv, result in zip(calls, results):
         assert result[0] == 0 and run(capsys, *argv) == result, argv
+
+
+def test_parse_json_is_that_of_a_search_per_assignment(capsys, tmp_path):
+    # the lexical assignments share one search memo; the bytes must be those
+    # of one search per assignment, written by json.dumps, up to x^6's 250 kB
+    lexicon = tmp_path / "ambiguous.lex"
+    lexicon.write_text(AMBIGUOUS_LEX)
+    sig, _ = cli.load_lexicon(str(lexicon))
+    entries = [("x", "n"), ("x", "(n / n)"), ("x", "(n \\ n)")]
+    sizes = []
+    for limit in (1, 16):
+        for k in range(7):
+            sentence = " ".join(["x"] * k)
+            code, out, err = run(capsys, "parse", str(lexicon), sentence, "n", "--out", "json", "--limit", str(limit))
+            assert (code, err) == ((0, "") if k else (1, ""))
+            assert out == parent_parse_json(sig, entries, sentence, "n", limit=limit)
+            sizes.append(len(out))
+    assert sizes[-1] > 240000
 
 
 def test_parse_limit(capsys):

@@ -10,6 +10,7 @@ import random
 import time
 import weakref
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from dcalc.hseq import (
     parse_hsequent,
     prove,
     prove_all,
+    prove_each,
 )
 from dcalc.mseq import (
     MDerivation,
@@ -57,7 +59,9 @@ from dcalc.syntax import (
     Signature,
     atom_counts,
     config_at,
+    figure,
     iter_items,
+    parse_type,
 )
 from dcalc.terms import Cat, ConstI, RuleApp, WrapT, replace_at, subterm_at
 
@@ -67,6 +71,7 @@ from helpers import (
     _down_l,
     generate_derivations,
     hderivation_depth,
+    json_subtree_count,
     parent_parse_hsequent,
     random_config,
     reference_apply_chunks,
@@ -630,13 +635,21 @@ def test_a_read_agrees_with_the_parent_parser_and_shares_equal_entries(tmp_path)
     assert len(cases) > 220
     amb = [d for d, sig in cases if "n/n" in d["sequent"] or "n\\n" in d["sequent"]]
     assert len(amb) >= 10
+    shared = 0
     for obj, sig in cases:
         d = derivation_from_obj(obj, sig)
         assert d == _parent_read(obj, sig)
-        assert check(d)
+        # equal subtrees are one node, which check visits once
+        nodes = {id(node): node for node in _nodes(d)}
+        assert len(nodes) == json_subtree_count(obj)
+        shared += len(nodes) < sum(1 for _ in _nodes(d))
+        visits = []
+        assert first_violation(d, lambda node: visits.append(id(node)) or check_node(node)) is None
+        assert sorted(visits) == sorted(nodes)
         for group in _entries_and_types(d):  # equal ones are one object
             first = {}
             assert all(first.setdefault(x, x) is x for x in group)
+    assert shared >= 40
 
 
 def test_two_reads_share_no_object(tmp_path):
@@ -645,6 +658,56 @@ def test_two_reads_share_no_object(tmp_path):
         assert one == two
         ids = {id(x) for group in _entries_and_types(one) for x in group}
         assert not ids & {id(x) for group in _entries_and_types(two) for x in group}
+
+
+def _occurrences(obj):
+    """The paths of the nodes of a derivation's JSON object, grouped by
+    their subtree's JSON text."""
+    paths = {}
+    stack = [(obj, ())]
+    while stack:
+        node, path = stack.pop()
+        paths.setdefault(json.dumps(node, sort_keys=True), []).append(path)
+        stack.extend((p, path + (n,)) for n, p in enumerate(node["premises"]))
+    return list(paths.values())
+
+
+def test_a_shared_read_rejects_what_a_tree_read_rejects(tmp_path):
+    # one occurrence of a subtree changed: the read shares the rest, and
+    # check must find the node and reason that it finds in a plain tree
+    cases = _json_derivations(tmp_path)
+    texts = {}  # each signature's end-sequent texts
+    for obj, sig in cases:
+        texts.setdefault(id(sig), []).append(obj["sequent"])
+    rng = random.Random(32)
+    repeats, verdicts = Counter(), Counter()
+    for obj, sig in cases[::3]:
+        groups = _occurrences(obj)
+        repeated = [paths for paths in groups if len(paths) > 1] or groups
+        for paths in (rng.choice(repeated) for _ in range(4)):
+            path = rng.choice(paths)  # the first occurrence read, or a later one
+            mutant = json.loads(json.dumps(obj))
+            node = mutant
+            for n in path:
+                node = node["premises"][n]
+            kind = rng.choice(("sequent", "rule", "params", "premises"))
+            if kind == "sequent":
+                node["sequent"] = rng.choice(texts[id(sig)])
+            elif kind == "rule":
+                node["rule"] = rng.choice(sorted(RULES) + ["Cut", "Nope"])
+            elif kind == "params":
+                node["params"] = rng.choice(({}, {"at": [0]}, {"at": "x"}, {"at": {"x": 0}}, {"k": 1}))
+            else:
+                node["premises"] = node["premises"][1:] if node["premises"] else [dict(node)]
+            shared, tree = derivation_from_obj(mutant, sig), _parent_read(mutant, sig)
+            bad, want = first_violation(shared, check_node), reference_first_violation(tree, check_node)
+            assert check(shared) == check(tree) == (want is None)
+            if want is not None:
+                assert bad == want
+                assert violation_reason(bad, check_node) == violation_reason(want, check_node)
+            repeats[len(paths) > 1] += 1
+            verdicts[want is None] += 1
+    assert repeats[True] > 150 and verdicts[False] > 100 and verdicts[True] > 0, (repeats, verdicts)
 
 
 # Valid sequents that put every entry the test below writes, and its
@@ -845,6 +908,47 @@ def test_search_agrees_with_the_reference_searches():
         assert prove(s) == reference_prove(s), str(s)
         for limit in (1, 4, 16):
             assert prove_all(s, limit=limit) == reference_prove_all(s, limit=limit), str(s)
+
+
+X_TYPES = tuple(parse_type(t, SIG) for t in ("n", "(n / n)", "(n \\ n)"))
+
+
+def _x_sequents(k_max):
+    """The sequent of each lexical assignment of x^k => n, k <= k_max, with
+    the x of AMBIGUOUS_LEXICON."""
+    return [
+        HSequent(HyperConfig(tuple(item for t in types for item in figure(t).items)), X_TYPES[0])
+        for k in range(k_max + 1)
+        for types in product(X_TYPES, repeat=k)
+    ]
+
+
+def test_prove_each_is_prove_all_of_each_sequent(monkeypatch):
+    for sequents in (_x_sequents(6), search_corpus()):
+        for limit in (1, 16):
+            assert prove_each(iter(sequents), limit) == [prove_all(s, limit) for s in sequents]
+    assert prove_each((), 1) == []
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            prove_all(seq("n => n"), limit=bad)
+    # the assignments share one memo: each subgoal is searched once
+    searched = []
+    search = hseq._search
+
+    def counting(s, limit, memo):
+        if _seq_key(s) not in memo:
+            searched.append(_seq_key(s))
+        return search(s, limit, memo)
+
+    monkeypatch.setattr(hseq, "_search", counting)
+    sequents = _x_sequents(5)
+    prove_each(sequents, 16)
+    assert len(searched) == len(set(searched))
+    together = len(searched)
+    searched.clear()
+    for s in sequents:
+        prove_all(s, 16)
+    assert together < len(searched) / 3
 
 
 def test_rule_instances_never_repeat(monkeypatch):

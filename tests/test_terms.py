@@ -19,6 +19,7 @@ from dcalc.syntax import (
     Atom,
     HyperConfig,
     Leaf0,
+    ParseError,
     Prod,
     SEP,
     Signature,
@@ -1158,6 +1159,31 @@ def test_trace_from_obj_rejects_non_integer_indices():
         obj["steps"][0]["params"]["i"] = bad
         with pytest.raises(RuleError, match="is not an integer"):
             trace_from_obj(obj, SIG)
+
+
+def test_trace_from_obj_names_a_field_of_the_wrong_json_shape():
+    # these raised AttributeError, TypeError and KeyError
+    tr = Tracer(B)
+    tr.emit("UnitJ-i-add", (), i=1)
+    good = trace_to_obj(tr.trace())
+    assert trace_from_obj(good, SIG) == tr.trace()
+    for change, error in (
+        (lambda obj: obj["steps"][0].update(params=[1]), "trace step 1: params must be a JSON object"),
+        (lambda obj: obj["steps"][0].update(path=5), "trace step 1: path must be a JSON list"),
+        (lambda obj: obj["steps"][0].pop("result"), "trace step 1: result must be a JSON string"),
+        (lambda obj: obj["steps"][0].pop("rule"), "trace step 1: rule must be a JSON string"),
+        (lambda obj: obj["steps"].__setitem__(0, "UnitJ-i-add"), "trace step 1 must be a JSON object"),
+        (lambda obj: obj.update(steps={"0": obj["steps"][0]}), "steps must be a JSON list"),
+        (lambda obj: obj.update(start=["b"]), "start must be a JSON string"),
+        (lambda obj: obj.pop("start"), "start must be a JSON string"),
+    ):
+        obj = json.loads(json.dumps(good))
+        change(obj)
+        with pytest.raises(ParseError) as info:
+            trace_from_obj(obj, SIG)
+        assert str(info.value) == error
+    with pytest.raises(ParseError, match="^a trace must be a JSON object$"):
+        trace_from_obj([good], SIG)
 
 
 # ---------------------------------------------------------------------------
