@@ -63,14 +63,6 @@ class BridgeError(ValueError):
     """A derivation that cannot be carried across the translation."""
 
 
-def correspondence_check(hd: HDerivation, md: MDerivation) -> bool:
-    """The two end-sequents denote the same configuration judgement."""
-    return (
-        flatten(sharp(md.conclusion.antecedent)) == flatten(hd.conclusion.antecedent)
-        and md.conclusion.succedent == hd.conclusion.succedent
-    )
-
-
 # ---------------------------------------------------------------------------
 # lifting
 

@@ -354,7 +354,7 @@ def from_obj(obj: dict, sig, sequent) -> Derivation:
         node, seq, n = stack.pop()
         if seq is None:
             _expect(node, dict, "a derivation node")
-            text = _expect(node["sequent"], str, "sequent")
+            text = _expect(node.get("sequent"), str, "sequent")
             seq = parsed.get(text)
             if seq is None:
                 seq = parsed[text] = sequent._read(text, sig, table)
@@ -364,7 +364,7 @@ def from_obj(obj: dict, sig, sequent) -> Derivation:
             continue
         premises = tuple(done[len(done) - n:])
         del done[len(done) - n:]
-        rule = _expect(node["rule"], str, "rule")
+        rule = _expect(node.get("rule"), str, "rule")
         params = params_from_obj(node.get("params", {}))
         key = rule, id(seq), params, tuple(map(id, premises))
         try:

@@ -178,16 +178,6 @@ def sort_of_term(t) -> int:
     raise _not_a_term(t)
 
 
-def term_size(t) -> int:
-    """Number of nodes of t: a loop over a list of them that grows as it
-    reaches each Cat or WrapT, so no recursion."""
-    nodes = [t]
-    for t in nodes:
-        if type(t) is Cat or type(t) is WrapT:
-            nodes += (t.left, t.right)
-    return len(nodes)
-
-
 def parse_term(text: str, sig: Signature):
     return _parse_whole(_parse_term, text, sig, "term")
 
@@ -660,46 +650,6 @@ def equiv(t, s) -> bool:
     return flatten(sharp(t)) == flatten(sharp(s))
 
 
-def bounded_equiv_oracle(
-    t,
-    s,
-    depth: int = 12,
-    size_slack: int = 8,
-    max_expansions: int = 200000,
-) -> bool:
-    """Breadth-first search for a rewrite path from t to s of length <= depth.
-
-    Independent of sharp: explores single steps only.  States larger than
-    max(|t|, |s|) + size_slack nodes are pruned and a deterministic expansion
-    budget bounds the search, so a True answer always exhibits a real path
-    while False means no path was found within those bounds.
-    """
-    if t == s:
-        return True
-    cap = max(term_size(t), term_size(s)) + size_slack
-    frontier = [t]
-    seen = {t}
-    expansions = 0
-    for _ in range(depth):
-        nxt = []
-        for cur in frontier:
-            expansions += 1
-            if expansions > max_expansions:
-                return False
-            for app in enumerate_rule_apps(cur):
-                new = apply_rule(cur, app)
-                if new in seen or term_size(new) > cap:
-                    continue
-                if new == s:
-                    return True
-                seen.add(new)
-                nxt.append(new)
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
-
-
 # ---------------------------------------------------------------------------
 # canonical terms
 
@@ -991,21 +941,6 @@ def extract(t, at: tuple, rng: Optional[random.Random] = None):
     assert isinstance(final, WrapT) and final.right == leaf and final.i == got
     assert got == want_i, "extraction index %d disagrees with sharp (%d)" % (got, want_i)
     return final.left, got, tr.trace()
-
-
-def uniqueness_check(t, at: tuple, trials: int = 8, seed: int = 0) -> bool:
-    """Re-run extraction along varied rewrite routes; the index and the
-    sharp image of the remainder must come out the same every time."""
-    rest0, i0, trace0 = extract(t, at)
-    if not trace0.validate():
-        return False
-    base = flatten(sharp(rest0))
-    for trial in range(trials):
-        rng = random.Random(seed + trial)
-        rest, i, trace = extract(t, at, rng=rng)
-        if i != i0 or flatten(sharp(rest)) != base or not trace.validate():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Random generators and the forward derivation builder used by the tests."""
+"""Random generators, reference copies, the oracles of the paper's claim and the
+forward derivation builder used by the tests."""
 
 import json
+import random
 import re
 from dataclasses import dataclass, field
 from itertools import product
@@ -17,7 +19,7 @@ from dcalc.hseq import (
     enumerate_rule_instances,
     prove_all,
 )
-from dcalc.mseq import structural_step
+from dcalc.mseq import MDerivation, structural_step
 from dcalc.syntax import (
     EMPTY,
     SEP,
@@ -73,6 +75,8 @@ from dcalc.terms import (
     _parse_term,
     apply_rule,
     classify,
+    enumerate_rule_apps,
+    extract,
     is_canonical,
     iter_subterms,
     sharp,
@@ -787,6 +791,89 @@ def reference_rule_apps(t):
                     continue
                 out.append(app)
     return out
+
+
+# ---------------------------------------------------------------------------
+# oracles of the paper's claim
+#
+# The checks the acceptance tests run and no command calls, kept apart from
+# the workbench: bounded_equiv_oracle (criterion 3) searches single rewrite
+# steps for a path, independent of sharp; uniqueness_check (criterion 6)
+# re-runs extraction along varied routes; correspondence_check (criteria 5
+# and 7) compares the end-sequents of an hd derivation and its lift.
+
+
+def term_size(t) -> int:
+    """Number of nodes of t: a loop over a list of them that grows as it
+    reaches each Cat or WrapT, so no recursion."""
+    nodes = [t]
+    for t in nodes:
+        if type(t) is Cat or type(t) is WrapT:
+            nodes += (t.left, t.right)
+    return len(nodes)
+
+
+def bounded_equiv_oracle(
+    t,
+    s,
+    depth: int = 12,
+    size_slack: int = 8,
+    max_expansions: int = 200000,
+) -> bool:
+    """Breadth-first search for a rewrite path from t to s of length <= depth.
+
+    Independent of sharp: explores single steps only.  States larger than
+    max(|t|, |s|) + size_slack nodes are pruned and a deterministic expansion
+    budget bounds the search, so a True answer always exhibits a real path
+    while False means no path was found within those bounds.
+    """
+    if t == s:
+        return True
+    cap = max(term_size(t), term_size(s)) + size_slack
+    frontier = [t]
+    seen = {t}
+    expansions = 0
+    for _ in range(depth):
+        nxt = []
+        for cur in frontier:
+            expansions += 1
+            if expansions > max_expansions:
+                return False
+            for app in enumerate_rule_apps(cur):
+                new = apply_rule(cur, app)
+                if new in seen or term_size(new) > cap:
+                    continue
+                if new == s:
+                    return True
+                seen.add(new)
+                nxt.append(new)
+        if not nxt:
+            return False
+        frontier = nxt
+    return False
+
+
+def uniqueness_check(t, at: tuple, trials: int = 8, seed: int = 0) -> bool:
+    """Re-run extraction along varied rewrite routes; the index and the
+    sharp image of the remainder must come out the same every time."""
+    rest0, i0, trace0 = extract(t, at)
+    if not trace0.validate():
+        return False
+    base = flatten(sharp(rest0))
+    for trial in range(trials):
+        rng = random.Random(seed + trial)
+        rest, i, trace = extract(t, at, rng=rng)
+        if i != i0 or flatten(sharp(rest)) != base or not trace.validate():
+            return False
+    return True
+
+
+def correspondence_check(hd: HDerivation, md: MDerivation) -> bool:
+    """The two end-sequents denote the same configuration judgement."""
+    return (
+        flatten(sharp(md.conclusion.antecedent)) == flatten(hd.conclusion.antecedent)
+        and md.conclusion.succedent == hd.conclusion.succedent
+    )
 
 
 # ---------------------------------------------------------------------------

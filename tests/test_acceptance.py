@@ -10,7 +10,7 @@ import os
 import random
 import time
 
-from dcalc.bridge import correspondence_check, lift, lower
+from dcalc.bridge import lift, lower
 from dcalc.hseq import (
     HSequent,
     check,
@@ -39,7 +39,6 @@ from dcalc.terms import (
     Leaf,
     WrapT,
     apply_rule,
-    bounded_equiv_oracle,
     enumerate_rule_apps,
     equiv,
     extract,
@@ -47,11 +46,18 @@ from dcalc.terms import (
     normalize,
     sharp,
     term_of_config,
-    uniqueness_check,
 )
 
 import golden_defs
-from helpers import enumerate_terms, generate_derivations, random_config, random_term
+from helpers import (
+    bounded_equiv_oracle,
+    correspondence_check,
+    enumerate_terms,
+    generate_derivations,
+    random_config,
+    random_term,
+    uniqueness_check,
+)
 
 
 def report(line):

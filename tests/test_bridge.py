@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 from dcalc import bridge
-from dcalc.bridge import BridgeError, correspondence_check, lift, lower
+from dcalc.bridge import BridgeError, lift, lower
 from dcalc.derivation import Derivation, json_text
 from dcalc.hseq import (
     RULES,
@@ -64,6 +64,7 @@ import golden_defs
 from helpers import (
     ReferenceHSequent,
     ReferenceMSequent,
+    correspondence_check,
     generate_derivations,
     random_term,
     reference_append_trace,

@@ -278,6 +278,18 @@ def test_check_malformed_files_exit_2(capsys, sig_file, tmp_path):
         assert code == 2 and out == "" and err.startswith("error: "), obj
 
 
+def test_check_names_a_missing_node_field(capsys, sig_file, tmp_path):
+    # these printed the bare KeyError text, error: 'sequent' and error: 'rule'
+    path = tmp_path / "node.json"
+    for calculus, sequent in (("hd", "a => a"), ("md", "a -> a")):
+        for name in ("sequent", "rule"):
+            node = {"rule": "Id", "sequent": sequent, "params": {}, "premises": []}
+            del node[name]
+            path.write_text(json.dumps(node))
+            code, out, err = run(capsys, "check", calculus, str(path), "--sig", sig_file)
+            assert (code, out, err) == (2, "", "error: %s must be a JSON string\n" % name), calculus
+
+
 def test_check_deep_structural_chain_exits_2(capsys, sig_file, tmp_path):
     # 2,400 Structural steps nest the JSON deeper than the recursion limit
     node = '{"rule": "Structural", "sequent": "%s", "params": {"at": [], "indices": {}, "srule": "%s"}, "premises": ['

@@ -46,6 +46,8 @@ from dcalc.mseq import (
     MSequent,
     check_m,
     check_m_node,
+    m_derivation_from_obj,
+    m_derivation_to_obj,
     m_instance_premises,
     parse_msequent,
     structural_step,
@@ -787,6 +789,34 @@ def test_a_read_at_the_split_points_fails_as_the_sequent_parser_does(text):
         assert read[0] == "ok" and read[1].premises[-1].conclusion == alone[1]
     else:
         assert read == alone
+
+
+def test_a_read_names_a_missing_or_retyped_node_field():
+    # a missing rule or sequent raised a bare KeyError naming the field.
+    # Each node field with the JSON kind its value must have, and a value of
+    # every JSON kind
+    fields = {"rule": "string", "sequent": "string", "params": "object", "premises": "list"}
+    values = {"string": "x", "object": {}, "list": [], "number": 5, "float": 1.5, "bool": True, "null": None}
+    d = prove(parse_hsequent("n, (n \\ s) => s", SIG))
+    for calculus, obj, read in (
+        ("hd", derivation_to_obj(d), derivation_from_obj),
+        ("md", m_derivation_to_obj(lift(d)), m_derivation_from_obj),
+    ):
+        assert obj["premises"], calculus
+        for node in (obj, obj["premises"][0]):
+            for name, kind in fields.items():
+                value = node.pop(name)
+                for change in ("missing", *(other for other in values if other != kind)):
+                    if change != "missing":
+                        node[name] = values[change]
+                    try:
+                        read(obj, SIG)
+                    except ParseError as exc:
+                        assert str(exc) == "%s must be a JSON %s" % (name, kind), (calculus, name, change)
+                    else:  # only a missing params or premises has a default
+                        assert change == "missing" and name in ("params", "premises"), (calculus, name)
+                node[name] = value
+        assert read(obj, SIG) == (d if calculus == "hd" else lift(d))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from dcalc.terms import (
     WrapT,
     _apply,
     apply_rule,
-    bounded_equiv_oracle,
     enumerate_rule_apps,
     equiv,
     extract,
@@ -68,15 +67,14 @@ from dcalc.terms import (
     subterm_at,
     term_of_config,
     term_of_config_with_addr,
-    term_size,
     trace_from_obj,
     trace_to_obj,
-    uniqueness_check,
 )
 
 from helpers import (
     ParentCat,
     ParentWrapT,
+    bounded_equiv_oracle,
     enumerate_terms,
     parent_apply,
     parent_invert_trace,
@@ -95,6 +93,8 @@ from helpers import (
     reference_term_of_config_with_addr,
     reference_wrap_at,
     rule_app,
+    term_size,
+    uniqueness_check,
 )
 
 SIG = Signature.from_text("a 0\nb 2\nc 0\nd 2\ne 1\n")
