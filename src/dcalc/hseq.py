@@ -342,37 +342,36 @@ def _principal(ant, addr, item):
     return (({"at": addr}, True),)
 
 
-# The left rules' minor premise is the region, its chunks taken out, against
-# the argument type: each region's counts start from the argument's, negated,
-# and grow by one item as the region does.
+# The left rules' minor premise is a region beside the principal, its chunks
+# taken out, against the argument type.  _regions grows the region one item at
+# a time and keeps its atom counts, less the argument's, as a running sum.
+
+
+def _regions(items, p, leftward, counts, gaps):
+    """Yield (bound, specs, counts less the chunks) for each chunking into
+    `gaps` gaps of items[q:p], q = p, ..., 0, when leftward, else of
+    items[p+1:r], r = p+1, ..., len(items); counts grows in place with it."""
+    for b in range(p, -1, -1) if leftward else range(p + 1, len(items) + 1):
+        part = items[b:p] if leftward else items[p + 1 : b]
+        if part:  # the item just taken in
+            _add_items(counts, part[:1] if leftward else part[-1:])
+        region = HyperConfig(part)
+        for specs in enum_chunkings(region, gaps):
+            yield b, specs, _unchunked(counts, region, specs)
 
 
 def _left_regions(ant, addr, item):
-    level, p = addr[:-1], addr[-1]
-    items = config_at(ant, level).items
-    arg = item.type.left
+    arg, items = item.type.left, config_at(ant, addr[:-1]).items
     counts = _add({}, atom_counts(arg), -1)
-    for q in range(p, -1, -1):
-        region = HyperConfig(items[q:p])
-        if q < p:
-            _add_items(counts, (items[q],))
-        for specs in enum_chunkings(region, sort_of_type(arg)):
-            fits = _cancels(_unchunked(counts, region, specs))
-            yield {"at": addr, "mstart": q, "chunks": specs}, fits
+    for q, specs, rest in _regions(items, addr[-1], True, counts, sort_of_type(arg)):
+        yield {"at": addr, "mstart": q, "chunks": specs}, _cancels(rest)
 
 
 def _right_regions(ant, addr, item):
-    level, p = addr[:-1], addr[-1]
-    items = config_at(ant, level).items
-    arg = item.type.right
+    arg, items = item.type.right, config_at(ant, addr[:-1]).items
     counts = _add({}, atom_counts(arg), -1)
-    for r in range(p + 1, len(items) + 1):
-        region = HyperConfig(items[p + 1 : r])
-        if r > p + 1:
-            _add_items(counts, (items[r - 1],))
-        for specs in enum_chunkings(region, sort_of_type(arg)):
-            fits = _cancels(_unchunked(counts, region, specs))
-            yield {"at": addr, "mend": r, "chunks": specs}, fits
+    for r, specs, rest in _regions(items, addr[-1], False, counts, sort_of_type(arg)):
+        yield {"at": addr, "mend": r, "chunks": specs}, _cancels(rest)
 
 
 def _gap_regions(ant, addr, item):
@@ -384,27 +383,16 @@ def _gap_regions(ant, addr, item):
 
 
 def _infix_regions(ant, addr, item):
-    # the principal's place is a chunk of its own, so the minor premise
-    # holds the left and the right part of the region, each less its chunks
+    # the principal's place is a chunk of its own, so the minor premise holds
+    # a left and a right part; the right walk adds to a copy of the counts
+    # the left walk yields, as _unchunked may hand back the left walk's own
     t = item.type
-    level, p = addr[:-1], addr[-1]
-    items = config_at(ant, level).items
-    a = sort_of_type(t.left)
+    p, items = addr[-1], config_at(ant, addr[:-1]).items
     left = _add({}, atom_counts(t.left), -1)
-    for q in range(p, -1, -1):
-        lregion = HyperConfig(items[q:p])
-        if q < p:
-            _add_items(left, (items[q],))
-        for lspecs in enum_chunkings(lregion, t.k - 1):
-            counts = dict(_unchunked(left, lregion, lspecs))
-            for r in range(p + 1, len(items) + 1):
-                rregion = HyperConfig(items[p + 1 : r])
-                if r > p + 1:
-                    _add_items(counts, (items[r - 1],))
-                for rspecs in enum_chunkings(rregion, a - t.k):
-                    chunks = lspecs + _shift_specs(rspecs, p - q + 1)
-                    fits = _cancels(_unchunked(counts, rregion, rspecs))
-                    yield {"at": addr, "mstart": q, "mend": r, "chunks": chunks}, fits
+    for q, lspecs, lrest in _regions(items, p, True, left, t.k - 1):
+        for r, rspecs, rest in _regions(items, p, False, dict(lrest), sort_of_type(t.left) - t.k):
+            chunks = lspecs + _shift_specs(rspecs, p - q + 1)
+            yield {"at": addr, "mstart": q, "mend": r, "chunks": chunks}, _cancels(rest)
 
 
 # left rules: premises

@@ -40,7 +40,7 @@ class ParseError(ValueError):
 # signature
 
 
-_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
+_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 class Signature:
@@ -49,9 +49,9 @@ class Signature:
     def __init__(self, atoms: Optional[dict] = None):
         self.atoms = dict(atoms or {})
         for name, sort in self.atoms.items():
-            if not _ATOM_RE.match(name):
+            if not _ATOM_RE.fullmatch(name):
                 raise ParseError("bad atom name %r" % (name,))
-            if not isinstance(sort, int) or sort < 0:
+            if type(sort) is not int or sort < 0:
                 raise ParseError("bad sort for atom %r" % (name,))
 
     def sort(self, name: str) -> int:
@@ -70,9 +70,9 @@ class Signature:
             if len(parts) != 2:
                 raise ParseError("signature line %d: expected 'name<TAB>sort'" % lineno)
             name, sort = parts
-            if not _ATOM_RE.match(name):
+            if not _ATOM_RE.fullmatch(name):
                 raise ParseError("signature line %d: bad atom name %r" % (lineno, name))
-            if not sort.isdigit():
+            if not (sort.isascii() and sort.isdigit()):
                 raise ParseError("signature line %d: bad sort %r" % (lineno, sort))
             if name in atoms:
                 raise ParseError("signature line %d: duplicate atom %r" % (lineno, name))
@@ -746,7 +746,7 @@ def _parse_type_operand(sc: _Scanner, sig: Signature) -> Type:
             return UnitI()
         if value == "J":
             return UnitJ()
-        if not _ATOM_RE.match(value):
+        if not _ATOM_RE.fullmatch(value):
             raise ParseError("bad atom name %r" % (value,))
         return Atom(value, sig.sort(value))
     sc.error("expected a type")

@@ -641,7 +641,7 @@ def sharp(t) -> HyperConfig:
         elif cls is ConstI:
             images.append(_II_IMAGE)
         else:
-            raise TypeError("not a structural term: %r" % (node,))
+            raise _not_a_term(node)
     return _FlatConfig(images[0][0])
 
 
@@ -766,7 +766,7 @@ def _canon(tr: Tracer, path: tuple):
                     _pad_leaf_gaps(tr, path)
                 tr.emit("UnitI-R-add", path)
             else:
-                raise TypeError("not a structural term: %r" % (sub,))
+                raise _not_a_term(sub)
         elif task == "cons":
             x = sub.left
             if type(x) is ConstI:

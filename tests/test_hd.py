@@ -932,6 +932,35 @@ def test_pruned_search_agrees_with_the_plain_search(monkeypatch):
     assert pruned == plain
 
 
+def test_count_verdicts_equal_the_premises_balance(monkeypatch):
+    # the candidates' running sums decide fits for the minor premise alone;
+    # on a balanced conclusion that is the verdict on all of its premises
+    sequents = {}
+    search = hseq._search
+
+    def collecting(s, limit, memo):
+        sequents.setdefault(_seq_key(s), s)
+        return search(s, limit, memo)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hseq, "_search", collecting)
+        for s in search_corpus():
+            prove_all(s, limit=4)
+    for d in generate_derivations(random.Random(17), GENERATED_ATOMS, 60):
+        for node in _nodes(d):
+            sequents.setdefault(_seq_key(node.conclusion), node.conclusion)
+    verdicts = Counter()
+    for key, s in sequents.items():
+        assert reference_balanced(key), str(s)
+        for rule, params, fits in hseq._candidates(s):
+            premises = hseq._built_premises(s, rule, params)
+            if premises is not None:
+                assert fits == all(reference_balanced(_seq_key(p)) for p in premises), (str(s), rule, params)
+                verdicts[rule, fits] += 1
+    both = {rule for rule, fits in verdicts if fits and (rule, False) in verdicts}
+    assert both == {"UnderL", "OverL", "DownL", "UpL", "ProdR", "DProdR"}
+
+
 def test_search_agrees_with_the_reference_searches():
     sequents = search_corpus() + [seq(FAILING_FAMILY), seq(PROVABLE_FAMILY)]
     for s in sequents:
@@ -1133,9 +1162,11 @@ def test_stored_verdicts_keep_nothing_alive():
 
 def test_under_l_enumerates_a_long_region():
     # enum_chunkings keeps its own stack: its recursive generator raised
-    # RecursionError on this region
-    s = seq(", ".join(["a"] * 1200) + ", (a \\ s) => s")
-    assert len(list(enumerate_rule_instances(s, only_rule="UnderL"))) == 1201
+    # RecursionError on this region.  UnderL's region grows leftward from
+    # the principal, OverL's (the mirror case) rightward.
+    a = ", ".join(["a"] * 1200)
+    for rule, text in (("UnderL", a + ", (a \\ s) => s"), ("OverL", "(s / a), " + a + " => s")):
+        assert len(list(enumerate_rule_instances(seq(text), only_rule=rule))) == 1201, rule
 
 
 def _product_chain(n):

@@ -501,3 +501,23 @@ def test_signature_text_round_trip():
     assert sig.sort("verb") == 2
     with pytest.raises(ParseError):
         sig.sort("adjective")
+
+
+def test_signature_text_takes_only_ascii_digit_sorts():
+    # str.isdigit also holds for superscripts and other scripts' digits,
+    # which int() then rejects or reads as a sort the scanner cannot write
+    for sort in ("²", "٣", "-1", "1.0", "x"):
+        with pytest.raises(ParseError, match="^signature line 2: bad sort"):
+            Signature.from_text("b 0\na %s\n" % sort)
+    assert Signature.from_text("b 0\na 03\n").sort("a") == 3
+
+
+def test_signature_dict_takes_only_what_a_text_can_write():
+    # a name with a final newline, and a bool or float sort, have no text form
+    for name in ("a\n", "a b", "A", "1a", ""):
+        with pytest.raises(ParseError, match="bad atom name"):
+            Signature({name: 0})
+    for sort in (True, False, 1.0, -1, "1", None):
+        with pytest.raises(ParseError, match="bad sort for atom 'a'"):
+            Signature({"a": sort})
+    assert Signature({"a": 2}).sort("a") == 2

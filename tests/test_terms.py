@@ -295,8 +295,11 @@ def test_ill_sorted_wraps_and_non_terms():
             Cat(A, bad)
         with pytest.raises(TypeError, match="not a structural term"):
             WrapT(1, bad, A)
-        with pytest.raises(TypeError, match="not a structural term"):
-            normalize(bad)
+        # sharp and normalize each reach a non-term at their own last branch
+        for walk in (sharp, normalize):
+            with pytest.raises(TypeError) as got:
+                walk(bad)
+            assert str(got.value) == "not a structural term: %r" % (bad,)
     with pytest.raises(TypeError, match="not a type"):
         Leaf(A)
 
