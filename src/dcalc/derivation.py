@@ -94,15 +94,28 @@ def _axiom(want):
     return premises
 
 
-def checked_premises(premises, seq: Sequent, rule: str, params) -> tuple:
+def checked_premises(premises, seq: Sequent, rule: str, params, names: dict) -> tuple:
     """premises(seq, rule, params) of a logical rule, params a dict or a
     node's (name, value) pairs, where a missing parameter, one not of its
-    shape (see _int_param), and every failure to fit raise InstanceError."""
-    params = _Params({k: _int_param(k, v) for k, v in dict(params).items()})
+    shape (see _int_param), one the rule does not take (see rule_params)
+    and every failure to fit raise InstanceError."""
+    params = rule_params(rule, {k: _int_param(k, v) for k, v in dict(params).items()}, names)
     try:
         return premises(seq, rule, params)
     except (SortError, IndexError, KeyError, TypeError) as exc:
         raise InstanceError(str(exc)) from exc
+
+
+def rule_params(rule: str, params, names: dict) -> dict:
+    """params, a dict or a node's (name, value) pairs, by name, where
+    asking for a missing one raises InstanceError; so does a name not among
+    names[rule], the parameters the rule takes.  A rule not in names is
+    not checked here, as its calculus rejects it whatever it carries."""
+    params = _Params(params)
+    taken = names.get(rule)
+    if taken is not None and not taken.issuperset(params):
+        raise InstanceError("%s takes no parameter %r" % (rule, min(params.keys() - taken)))
+    return params
 
 
 class _Params(dict):

@@ -25,7 +25,7 @@ from dataclasses import replace
 from itertools import product
 
 from .derivation import Derivation, InstanceError, Sequent, _axiom, _int_param
-from .derivation import checked_premises, first_violation, from_obj
+from .derivation import checked_premises, first_violation, from_obj, rule_params
 from .derivation import derivation_latex, derivation_text, derivation_to_obj  # noqa: F401 (re-exported)
 from .syntax import (
     EMPTY,
@@ -498,13 +498,27 @@ RULES = {
     "UpL": ("L", DUp, _gap_regions, _up_l),
     "DownL": ("L", DDown, _infix_regions, _down_l),
 }
+# the parameters each rule takes, as its candidates yield them, and Cut,
+# which takes the address of its cut item
+_AT = frozenset(("at",))
+PARAM_NAMES = {
+    **dict.fromkeys(("Id", "IR", "JR", "UnderR", "OverR"), frozenset()),
+    **dict.fromkeys(("DownR", "UpR"), frozenset(("k",))),
+    "ProdR": frozenset(("split",)),
+    "DProdR": frozenset(("excise",)),
+    **dict.fromkeys(("ProdL", "DProdL", "IL", "JL", "Cut"), _AT),
+    "UnderL": _AT | {"mstart", "chunks"},
+    "OverL": _AT | {"mend", "chunks"},
+    "UpL": _AT | {"chunks"},
+    "DownL": _AT | {"mstart", "mend", "chunks"},
+}
 
 
 def instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
     """Premise sequents of one rule instance; raises InstanceError if the
     parameters do not fit the conclusion, or one is missing or not of its
-    shape."""
-    return checked_premises(_instance_premises, seq, rule, params)
+    shape, or one the rule does not take."""
+    return checked_premises(_instance_premises, seq, rule, params, PARAM_NAMES)
 
 
 def _instance_premises(seq: HSequent, rule: str, params: dict) -> tuple:
@@ -575,7 +589,7 @@ def check_node(d: HDerivation) -> bool:
         if len(d.premises) != 2:
             return False
         p1, p2 = d.premises[0].conclusion, d.premises[1].conclusion
-        addr = _int_param("at", d.params_dict()["at"])
+        addr = _int_param("at", rule_params(d.rule, d.params, PARAM_NAMES)["at"])
         item = item_at(p2.antecedent, addr)
         if isinstance(item, Separator) or item.type != p1.succedent:
             return False

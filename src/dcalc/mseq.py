@@ -40,7 +40,7 @@ from .terms import (
     subterm_at,
 )
 from .derivation import Derivation, InstanceError, Sequent, _axiom, _int_param
-from .derivation import checked_premises, derivation_to_obj, first_violation, from_obj
+from .derivation import checked_premises, derivation_to_obj, first_violation, from_obj, rule_params
 
 MDerivation = Derivation
 m_derivation_to_obj = derivation_to_obj  # the md name of the shared writer
@@ -120,13 +120,17 @@ RULES = {
     "UpL": ((0,), DUp, lambda t, m: (WrapT(t.k, Leaf(t), m), Leaf(t.left), t.right)),
     "DownL": ((1,), DDown, lambda t, m: (WrapT(t.k, m, Leaf(t)), Leaf(t.right), t.left)),
 }
+# the parameters each rule takes: a left rule and Cut the address of their
+# redex, a right rule none, and a Structural step its rewrite
+PARAM_NAMES = {rule: frozenset(() if row[0] == "R" else ("at",)) for rule, row in RULES.items()}
+PARAM_NAMES.update(Cut=frozenset(("at",)), Structural=frozenset(("at", "indices", "srule")))
 
 
 def m_instance_premises(seq: MSequent, rule: str, params: dict) -> tuple:
     """Premise sequents of a logical rule instance (Cut and Structural are
     validated from their premises in check_m instead); raises InstanceError
     as hseq.instance_premises does."""
-    return checked_premises(_m_instance_premises, seq, rule, params)
+    return checked_premises(_m_instance_premises, seq, rule, params, PARAM_NAMES)
 
 
 def _m_instance_premises(seq: MSequent, rule: str, params: dict) -> tuple:
@@ -177,7 +181,7 @@ def check_m_node(d: MDerivation) -> bool:
         if len(d.premises) != 1:
             return False
         p = d.premises[0].conclusion
-        ps = d.params_dict()
+        ps = rule_params(d.rule, d.params, PARAM_NAMES)
         app = RuleApp(ps["srule"], _int_param("at", ps["at"]), tuple(ps["indices"]))
         return (
             is_step(p.antecedent, app, d.conclusion.antecedent)
@@ -187,7 +191,7 @@ def check_m_node(d: MDerivation) -> bool:
         if len(d.premises) != 2:
             return False
         p1, p2 = d.premises[0].conclusion, d.premises[1].conclusion
-        at = _int_param("at", d.params_dict()["at"])
+        at = _int_param("at", rule_params(d.rule, d.params, PARAM_NAMES)["at"])
         return (
             subterm_at(p2.antecedent, at) == Leaf(p1.succedent)
             and d.conclusion.antecedent == replace_at(p2.antecedent, at, p1.antecedent)

@@ -732,7 +732,10 @@ def term_of_config_with_addr(cfg: HyperConfig, addr: tuple):
 
 
 def normalize(t, budget: int = 10000) -> RewriteTrace:
-    """Explicit rewrite trace from t to term_of_config(sharp(t))."""
+    """Explicit rewrite trace from t to term_of_config(sharp(t)), of at most
+    `budget` steps (BudgetError); a budget below 0 is a ValueError."""
+    if budget < 0:
+        raise ValueError("budget must be at least 0, not %r" % (budget,))
     tr = Tracer(t, budget=budget)
     _canon(tr, ())
     assert is_canonical(tr.term) and flatten(sharp(tr.term)) == flatten(sharp(t))

@@ -178,6 +178,7 @@ def test_check_names_a_missing_or_ill_typed_parameter(capsys, sig_file, tmp_path
         ({"at": "x", "chunks": [], "mstart": 0}, "rule parameter 'at' is not a list of integers"),
         ({"at": [1], "chunks": [["x", 0, 0]], "mstart": 0},
          "rule parameter 'chunks' is not a list of lists [level, start, end]"),
+        ({"at": [1], "chunks": [], "mstart": 0, "split": 9}, "UnderL takes no parameter 'split'"),
     ):
         path.write_text(json.dumps(dict(obj, params=params)))
         code, out, err = run(capsys, "check", "hd", str(path), "--sig", sig_file)
@@ -190,10 +191,24 @@ def test_check_names_a_missing_or_ill_typed_parameter(capsys, sig_file, tmp_path
     m_cut = dict(cut, sequent="a -> a", premises=[m_id, m_id])
     m_under = {"rule": "UnderL", "sequent": "(a + (a \\ a)) -> a", "params": {"at": "0"},
                "premises": [m_id, m_id]}
+    # a parameter the rule does not take was ignored, and check printed ok:
+    # on Cut, and on the Structural root and the UnderL node of an md proof
+    code, out, _ = run(capsys, "prove", "md", "(n + (n \\ s)) -> s", "--sig", sig_file, "--out", "json")
+    m_step, m_proof = json.loads(out), json.loads(out)
+    assert code == 0 and m_step["rule"] == "Structural"
+    m_step["params"]["k"] = 4
+    under = m_proof
+    while under["rule"] != "UnderL":
+        under = under["premises"][0]
+    under["params"]["mstart"] = 0
     for calculus, node, reason in (
         ("hd", cut, "missing rule parameter 'at'"),
         ("md", m_cut, "missing rule parameter 'at'"),
         ("md", m_under, "rule parameter 'at' is not a list of integers"),
+        ("hd", dict(cut, params={"at": [0], "k": 1}), "Cut takes no parameter 'k'"),
+        ("md", dict(m_cut, params={"at": [], "split": 0}), "Cut takes no parameter 'split'"),
+        ("md", m_step, "Structural takes no parameter 'k'"),
+        ("md", m_proof, "UnderL takes no parameter 'mstart'"),
     ):
         path.write_text(json.dumps(node))
         code, out, err = run(capsys, "check", calculus, str(path), "--sig", sig_file)
@@ -343,6 +358,11 @@ def test_normalize(capsys, sig_file):
         capsys, "normalize", "((a + c) + (a + c))", "--sig", sig_file, "--budget", "1"
     )
     assert code == 2 and err
+    # a budget below 0 gave the empty trace of a term one step from canonical,
+    # and a budget error for a canonical term
+    for term in ("(a + II)", "a"):
+        code, out, err = run(capsys, "normalize", term, "--sig", sig_file, "--budget", "-1")
+        assert (code, out, err) == (2, "", "error: budget must be at least 0, not -1\n")
 
 
 def test_extract(capsys, sig_file):

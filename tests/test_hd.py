@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 from dcalc import cli, hseq, mseq
 from dcalc.bridge import lift
-from dcalc.derivation import Derivation, first_violation, json_text, params_from_obj, violation_reason
+from dcalc.derivation import (
+    Derivation,
+    first_violation,
+    json_text,
+    params_from_obj,
+    params_to_obj,
+    violation_reason,
+)
 from dcalc.hseq import (
     RULES,
     HDerivation,
@@ -200,6 +207,65 @@ def test_enumerate_rule_instances_premises_are_wellformed():
     assert any(rule == "UnderL" for rule, _, _ in found)
     for rule, params, premises in found:
         assert premises == instance_premises(s, rule, dict(params))
+
+
+def _moved(value, deltas):
+    """Each copy of a parameter value with one of its integers moved by one
+    of deltas."""
+    if type(value) is int:
+        yield from (value + d for d in deltas)
+        return
+    for n, v in enumerate(value):
+        yield from (value[:n] + (w,) + value[n + 1 :] for w in _moved(v, deltas))
+
+
+def _node_mutants(node):
+    """node, and copies with one integer parameter moved by 1 or 2 (an `at`
+    component by 1), renamed to every other rule, with premises swapped or
+    dropped, and with one parameter added that node lacks."""
+    rule, seq, premises, params = node.rule, node.conclusion, node.premises, dict(node.params)
+
+    def with_param(name, value):
+        return HDerivation(rule, seq, premises, tuple(sorted(dict(params, **{name: value}).items())))
+
+    yield node
+    for name, value in params.items():
+        for moved in _moved(value, (-1, 1) if name == "at" else (-2, -1, 1, 2)):
+            yield with_param(name, moved)
+    for other in RULES:
+        if other != rule:
+            yield HDerivation(other, seq, premises, node.params)
+    if len(premises) == 2:
+        yield HDerivation(rule, seq, premises[::-1], node.params)
+    for n in range(len(premises)):
+        yield HDerivation(rule, seq, premises[:n] + premises[n + 1 :], node.params)
+    for name, value in (("split", 0), ("at", (0,)), ("k", 1)):
+        if name not in params:
+            yield with_param(name, value)
+
+
+def test_check_node_accepts_exactly_the_enumerated_instances():
+    # mutants of every node object of generated derivations, which hold no
+    # Cut: the check holds exactly when the rule, the parameters in JSON form
+    # and the premise conclusions are an instance enumerate_rule_instances yields
+    ds = generate_derivations(random.Random(17), GENERATED_ATOMS, 400)
+    nodes = {id(n): n for d in ds for n in _nodes(d)}.values()
+    assert len(nodes) == 417 and {n.rule for n in nodes} == set(RULES)
+
+    def key(rule, params, premises):
+        return rule, json.dumps(params_to_obj(params), sort_keys=True), premises
+
+    mutants = accepted = 0
+    for node in nodes:
+        instances = {key(*instance) for instance in enumerate_rule_instances(node.conclusion)}
+        for m in _node_mutants(node):
+            try:
+                ok = check_node(m)
+            except InstanceError:
+                ok = False
+            assert ok == (key(m.rule, m.params, tuple(p.conclusion for p in m.premises)) in instances), m
+            mutants, accepted = mutants + 1, accepted + ok
+    assert (mutants, accepted) == (11408, 433)
 
 
 # sha256 of every (rule, params, premises) that enumerate_rule_instances

@@ -422,7 +422,9 @@ def test_stored_images_change_no_value():
     # that the term's unchanged subterms store; the third copy never meets
     # sharp.  Every successor has the term's image (criterion 1), so each one
     # is compared with the term's image under the parent copy of sharp and
-    # under the recursive definition
+    # under the recursive definition.  Each stored image is checked once: on
+    # a successor's rebuilt path after its sharp, on the term's nodes after
+    # the last sharp, as sharp never expands, so never replaces, an image
     rng = random.Random(202)
     configs = [random_config(rng, ATOMS, budget=12, nesting=3) for _ in range(1000)]
     atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
@@ -433,77 +435,73 @@ def test_stored_images_change_no_value():
 
     builds = [lambda cfg=cfg: term_of_config(cfg) for cfg in configs]
     builds += [lambda seed=seed: random_case(seed) for seed in range(1000)]
-    stored = 0
+    stored = on_paths = 0
     for build in builds:
         before, after, fresh = build(), build(), build()
         image = parent_sharp(fresh)
         assert image == reference_sharp(fresh), fresh
+        flat = flatten(image)
+
+        def has_image(t):
+            got = sharp(t)
+            return got == image and got._flat == flat
+
         apps = enumerate_rule_apps(fresh)
         firsts = [apply_rule(before, app) for app in apps]
-        assert all(sharp(s) == image for s in firsts), fresh
-        assert sharp(before) == sharp(after) == image, fresh
+        shared = {id(sub) for _, sub in iter_subterms(before)}
+        for s in firsts:
+            assert has_image(s), (fresh, s)
+            on_paths += _checked_images(s, shared)
+        assert has_image(before) and has_image(after), fresh
         seconds = [apply_rule(after, app) for app in apps]
         # a rewrite builds its path and reduct afresh: only the subterms it
         # shares with the term may come with a stored image
         shared = {id(sub) for _, sub in iter_subterms(after)}
         for s in seconds:
-            todo = [s]
-            for node in todo:
-                if id(node) not in shared and type(node) in (Cat, WrapT):
-                    assert node._image is None, (fresh, s)
-                    todo += (node.left, node.right)
-        assert all(sharp(s) == image for s in seconds), fresh
+            assert all(n._image is None for n in _own_nodes(s, shared) if type(n) is not Leaf), (fresh, s)
+            assert has_image(s), (fresh, s)
+            on_paths += _checked_images(s, shared)
         assert firsts == seconds and list(map(hash, firsts)) == list(map(hash, seconds))
         for t in (before, after):
             assert t == fresh and hash(t) == hash(fresh)
             assert repr(t) == repr(fresh) and str(t) == str(fresh)
-            for _, sub in iter_subterms(t):
-                if getattr(sub, "_image", None) is not None:
-                    assert sub._image == _walked_image(parent_sharp(sub)), sub
-                    stored += 1
-    assert stored > 0
+            stored += _checked_images(t)
+    assert stored > 0 and on_paths > 0
 
 
-def _walked_image(cfg):
-    """(flat tokens, separator offsets) of cfg, which must carry no flat
-    tokens of its own: flatten walks its items."""
-    assert cfg._flat is None
-    flat = flatten(cfg)
-    return flat, tuple(n for n, tok in enumerate(flat) if tok == SEP)
-
-
-def _assert_stored_flats_are_walks(t):
-    """sharp(t)'s flat tokens, and the image stored on each node of t, are
-    the plain walk's of the parent copy of sharp; each leaf's figure
-    carries the plain walk's flatten of its items."""
-    assert sharp(t)._flat == flatten(parent_sharp(t)), t
+def _own_nodes(t, shared):
+    """The leaves, Cats and wraps of t whose ids are not in shared, above those that are."""
     todo = [t]
     for node in todo:
+        if id(node) not in shared and type(node) in (Leaf, Cat, WrapT):
+            yield node
+            if type(node) is not Leaf:
+                todo += (node.left, node.right)
+
+
+def _checked_images(t, shared=()):
+    """Check the image stored on each of t's _own_nodes, (flat tokens,
+    separator offsets), against the plain walk of the parent copy of sharp,
+    and each leaf's figure against the plain walk of its items; returns the
+    number of images checked."""
+    checked = 0
+    for node in _own_nodes(t, shared):
         if type(node) is Leaf:
             fig = figure(node.type)
             assert fig._flat == flatten(HyperConfig(fig.items)), node
-        elif type(node) in (Cat, WrapT):
-            if node._image is not None:
-                assert node._image == _walked_image(parent_sharp(node)), node
-            todo += (node.left, node.right)
+        elif node._image is not None:
+            walked = parent_sharp(node)
+            assert walked._flat is None  # so flatten walks its items
+            flat = flatten(walked)
+            assert node._image == (flat, tuple(n for n, tok in enumerate(flat) if tok == SEP)), node
+            checked += 1
+    return checked
 
 
 def test_stored_flat_tokens_equal_the_plain_walk():
-    # criterion 2's canonical terms; random terms and all their one-step
-    # successors, whose sharp runs before the term's own sharp for one copy
-    # and after it for another; the 900-wrap chain and the 5,001-leaf spine
-    rng = random.Random(202)
-    for _ in range(1000):
-        _assert_stored_flats_are_walks(term_of_config(random_config(rng, ATOMS, budget=12, nesting=3)))
-    atoms = (("a", 0), ("e", 1), ("b", 2), ("f", 3))
-    for seed in range(1000):
-        rngs = random.Random(seed), random.Random(seed)
-        before, after = (random_term(rng, atoms, rng.randint(1, 6)) for rng in rngs)
-        apps = enumerate_rule_apps(before)
-        for s in [apply_rule(before, app) for app in apps] + [before, after]:
-            _assert_stored_flats_are_walks(s)
-        for app in apps:
-            _assert_stored_flats_are_walks(apply_rule(after, app))
+    # the 900-wrap chain and the 5,001-leaf spine; criterion 2's canonical
+    # terms and the random terms with their successors are checked the same
+    # way in test_stored_images_change_no_value
     chain = B
     for _ in range(900):
         chain = WrapT(1, chain, E)
@@ -511,7 +509,8 @@ def test_stored_flat_tokens_equal_the_plain_walk():
     for _ in range(5000):
         spine = Cat(A, spine)
     for t in (chain, spine):
-        _assert_stored_flats_are_walks(t)
+        assert sharp(t)._flat == flatten(parent_sharp(t)), t
+        _checked_images(t)
 
 
 def _retained_bytes(work):
